@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -119,8 +120,12 @@ def _load_family(args: argparse.Namespace) -> AdamsFamily:
 
 
 def _load_deformation(path: str) -> Deformation:
-    with open(path, "r", encoding="utf-8") as handle:
-        return deformation_from_dict(json.load(handle))
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = json.load(handle)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigParseError(f"cannot read deformation file {path}: {exc}") from exc
+    return deformation_from_dict(doc)
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
@@ -194,6 +199,21 @@ def _cmd_lambda_from_adams(args: argparse.Namespace) -> int:
     if len(element) != family.rank:
         raise ConfigParseError(
             f"element needs {family.rank} coordinates, got {len(element)}"
+        )
+    # Degree n uses the Adams operations at 1..n, so every prime up to n
+    # must be in the universe; report the least one that is not.
+    missing = next(
+        (
+            n
+            for n in range(2, args.max_degree + 1)
+            if n not in family.universe.primes
+            and all(n % q for q in range(2, math.isqrt(n) + 1))
+        ),
+        None,
+    )
+    if missing is not None:
+        raise ConfigParseError(
+            f"--max-degree {args.max_degree} needs the prime {missing} in the universe"
         )
     values = lambda_from_adams(family, element, args.max_degree)
     results = {
@@ -387,8 +407,10 @@ def _cmd_deform_obstruction(args: argparse.Namespace) -> int:
 
 
 def _cmd_deform_extend(args: argparse.Namespace) -> int:
-    deformation = _load_deformation(args.deformation)
     bound = args.bound if args.bound is not None else 3
+    if bound < 1:
+        raise ConfigParseError(f"--bound must be at least 1 for extend, got {bound}")
+    deformation = _load_deformation(args.deformation)
     outcome = try_extend(deformation, bound)
     results = {
         "succeeded": outcome.succeeded,
@@ -558,6 +580,12 @@ def _cmd_deform_dispatch(args: argparse.Namespace) -> int:
 def entry(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact results can run to tens of thousands of digits; lift the
+    # int-to-str limit (Python 3.11+) for rendering and JSON, then restore it.
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is not None:
+        previous = sys.get_int_max_str_digits()
+        set_digits(0)
     try:
         return args.handler(args)
     except _INPUT_ERRORS as exc:
@@ -566,6 +594,9 @@ def entry(argv: Optional[Sequence[str]] = None) -> int:
     except _MATH_ERRORS as exc:
         print(f"mathematical violation: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if set_digits is not None:
+            set_digits(previous)
 
 
 if __name__ == "__main__":

@@ -36,6 +36,7 @@ from .cochain import Cochain, factored_box
 from .errors import (
     ConfigParseError,
     DivisibilityViolation,
+    InternalInconsistency,
     NotCoboundary,
     NotFrobeniusCompatible,
     PrefixMismatch,
@@ -43,9 +44,11 @@ from .errors import (
 from .exactalg import (
     IntMatrix,
     Vector,
-    left_multiplication_operator,
-    right_multiplication_operator,
+    multiply_vecs,
     solve_linear,
+    vec_add,
+    vec_sub,
+    vec_zero,
 )
 from .cohomology import DerivationSpec, solve_coboundary_1
 from .rings import AdamsFamily, FactoredInt, family_from_dict, family_to_dict, frobenius_compatible
@@ -313,67 +316,16 @@ def try_extend(deformation: Deformation, exponent_bound: int = 3) -> ExtensionRe
     the box, while unsolvability of this necessary subset proves
     unsolvability outright.
     """
+    box, system, rhs = _extension_system(deformation, exponent_bound)
+    solution = solve_linear(system, rhs)
+    if solution is None:
+        return ExtensionResult(None, exponent_bound, len(box), system.rows)
     family = deformation.family
-    primes = family.universe.primes
     d = family.rank
     d2 = d * d
-    k = len(primes)
-    width = k * d2
-    obs = obstruction(deformation)
-    zero_op = IntMatrix.zeros(d2, width)
-    zero_vec: Vector = tuple([0] * d2)
-
-    # affine dependence of the peeled top term on the prime unknowns:
-    # vec f(n) = operators[n] @ X + constants[n], X the stacked unknowns
-    operators: dict[FactoredInt, IntMatrix] = {FactoredInt.one(): zero_op}
-    constants: dict[FactoredInt, Vector] = {FactoredInt.one(): zero_vec}
-
-    def affine_at(n: FactoredInt) -> tuple[IntMatrix, Vector]:
-        if n in operators:
-            return operators[n], constants[n]
-        p, rest = n.peel()
-        idx = primes.index(p)
-        if rest.is_one:
-            blocks = [IntMatrix.zeros(d2, d2) for _ in range(k)]
-            blocks[idx] = p * IntMatrix.identity(d2)
-            op = _hstack(blocks)
-            const: Vector = zero_vec
-        else:
-            rest_op, rest_const = affine_at(rest)
-            lead = left_multiplication_operator(family.generator(p))
-            op = lead @ rest_op
-            prime_op, _ = affine_at(FactoredInt.of_prime(p))
-            op = op + right_multiplication_operator(family.adams_at(rest)) @ prime_op
-            const = tuple(lead.apply(rest_const))
-            const = _vec_sub(const, obs.at(p, rest).flat())
-        operators[n] = op
-        constants[n] = const
-        return op, const
-
-    box = factored_box(family.universe, exponent_bound, include_one=False)
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    for m in box:
-        for n in box:
-            am = left_multiplication_operator(family.adams_at(m))
-            an = right_multiplication_operator(family.adams_at(n))
-            op_m, c_m = affine_at(m)
-            op_n, c_n = affine_at(n)
-            op_mn, c_mn = affine_at(m * n)
-            total_op = am @ op_n - op_mn + an @ op_m
-            total_const = _vec_add(
-                _vec_sub(tuple(am.apply(c_n)), c_mn), tuple(an.apply(c_m))
-            )
-            target = obs.at(m, n).flat()
-            for r in range(d2):
-                rows.append(list(total_op.row(r)))
-                rhs.append(target[r] - total_const[r])
-    solution = solve_linear(IntMatrix.from_rows(rows), tuple(rhs))
-    if solution is None:
-        return ExtensionResult(None, exponent_bound, len(box), len(rows))
     x = solution.particular
     new_terms: dict[int, dict[int, IntMatrix]] = {}
-    for idx, p in enumerate(primes):
+    for idx, p in enumerate(family.universe.primes):
         block = x[idx * d2 : (idx + 1) * d2]
         top = p * IntMatrix.from_flat(d, d, block)
         per_prime = {}
@@ -382,26 +334,80 @@ def try_extend(deformation: Deformation, exponent_bound: int = 3) -> ExtensionRe
         per_prime[deformation.order + 1] = top
         new_terms[p] = per_prime
     extended = make_deformation(family, deformation.order + 1, new_terms)
-    return ExtensionResult(extended, exponent_bound, len(box), len(rows))
+    return ExtensionResult(extended, exponent_bound, len(box), system.rows)
 
 
-def _hstack(blocks: Sequence[IntMatrix]) -> IntMatrix:
-    rows = blocks[0].rows
-    out = []
-    for r in range(rows):
-        row: list[int] = []
-        for b in blocks:
-            row.extend(b.row(r))
-        out.append(row)
-    return IntMatrix.from_rows(out)
+def _extension_system(
+    deformation: Deformation, exponent_bound: int
+) -> tuple[tuple[FactoredInt, ...], IntMatrix, Vector]:
+    """The box and the stacked linear system ``system @ X == rhs`` of try_extend.
 
+    X stacks the divided top values at the primes.  Each pair (m, n)
+    of the box gives the d*d rows of vec(A_m f(n) - f(mn) + f(m) A_n)
+    == vec(obstruction(m, n)), with f affine in X.
+    """
+    if exponent_bound < 1:
+        raise ValueError("the exponent bound must be at least 1")
+    family = deformation.family
+    primes = family.universe.primes
+    d = family.rank
+    d2 = d * d
+    width = len(primes) * d2
+    obs = obstruction(deformation)
+    zero_vec = vec_zero(d2)
 
-def _vec_add(a: Vector, b: Sequence[int]) -> Vector:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    # affine dependence of the peeled top term on the prime unknowns:
+    # vec f(n) = sum_c columns[n][c] * X[c] + constants[n]
+    columns: dict[FactoredInt, list[Vector]] = {FactoredInt.one(): [zero_vec] * width}
+    constants: dict[FactoredInt, Vector] = {FactoredInt.one(): zero_vec}
 
+    def affine_at(n: FactoredInt) -> tuple[list[Vector], Vector]:
+        if n in columns:
+            return columns[n], constants[n]
+        p, rest = n.peel()
+        if rest.is_one:
+            idx = primes.index(p)
+            cols = [zero_vec] * width
+            for e in range(d2):
+                cols[idx * d2 + e] = tuple(p if r == e else 0 for r in range(d2))
+            const = zero_vec
+        else:
+            rest_cols, rest_const = affine_at(rest)
+            prime_cols, _ = affine_at(FactoredInt.of_prime(p))
+            lead = family.generator(p)
+            cols = list(
+                map(
+                    vec_add,
+                    multiply_vecs(rest_cols, left=lead),
+                    multiply_vecs(prime_cols, right=family.adams_at(rest)),
+                )
+            )
+            (lead_const,) = multiply_vecs([rest_const], left=lead)
+            const = vec_sub(lead_const, obs.at(p, rest).flat())
+        columns[n] = cols
+        constants[n] = const
+        return cols, const
 
-def _vec_sub(a: Vector, b: Sequence[int]) -> Vector:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
+    box = factored_box(family.universe, exponent_bound, include_one=False)
+    rows: list[Vector] = []
+    rhs: list[int] = []
+    for m in box:
+        am = family.adams_at(m)
+        for n in box:
+            an = family.adams_at(n)
+            cols_m, c_m = affine_at(m)
+            cols_n, c_n = affine_at(n)
+            cols_mn, c_mn = affine_at(m * n)
+            left = multiply_vecs(cols_n + [c_n], left=am)
+            right = multiply_vecs(cols_m + [c_m], right=an)
+            total = [
+                vec_add(vec_sub(x, y), z)
+                for x, y, z in zip(left, cols_mn + [c_mn], right)
+            ]
+            total_const = total.pop()
+            rows.extend(zip(*total))
+            rhs.extend(vec_sub(obs.at(m, n).flat(), total_const))
+    return box, IntMatrix(len(rows), width, tuple(rows)), tuple(rhs)
 
 
 class FormalAutomorphism:
@@ -478,7 +484,8 @@ def check_equivalent_extensions(
         return None
     for p in family.universe.primes:
         a = family.generator(p)
-        assert a @ witness - witness @ a == delta[p]
+        if a @ witness - witness @ a != delta[p]:
+            raise InternalInconsistency(f"the witness does not reproduce the difference at {p}")
     return witness
 
 
@@ -504,7 +511,8 @@ def normalize(deformation: Deformation, level: int) -> tuple[Deformation, IntMat
     auto = FormalAutomorphism(family, coefficients)
     normalized = apply_automorphism(auto, deformation)
     for p in family.universe.primes:
-        assert normalized.series(p)[level].is_zero
+        if not normalized.series(p)[level].is_zero:
+            raise InternalInconsistency(f"conjugation left a t^{level} coefficient at {p}")
     return normalized, witness
 
 

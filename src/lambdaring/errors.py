@@ -48,3 +48,7 @@ class ConfigParseError(ValueError):
 
 class UnknownPreset(ValueError):
     """A preset name that the library does not provide."""
+
+
+class InternalInconsistency(RuntimeError):
+    """An internal consistency check failed: a defect in the library, not bad input."""

@@ -642,7 +642,7 @@ def load_ring_file(path: str) -> AdamsFamily:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read ring file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigParseError(f"ring file {path} is not valid JSON: {exc}") from exc

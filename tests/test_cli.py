@@ -15,7 +15,14 @@ from lambdaring.deformation import (
     trivial_deformation,
 )
 from lambdaring.exactalg import IntMatrix
-from lambdaring.rings import family_to_dict, preset_family
+from lambdaring.rings import (
+    AdamsFamily,
+    PrimeUniverse,
+    _cyclic_adams_matrix,
+    _cyclic_group_ring,
+    family_to_dict,
+    preset_family,
+)
 
 
 def run_cli(capsys, argv):
@@ -27,6 +34,19 @@ def run_cli(capsys, argv):
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def run_module(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "lambdaring.cli", *argv],
+        capture_output=True,
+        text=True,
+    )
+
+
+def int_digit_limit():
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    return get_limit() if get_limit is not None else None
 
 
 class TestExitCodes:
@@ -78,6 +98,84 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["deform", "normalize", "--deformation", path])
         assert code == 1
         assert "mathematical violation" in err
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_extend_bound_below_one(self, tmp_path, bound):
+        z = preset_family("Z", (2, 3, 5))
+        path = write_json(
+            tmp_path / "z.json", deformation_to_dict(trivial_deformation(z, 1))
+        )
+        process = run_module("deform", "extend", "--deformation", path, "--bound", bound)
+        assert process.returncode == 2
+        assert "Traceback" not in process.stderr
+        assert "--bound must be at least 1" in process.stderr
+
+    def test_deformation_path_is_a_directory(self, tmp_path):
+        process = run_module("deform", "extend", "--deformation", str(tmp_path))
+        assert process.returncode == 2
+        assert "Traceback" not in process.stderr
+        assert "cannot read deformation file" in process.stderr
+
+    def test_files_that_are_not_text(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe\x00binary")
+        for argv in (
+            ("deform", "verify", "--deformation", str(path)),
+            ("ring", "verify", "--ring", str(path)),
+        ):
+            process = run_module(*argv)
+            assert process.returncode == 2, argv
+            assert "Traceback" not in process.stderr
+
+    def test_lambda_degree_needs_its_primes(self):
+        process = run_module(
+            "lambda", "from-adams", "--preset", "Z", "--element", "4", "--max-degree", "7"
+        )
+        assert process.returncode == 2
+        assert "Traceback" not in process.stderr
+        assert "needs the prime 7" in process.stderr
+
+    def test_lambda_degree_with_its_primes(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            [
+                "lambda", "from-adams", "--preset", "Z", "--primes", "2,3,5,7",
+                "--element", "9", "--max-degree", "7", "--format", "json",
+            ],
+        )
+        assert code == 0
+        assert json.loads(out)["results"]["values"][6] == [36]
+
+    def test_h1_with_classes_beyond_the_digit_limit(self, capsys, tmp_path):
+        # H1 of Z[C6] over {2,3,5} has class entries of about 19,700 digits.
+        primes = (2, 3, 5)
+        family = AdamsFamily(
+            _cyclic_group_ring(6, "ZC6"),
+            PrimeUniverse(primes),
+            tuple((p, _cyclic_adams_matrix(6, p)) for p in primes),
+        )
+        ring = write_json(tmp_path / "zc6.json", family_to_dict(family))
+        before = int_digit_limit()
+        code, out, err = run_cli(
+            capsys, ["cohomology", "h1", "--ring", ring, "--format", "json"]
+        )
+        assert code == 0, err
+        assert int_digit_limit() == before
+        assert '"rendered": "Z^18"' in out
+        longest = max(len(chunk) for chunk in out.replace("-", " ").split())
+        assert longest > 4300
+
+    def test_long_integers_in_and_out(self, capsys):
+        # lambda_2 of 10^5000 is 10^5000 (10^5000 - 1) / 2
+        element = "1" + "0" * 5000
+        code, out, _ = run_cli(
+            capsys,
+            ["lambda", "from-adams", "--preset", "Z", "--element", element, "--max-degree", "2"],
+        )
+        assert code == 0
+        assert f"lambda_2: [{'4' + '9' * 4999 + '5' + '0' * 4999}]" in out
 
 
 class TestReports:

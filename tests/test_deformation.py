@@ -4,8 +4,14 @@ import random
 
 import pytest
 
-from lambdaring.cochain import differential, random_endomorphism, sample_tuples
-from lambdaring.cohomology import compute_H1, inner_derivation
+from lambdaring import deformation as deformation_module
+from lambdaring.cochain import (
+    differential,
+    factored_box,
+    random_endomorphism,
+    sample_tuples,
+)
+from lambdaring.cohomology import compute_H1, cocycle_space_basis, inner_derivation
 from lambdaring.deformation import (
     Deformation,
     FormalAutomorphism,
@@ -27,12 +33,23 @@ from lambdaring.deformation import (
 from lambdaring.errors import (
     ConfigParseError,
     DivisibilityViolation,
+    InternalInconsistency,
     NotCoboundary,
     NotFrobeniusCompatible,
     PrefixMismatch,
 )
-from lambdaring.exactalg import IntMatrix
-from lambdaring.rings import AdamsFamily, PrimeUniverse, preset_family
+from lambdaring.exactalg import (
+    IntMatrix,
+    left_multiplication_operator,
+    right_multiplication_operator,
+    stack_cols,
+    stack_rows,
+    vec_add,
+    vec_sub,
+)
+from lambdaring.rings import AdamsFamily, FactoredInt, PrimeUniverse, preset_family
+
+from conftest import nilpotent_family
 
 
 def scalar(x: int) -> IntMatrix:
@@ -176,6 +193,97 @@ class TestObstruction:
         # (6, 6) is -(5 * 5).
         assert obs.at(6, 6) == scalar(-25)
         assert obs.at(2, 3) == scalar(-6)
+
+
+def kronecker_system(deformation, exponent_bound):
+    """The extension system built with the d^2 x d^2 multiplication operators.
+
+    An independent reference for the direct build inside try_extend:
+    every product is formed as an operator matrix times an operator.
+    """
+    family = deformation.family
+    primes = family.universe.primes
+    d2 = family.rank**2
+    obs = obstruction(deformation)
+    one = FactoredInt.one()
+    operators = {one: IntMatrix.zeros(d2, len(primes) * d2)}
+    constants = {one: (0,) * d2}
+
+    def affine_at(n):
+        if n not in operators:
+            p, rest = n.peel()
+            if rest.is_one:
+                blocks = [
+                    p * IntMatrix.identity(d2) if q == p else IntMatrix.zeros(d2, d2)
+                    for q in primes
+                ]
+                operators[n] = stack_cols(blocks)
+                constants[n] = (0,) * d2
+            else:
+                lead = left_multiplication_operator(family.generator(p))
+                tail = right_multiplication_operator(family.adams_at(rest))
+                rest_op, rest_const = affine_at(rest)
+                prime_op, _ = affine_at(FactoredInt.of_prime(p))
+                operators[n] = lead @ rest_op + tail @ prime_op
+                constants[n] = vec_sub(lead.apply(rest_const), obs.at(p, rest).flat())
+        return operators[n], constants[n]
+
+    box = factored_box(family.universe, exponent_bound, include_one=False)
+    blocks = []
+    rhs = []
+    for m in box:
+        for n in box:
+            am = left_multiplication_operator(family.adams_at(m))
+            an = right_multiplication_operator(family.adams_at(n))
+            op_m, c_m = affine_at(m)
+            op_n, c_n = affine_at(n)
+            op_mn, c_mn = affine_at(m * n)
+            blocks.append(am @ op_n - op_mn + an @ op_m)
+            total = vec_add(vec_sub(am.apply(c_n), c_mn), an.apply(c_m))
+            rhs.extend(vec_sub(obs.at(m, n).flat(), total))
+    return stack_rows(blocks), tuple(rhs)
+
+
+def system_test_deformations():
+    """Order-1 deformations along a sum of cocycles, and their extensions."""
+    families = [preset_family(name, (2, 3, 5)) for name in ("Z", "RC2", "RC3")]
+    families.append(nilpotent_family((2, 3, 5)))
+    for family in families:
+        spec = None
+        for c, b in enumerate(cocycle_space_basis(family), start=1):
+            term = b.scale(c if c % 2 else -c)
+            spec = term if spec is None else spec + term
+        start = make_deformation(
+            family, 1, {p: {1: spec.value(p)} for p in family.universe.primes}
+        )
+        yield family.ring.name, start
+        extension = try_extend(start, exponent_bound=2)
+        if extension.succeeded:
+            yield family.ring.name, extension.extended
+
+
+class TestExtensionSystem:
+    def test_direct_build_equals_the_kronecker_reference(self):
+        for name, deformation in system_test_deformations():
+            assert verify_deformation(deformation).passed, name
+            for bound in (1, 2, 3):
+                box, system, rhs = deformation_module._extension_system(deformation, bound)
+                reference, reference_rhs = kronecker_system(deformation, bound)
+                assert len(box) ** 2 * deformation.family.rank**2 == system.rows
+                assert system == reference, (name, bound)
+                assert rhs == reference_rhs, (name, bound)
+                if name != "Z":  # rank one: the equations hold identically
+                    assert any(rhs), (name, bound)
+
+    def test_bound_below_one_is_rejected(self, z_family):
+        with pytest.raises(ValueError):
+            try_extend(trivial_deformation(z_family, 1), exponent_bound=0)
+
+    def test_rc3_extends_at_bound_four(self, rc3_family):
+        result = try_extend(trivial_deformation(rc3_family, 1), exponent_bound=4)
+        assert result.succeeded
+        assert verify_deformation(result.extended).passed
+        assert result.equations == 9 * result.box_size**2
 
 
 class TestExtension:
@@ -325,6 +433,17 @@ class TestNormalize:
         )
         with pytest.raises(NotCoboundary):
             normalize(deformation, 1)
+
+    def test_check_survives_a_broken_conjugation(self, rc2_family, monkeypatch):
+        inner = inner_derivation(rc2_family, IntMatrix.from_rows([[0, 0], [0, 2]]))
+        conjugated = make_deformation(
+            rc2_family, 1, {p: {1: inner.value(p)} for p in (2, 3, 5)}
+        )
+        monkeypatch.setattr(
+            deformation_module, "apply_automorphism", lambda auto, deformation: deformation
+        )
+        with pytest.raises(InternalInconsistency):
+            normalize(conjugated, 1)
 
     def test_level_bounds(self, z_family):
         deformation = trivial_deformation(z_family, 1)

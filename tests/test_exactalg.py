@@ -4,12 +4,15 @@ import random
 
 import pytest
 
+from lambdaring import exactalg
+from lambdaring.errors import InternalInconsistency
 from lambdaring.exactalg import (
     AbelianGroup,
     IntMatrix,
     determinant,
     kernel_basis,
     left_multiplication_operator,
+    multiply_vecs,
     quotient_presentation,
     quotient_with_generators,
     right_multiplication_operator,
@@ -47,6 +50,133 @@ def reference_determinant(m: IntMatrix) -> int:
         sign = -1 if j % 2 else 1
         total += sign * m[0, j] * reference_determinant(minor)
     return total
+
+
+def seed_diagonalize(self, *, divisibility_chain: bool) -> int:
+    """The original elimination: every scan restarts from t + 1.
+
+    Kept as the reference that the resuming scans must reproduce step
+    for step.
+    """
+    t = 0
+    limit = min(self.nrows, self.ncols)
+    while t < limit:
+        pivot = None
+        best = None
+        for i in range(t, self.nrows):
+            row = self.d[i]
+            for j in range(t, self.ncols):
+                e = row[j]
+                if e and (best is None or abs(e) < best):
+                    pivot, best = (i, j), abs(e)
+        if pivot is None:
+            break
+        self.swap_rows(t, pivot[0])
+        self.swap_cols(t, pivot[1])
+        while True:
+            if self.d[t][t] < 0:
+                self.negate_row(t)
+            p = self.d[t][t]
+            i = next((i for i in range(t + 1, self.nrows) if self.d[i][t]), None)
+            if i is not None:
+                self.add_row(i, t, -(self.d[i][t] // p))
+                if self.d[i][t]:
+                    self.swap_rows(t, i)
+                continue
+            j = next((j for j in range(t + 1, self.ncols) if self.d[t][j]), None)
+            if j is not None:
+                self.add_col(j, t, -(self.d[t][j] // p))
+                if self.d[t][j]:
+                    self.swap_cols(t, j)
+                continue
+            if not divisibility_chain:
+                break
+            stray = next(
+                (
+                    i
+                    for i in range(t + 1, self.nrows)
+                    for e in self.d[i][t + 1 :]
+                    if e % p
+                ),
+                None,
+            )
+            if stray is None:
+                break
+            self.add_row(t, stray, 1)
+        t += 1
+    return t
+
+
+def sparse_unit_matrix(rng, rows, cols):
+    """Tall and sparse, many +-1 entries, some rows entirely zero."""
+    data = []
+    for _ in range(rows):
+        if rng.random() < 0.3:
+            data.append([0] * cols)
+            continue
+        data.append(
+            [rng.choice((0, 0, 0, 0, 1, -1, 1, -1, 2, -3, 5)) for _ in range(cols)]
+        )
+    return IntMatrix.from_rows(data)
+
+
+def rank_deficient_matrix(rng, rows, cols):
+    inner = rng.randint(1, max(1, min(rows, cols) - 1))
+    return random_matrix(rng, rows, inner, bound=4) @ random_matrix(
+        rng, inner, cols, bound=4
+    )
+
+
+def comparison_matrices():
+    rng = random.Random(20261018)
+    for _ in range(25):
+        yield sparse_unit_matrix(rng, rng.randint(20, 45), rng.randint(3, 9))
+    for _ in range(25):
+        n = rng.randint(2, 8)
+        yield random_matrix(rng, n, n + rng.randint(-1, 1))
+    for _ in range(25):
+        yield rank_deficient_matrix(rng, rng.randint(2, 30), rng.randint(2, 8))
+
+
+class TestEliminationMatchesSeed:
+    """The resuming scans take exactly the seed's elimination path."""
+
+    def test_solutions_and_normal_forms_equal_the_reference(self, monkeypatch):
+        rng = random.Random(5)
+        for trial, a in enumerate(comparison_matrices()):
+            x = tuple(rng.randint(-3, 3) for _ in range(a.cols))
+            right_hand_sides = [a.apply(x), tuple(rng.randint(-2, 2) for _ in range(a.rows))]
+            fast = [solve_linear(a, rhs) for rhs in right_hand_sides]
+            fast_snf = smith_normal_form(a)
+            with monkeypatch.context() as patch:
+                patch.setattr(exactalg._Eliminator, "diagonalize", seed_diagonalize)
+                slow = [solve_linear(a, rhs) for rhs in right_hand_sides]
+                slow_snf = smith_normal_form(a)
+            assert fast == slow, f"trial {trial}: solve_linear differs"
+            assert fast[0] is not None
+            for name in ("u", "d", "v", "u_inv", "v_inv"):
+                assert getattr(fast_snf, name) == getattr(slow_snf, name), (
+                    f"trial {trial}: {name} differs"
+                )
+
+
+class TestInternalChecks:
+    def test_smith_check_raises_on_a_broken_transform(self, monkeypatch):
+        original = exactalg._Eliminator.diagonalize
+
+        def corrupted(self, *, divisibility_chain):
+            used = original(self, divisibility_chain=divisibility_chain)
+            self.v[0][0] += 1
+            return used
+
+        monkeypatch.setattr(exactalg._Eliminator, "diagonalize", corrupted)
+        with pytest.raises(InternalInconsistency):
+            smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
+
+    def test_kernel_check_raises_when_the_solver_fails(self, monkeypatch):
+        monkeypatch.setattr(exactalg, "solve_linear", lambda matrix, rhs: None)
+        with pytest.raises(InternalInconsistency):
+            kernel_basis(IntMatrix.identity(2))
 
 
 class TestIntMatrix:
@@ -263,6 +393,28 @@ class TestMultiplicationOperators:
             right = right_multiplication_operator(a)
             assert left.apply(vec) == (a @ m).flat()
             assert right.apply(vec) == (m @ a).flat()
+
+    def test_multiply_vecs_matches_the_operators(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            d = rng.randint(1, 4)
+            a = random_matrix(rng, d, d, bound=5)
+            columns = [random_matrix(rng, d, d, bound=5).flat() for _ in range(3)]
+            columns.append((0,) * (d * d))
+            stacked = IntMatrix.from_columns(columns, d * d)
+            left = left_multiplication_operator(a) @ stacked
+            right = right_multiplication_operator(a) @ stacked
+            assert multiply_vecs(columns, left=a) == [left.column(j) for j in range(4)]
+            assert multiply_vecs(columns, right=a) == [right.column(j) for j in range(4)]
+
+    def test_multiply_vecs_arguments(self):
+        a = IntMatrix.identity(2)
+        with pytest.raises(ValueError):
+            multiply_vecs([(1, 2, 3, 4)])
+        with pytest.raises(ValueError):
+            multiply_vecs([(1, 2, 3, 4)], left=a, right=a)
+        with pytest.raises(ValueError):
+            multiply_vecs([(1, 2, 3)], left=a)
 
     def test_square_required(self):
         with pytest.raises(ValueError):
