@@ -2,7 +2,8 @@
 
 P_i expresses lambda_i(xy) through the lambda-values of the factors;
 P_ij expresses lambda_i(lambda_j(x)).  Both are computed exactly by
-elementary-basis reduction of symmetric expressions in two alphabets.
+Newton's identities: lambda values to Adams values, the Adams operations
+applied to the product or composite, and back through exact division.
 Specializing to binomial values must reproduce C(mn, i) and
 C(C(m, j), i).
 """

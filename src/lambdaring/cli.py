@@ -82,41 +82,52 @@ _MATH_ERRORS = (
 )
 
 
-def _parse_primes(text: str) -> tuple[int, ...]:
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _parse_primes(text: str) -> PrimeUniverse:
     try:
         primes = tuple(int(chunk) for chunk in text.split(",") if chunk.strip())
     except ValueError as exc:
         raise ConfigParseError(f"bad prime list {text!r}") from exc
     if not primes:
         raise ConfigParseError("the prime list is empty")
-    return primes
+    try:
+        return PrimeUniverse(tuple(sorted(primes)))
+    except ValueError as exc:
+        raise ConfigParseError(f"bad prime list {text!r}: {exc}") from exc
 
 
 def _load_family(args: argparse.Namespace) -> AdamsFamily:
     """Resolve --preset/--ring/--primes into an Adams family."""
-    primes: Optional[tuple[int, ...]] = None
+    universe: Optional[PrimeUniverse] = None
     if getattr(args, "primes", None):
-        primes = _parse_primes(args.primes)
+        universe = _parse_primes(args.primes)
     ring_path = getattr(args, "ring", None)
     preset = getattr(args, "preset", None)
     if ring_path and preset:
         raise ConfigParseError("give either --preset or --ring, not both")
     if ring_path:
         family = load_ring_file(ring_path)
-        if primes is None:
+        if universe is None:
             return family
-        missing = [p for p in primes if p not in family.universe.primes]
+        missing = [p for p in universe if p not in family.universe]
         if missing:
             raise ConfigParseError(
                 f"primes {missing} have no Adams data in {ring_path}"
             )
-        generators = tuple(
-            (p, family.generator(p)) for p in sorted(primes)
-        )
-        return AdamsFamily(family.ring, PrimeUniverse(tuple(sorted(primes))), generators)
+        generators = tuple((p, family.generator(p)) for p in universe)
+        return AdamsFamily(family.ring, universe, generators)
     if not preset:
         raise ConfigParseError("one of --preset or --ring is required")
-    return preset_family(preset, primes or DEFAULT_PRIMES)
+    return preset_family(preset, universe or DEFAULT_PRIMES)
 
 
 def _load_deformation(path: str) -> Deformation:
@@ -195,7 +206,10 @@ def _cmd_adams_verify(args: argparse.Namespace) -> int:
 
 def _cmd_lambda_from_adams(args: argparse.Namespace) -> int:
     family = _load_family(args)
-    element = tuple(int(c) for c in args.element.split(","))
+    try:
+        element = tuple(int(c) for c in args.element.split(","))
+    except ValueError as exc:
+        raise ConfigParseError(f"bad element {args.element!r}: {exc}") from exc
     if len(element) != family.rank:
         raise ConfigParseError(
             f"element needs {family.rank} coordinates, got {len(element)}"
@@ -441,6 +455,10 @@ def _cmd_deform_extend(args: argparse.Namespace) -> int:
 
 def _cmd_deform_normalize(args: argparse.Namespace) -> int:
     deformation = _load_deformation(args.deformation)
+    if args.level > deformation.order:
+        raise ConfigParseError(
+            f"--level {args.level} exceeds the deformation order {deformation.order}"
+        )
     normalized, witness = normalize(deformation, args.level)
     results = {
         "witness": list(witness.flat()),
@@ -495,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--preset", choices=PRESET_NAMES, help="built-in ring")
     common.add_argument("--ring", help="path to a ring definition file")
     common.add_argument("--primes", help="comma-separated prime universe override")
-    common.add_argument("--samples", type=int, default=100, help="sample count")
+    common.add_argument("--samples", type=_positive_int, default=100, help="sample count")
     common.add_argument("--seed", type=int, default=0, help="random seed")
     common.add_argument("--bound", type=int, help="exponent or index bound")
     common.add_argument("--order", type=int, help="deformation order")
@@ -517,13 +535,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lam.add_argument("action", choices=("from-adams",))
     lam.add_argument("--element", required=True, help="comma-separated coordinates")
-    lam.add_argument("--max-degree", type=int, default=6)
+    lam.add_argument("--max-degree", type=_positive_int, default=6)
     lam.set_defaults(handler=_cmd_lambda_from_adams)
 
     poly = sub.add_parser("poly", parents=[common], help="universal polynomials")
     poly.add_argument("which", choices=("P", "Pij"))
-    poly.add_argument("i", type=int)
-    poly.add_argument("j", type=int, nargs="?")
+    poly.add_argument("i", type=_positive_int)
+    poly.add_argument("j", type=_positive_int, nargs="?")
     poly.set_defaults(handler=_cmd_poly)
 
     complex_parser = sub.add_parser(
@@ -558,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--deformation", required=True, help="path to a deformation file"
     )
     deform.add_argument("--other", help="second deformation file (equiv)")
-    deform.add_argument("--level", type=int, default=1, help="coefficient to remove")
+    deform.add_argument("--level", type=_positive_int, default=1, help="coefficient to remove")
     deform.set_defaults(handler=_cmd_deform_dispatch)
     return parser
 

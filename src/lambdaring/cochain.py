@@ -184,7 +184,7 @@ def endo_cochain(family: AdamsFamily, matrix: IntMatrix) -> Cochain:
     """
     if matrix.rows != family.rank or matrix.cols != family.rank:
         raise ValueError("endomorphism size must match the ring rank")
-    if not frobenius_compatible(matrix, family.ring, family.universe):
+    if not frobenius_compatible(matrix, family):
         raise NotFrobeniusCompatible(
             "endomorphism does not commute with Frobenius modulo every prime"
         )

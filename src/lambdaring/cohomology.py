@@ -212,7 +212,7 @@ def inner_derivation(family: AdamsFamily, g: IntMatrix) -> DerivationSpec:
     Compatibility makes each commutator with an Adams generator
     divisible by its prime, which is exactly what DerivationSpec needs.
     """
-    if not frobenius_compatible(g, family.ring, family.universe):
+    if not frobenius_compatible(g, family):
         raise NotFrobeniusCompatible(
             "inner derivations come from Frobenius-compatible endomorphisms"
         )

@@ -426,7 +426,7 @@ class FormalAutomorphism:
         for i, c in enumerate(coefficients):
             if c.rows != d or c.cols != d:
                 raise ValueError(f"coefficient {i} must be {d}x{d}")
-            if i >= 1 and not frobenius_compatible(c, family.ring, family.universe):
+            if i >= 1 and not frobenius_compatible(c, family):
                 raise NotFrobeniusCompatible(
                     f"coefficient {i} is not Frobenius-compatible"
                 )

@@ -17,7 +17,7 @@ rounded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .errors import (
     ConfigParseError,
@@ -25,7 +25,7 @@ from .errors import (
     UnknownPreset,
     UnknownPrime,
 )
-from .exactalg import IntMatrix, Vector, vec_add, vec_scale, vec_sub, vec_zero
+from .exactalg import IntMatrix, Vector, vec_add, vec_scale, vec_zero
 
 DEFAULT_PRIMES = (2, 3, 5)
 
@@ -332,10 +332,6 @@ class AdamsFamily:
         return result
 
 
-def adams_at(family: AdamsFamily, n: "FactoredInt | int") -> IntMatrix:
-    return family.adams_at(n)
-
-
 def verify_adams(family: AdamsFamily) -> list[str]:
     """Check the Adams axioms that are decidable from the generator data.
 
@@ -368,19 +364,83 @@ def verify_adams(family: AdamsFamily) -> list[str]:
     return violations
 
 
-def frobenius_compatible(f: IntMatrix, spec: RingSpec, universe: PrimeUniverse) -> bool:
+def frobenius_compatible(f: IntMatrix, family: AdamsFamily) -> bool:
     """Whether an additive endomorphism commutes with Frobenius mod every p.
 
     This is the degree-zero condition f(r)^p = f(r^p) mod pR, checked
     on the basis; both sides are additive mod p so that suffices.
     """
-    if (f.rows, f.cols) != (spec.rank, spec.rank):
+    if (f.rows, f.cols) != (family.rank, family.rank):
         raise ValueError("endomorphism shape does not match the ring rank")
-    for p in universe:
-        frob = frobenius_map(spec, p)
+    for p in family.universe:
+        frob = family.frobenius(p)
         if not (frob @ f - f @ frob).is_zero_mod(p):
             return False
     return True
+
+
+T = TypeVar("T")
+
+
+def newton_lambda(
+    psis: Sequence[T],
+    one: T,
+    mul: Callable[[T, T], T],
+    add: Callable[[T, T], T],
+    scale: Callable[[int, T], T],
+    divide: Callable[[T, int], T],
+) -> list[T]:
+    """Lambda values from Adams values by Newton's identity.
+
+    Solves n*lam_n = sum_{k=1..n} (-1)^(k-1) lam_{n-k} psi_k for
+    ``[lam_1, ..., lam_N]`` given ``[psi_1, ..., psi_N]``, over any
+    coefficients supplied as ``one`` and the arithmetic callables;
+    ``divide(x, n)`` is the exact division by n.
+
+    >>> Z = preset_family("Z").ring
+    >>> newton_lambda([(4,)] * 4, Z.unit, Z.mul, vec_add, vec_scale, _vec_divide)
+    [(4,), (6,), (4,), (1,)]
+    """
+    lams = [one]
+    for n in range(1, len(psis) + 1):
+        acc = mul(lams[n - 1], psis[0])
+        for k in range(2, n + 1):
+            acc = add(acc, scale(-1 if k % 2 == 0 else 1, mul(lams[n - k], psis[k - 1])))
+        lams.append(divide(acc, n))
+    return lams[1:]
+
+
+def newton_psi(
+    lams: Sequence[T],
+    mul: Callable[[T, T], T],
+    add: Callable[[T, T], T],
+    scale: Callable[[int, T], T],
+) -> list[T]:
+    """Adams values from lambda values by Newton's identity; no division.
+
+    psi_n = sum_{k=1..n-1} (-1)^(k-1) lam_k psi_{n-k} + (-1)^(n-1) n lam_n,
+    the inverse of ``newton_lambda``.
+
+    >>> Z = preset_family("Z").ring
+    >>> newton_psi([(4,), (6,), (4,), (1,)], Z.mul, vec_add, vec_scale)
+    [(4,), (4,), (4,), (4,)]
+    """
+    psis: list[T] = []
+    for n in range(1, len(lams) + 1):
+        acc = scale(n if n % 2 else -n, lams[n - 1])
+        for k in range(1, n):
+            acc = add(acc, scale(1 if k % 2 else -1, mul(lams[k - 1], psis[n - k - 1])))
+        psis.append(acc)
+    return psis
+
+
+def _vec_divide(v: Vector, n: int) -> Vector:
+    for c in v:
+        if c % n:
+            raise NonIntegralDivision(
+                f"lambda_{n} would need {c}/{n}; the Adams data is not integral here"
+            )
+    return tuple(c // n for c in v)
 
 
 def lambda_from_adams(
@@ -405,23 +465,7 @@ def lambda_from_adams(
         family.adams_at(family.universe.factor(k)).apply(element)
         for k in range(1, max_degree + 1)
     ]
-    lams: list[Vector] = [spec.unit]
-    for n in range(1, max_degree + 1):
-        acc = vec_zero(spec.rank)
-        sign = 1
-        for k in range(1, n + 1):
-            term = spec.mul(lams[n - k], adams_values[k - 1])
-            acc = vec_add(acc, vec_scale(sign, term))
-            sign = -sign
-        lam_n = []
-        for c in acc:
-            if c % n:
-                raise NonIntegralDivision(
-                    f"lambda_{n} would need {c}/{n}; the Adams data is not integral here"
-                )
-            lam_n.append(c // n)
-        lams.append(tuple(lam_n))
-    return lams[1:]
+    return newton_lambda(adams_values, spec.unit, spec.mul, vec_add, vec_scale, _vec_divide)
 
 
 class LambdaData:
@@ -498,18 +542,8 @@ def adams_from_lambda(
     [(5,), (5,), (5,), (5,)]
     """
     spec = data.spec
-    element = tuple(element)
-    psis: list[Vector] = []
-    for n in range(1, max_degree + 1):
-        acc = vec_zero(spec.rank)
-        sign = 1
-        for k in range(1, n):
-            term = spec.mul(data.value(element, k), psis[n - k - 1])
-            acc = vec_add(acc, vec_scale(sign, term))
-            sign = -sign
-        acc = vec_add(acc, vec_scale(sign * n, data.value(element, n)))
-        psis.append(acc)
-    return psis
+    lams = [data.value(element, n) for n in range(1, max_degree + 1)]
+    return newton_psi(lams, spec.mul, vec_add, vec_scale)
 
 
 def lambda_series(data: LambdaData, element: Sequence[int], order: int) -> tuple[Vector, ...]:

@@ -1,14 +1,14 @@
-"""Universal polynomials via symmetric functions in formal alphabets.
+"""Universal polynomials through Newton's identities.
 
 The product and composition rules of a lambda-structure are governed by
-integer polynomials: expand a generating product over one or two formal
-alphabets, take the relevant coefficient, and rewrite the resulting
-symmetric polynomial in terms of elementary symmetric functions.  The
-rewriting is the classical leading-term subtraction: the lex-leading
-monomial of a symmetric polynomial is killed by the product of
-elementaries indexed by the conjugate partition, and the remainder is
-strictly smaller, so the loop terminates with the (unique) expression
-in the elementary generators.
+integer polynomials P_i and P_ij in the lambda values of the arguments.
+Both come from the Newton recursion of ``rings`` run over polynomial
+coefficients: treat the lambda values s_a of an argument as variables,
+get its Adams values (the power sums p_k) with ``newton_psi``, apply
+the Adams operations to the product or the composite, where they are
+easy, and go back with ``newton_lambda``, whose divisions by n are
+exact over the integers (Macdonald, *Symmetric Functions and Hall
+Polynomials*, I.2).
 
 Variables are pairs ``(letter, index)``; the published polynomials use
 ``s`` for the elementary values of the first argument and ``t`` for
@@ -18,13 +18,14 @@ the second.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from typing import Mapping, Sequence
 
-from .errors import LimitExceeded
+from .errors import InternalInconsistency, LimitExceeded
 from .exactalg import Vector, vec_add, vec_scale, vec_zero
-from .rings import LambdaData, RingSpec
+from .rings import LambdaData, RingSpec, newton_lambda, newton_psi
 
 Variable = tuple[str, int]
 Monomial = tuple[tuple[Variable, int], ...]
@@ -76,10 +77,6 @@ class MultiPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def variables(self) -> tuple[Variable, ...]:
-        seen = sorted({v for monomial, _ in self.terms for v, _ in monomial})
-        return tuple(seen)
 
     def __add__(self, other: "MultiPoly | int") -> "MultiPoly":
         other = _coerce(other)
@@ -190,81 +187,22 @@ def _monomial_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-# Internal alphabet polynomials: dense exponent tuples over a fixed
-# variable count, as dicts {exponents: coefficient}.
-
-ExpVec = tuple[int, ...]
-AlphabetPoly = dict[ExpVec, int]
-
-
-def _alphabet_mul(a: AlphabetPoly, b: AlphabetPoly) -> AlphabetPoly:
-    out: AlphabetPoly = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = out.get(key, 0) + ca * cb
-    return {k: v for k, v in out.items() if v}
+def _exact_division(poly: MultiPoly, n: int) -> MultiPoly:
+    if any(c % n for _, c in poly.terms):
+        raise InternalInconsistency(f"a Newton step left a remainder mod {n}")
+    return MultiPoly(tuple((m, c // n) for m, c in poly.terms))
 
 
-def _elementary(nvars: int, k: int, offset: int = 0, width: int = 0) -> AlphabetPoly:
-    """e_k in variables offset..offset+nvars-1 inside exponent vectors of width."""
-    width = width or nvars
-    out: AlphabetPoly = {}
-    for subset in combinations(range(nvars), k):
-        exps = [0] * width
-        for a in subset:
-            exps[offset + a] = 1
-        out[tuple(exps)] = 1
-    return out
+def _power_sums(letter: str, count: int) -> list[MultiPoly]:
+    """p_1..p_count in the lambda values letter1..letter<count>."""
+    lams = [MultiPoly.variable(letter, a) for a in range(1, count + 1)]
+    return newton_psi(lams, operator.mul, operator.add, operator.mul)
 
 
-def _conjugate_partition(parts: Sequence[int]) -> list[int]:
-    """Conjugate of a weakly decreasing sequence (zeros allowed).
-
-    >>> _conjugate_partition((3, 1, 1))
-    [3, 1, 1]
-    >>> _conjugate_partition((2, 2, 0))
-    [2, 2]
-    """
-    positive = [p for p in parts if p > 0]
-    if not positive:
-        return []
-    return [sum(1 for p in positive if p >= j) for j in range(1, positive[0] + 1)]
-
-
-def _reduce_two_alphabets(poly: AlphabetPoly, nx: int, ny: int) -> MultiPoly:
-    """Rewrite a bi-symmetric polynomial in elementary generators s/t."""
-    work = dict(poly)
-    result: dict[Monomial, int] = {}
-    while work:
-        leading = max(work)
-        coeff = work[leading]
-        xpart, ypart = leading[:nx], leading[nx:]
-        if any(xpart[i] < xpart[i + 1] for i in range(nx - 1)) or any(
-            ypart[i] < ypart[i + 1] for i in range(ny - 1)
-        ):
-            raise AssertionError("input polynomial is not symmetric in each alphabet")
-        s_indices = _conjugate_partition(xpart)
-        t_indices = _conjugate_partition(ypart)
-        counts: dict[Variable, int] = {}
-        for a in s_indices:
-            counts[("s", a)] = counts.get(("s", a), 0) + 1
-        for b in t_indices:
-            counts[("t", b)] = counts.get(("t", b), 0) + 1
-        monomial = tuple(sorted(counts.items()))
-        result[monomial] = result.get(monomial, 0) + coeff
-        subtrahend: AlphabetPoly = {tuple([0] * (nx + ny)): coeff}
-        for a in s_indices:
-            subtrahend = _alphabet_mul(subtrahend, _elementary(nx, a, 0, nx + ny))
-        for b in t_indices:
-            subtrahend = _alphabet_mul(subtrahend, _elementary(ny, b, nx, nx + ny))
-        for exps, c in subtrahend.items():
-            remaining = work.get(exps, 0) - c
-            if remaining:
-                work[exps] = remaining
-            else:
-                work.pop(exps, None)
-    return MultiPoly.from_dict(result)
+def _lambdas(psis: Sequence[MultiPoly]) -> list[MultiPoly]:
+    return newton_lambda(
+        psis, MultiPoly.constant(1), operator.mul, operator.add, operator.mul, _exact_division
+    )
 
 
 @dataclass(frozen=True)
@@ -283,8 +221,10 @@ class UniversalPolynomial:
 def compute_P(i: int) -> UniversalPolynomial:
     """Polynomial expressing lambda_i(r*s) through lambda values of r and s.
 
-    Coefficient of z^i in the product of (1 + x_a y_b z) over the i*i
-    variable pairs, rewritten with s_a = e_a(x), t_b = e_b(y).
+    The Adams operations are multiplicative, psi_k(r*s) = psi_k(r) *
+    psi_k(s), and psi_k of each argument is its power sum p_k written in
+    its lambda values, s_a = lambda_a(r) and t_b = lambda_b(s); P_i is
+    lambda_i of those products.
 
     >>> compute_P(1).text()
     's1*t1'
@@ -293,44 +233,26 @@ def compute_P(i: int) -> UniversalPolynomial:
     """
     if i < 1:
         raise ValueError("the product polynomial needs i >= 1")
-    width = 2 * i
-    coefficient: AlphabetPoly = {}
-    pairs = [(a, b) for a in range(i) for b in range(i)]
-    for chosen in combinations(pairs, i):
-        exps = [0] * width
-        for a, b in chosen:
-            exps[a] += 1
-            exps[i + b] += 1
-        key = tuple(exps)
-        coefficient[key] = coefficient.get(key, 0) + 1
-    expression = _reduce_two_alphabets(coefficient, i, i)
-    return UniversalPolynomial("product", (i,), expression)
+    psis = [ps * pt for ps, pt in zip(_power_sums("s", i), _power_sums("t", i))]
+    return UniversalPolynomial("product", (i,), _lambdas(psis)[i - 1])
 
 
 @functools.lru_cache(maxsize=None)
 def _compute_P_ij_cached(i: int, j: int) -> UniversalPolynomial:
-    nvars = i * j
-    subset_products = [frozenset(s) for s in combinations(range(nvars), j)]
-    coefficient: AlphabetPoly = {}
-    for chosen in combinations(subset_products, i):
-        exps = [0] * nvars
-        for subset in chosen:
-            for a in subset:
-                exps[a] += 1
-        key = tuple(exps)
-        coefficient[key] = coefficient.get(key, 0) + 1
-    expression = _reduce_two_alphabets(coefficient, nvars, 0)
-    return UniversalPolynomial("composition", (i, j), expression)
+    p = _power_sums("s", i * j)
+    # psi_m(lambda_j r) = lambda_j(psi_m r), and psi_m r has power sums
+    # p_k(psi_m r) = p_km(r).
+    psis = [_lambdas(p[m - 1 : j * m : m])[j - 1] for m in range(1, i + 1)]
+    return UniversalPolynomial("composition", (i, j), _lambdas(psis)[i - 1])
 
 
 def compute_P_ij(i: int, j: int, limit: int = DEFAULT_COMPOSITION_LIMIT) -> UniversalPolynomial:
     """Polynomial expressing lambda_i(lambda_j(r)) through lambda values of r.
 
-    Coefficient of z^i in the product of (1 + x_S z) over all j-element
-    subsets S of an i*j-letter alphabet, where x_S is the product of
-    the letters of S, rewritten with s_a = e_a(x).  The alphabet has
-    i*j letters, so the cost explodes with i*j; requests beyond the
-    limit raise LimitExceeded instead of hanging.
+    With s_a = lambda_a(r), psi_m(lambda_j r) = lambda_j(psi_m r) is
+    lambda_j of the power sums p_m, p_2m, ..., p_jm of r, and P_ij is
+    lambda_i of those psi_m.  The work grows quickly with i*j; requests
+    beyond the limit raise LimitExceeded instead of running long.
 
     >>> compute_P_ij(1, 2).text()
     's2'
@@ -355,7 +277,8 @@ def verify_lambda_axioms(
 
     Covers: lambda_0 = 1 and lambda_1 = id (structural for the data
     types here, still asserted), vanishing on the unit in degrees >= 2,
-    the binomial-style sum rule on products of... of sums, the product
+    the sum rule lambda_i(r + s) = sum_k lambda_k(r) lambda_{i-k}(s) on
+    pairs of samples, the product
     rule through the universal product polynomials, and the composition
     rule through the universal composition polynomials with i*j capped
     by ``composition_limit``.

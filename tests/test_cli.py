@@ -101,6 +101,31 @@ class TestExitCodes:
 
 
 class TestInputContract:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("lambda", "from-adams", "--preset", "Z", "--element", "x"),
+            ("lambda", "from-adams", "--preset", "Z", "--element", "4", "--max-degree", "0"),
+            ("poly", "P", "0"),
+            ("poly", "Pij", "0", "1"),
+            ("poly", "Pij", "1", "-2"),
+            ("complex", "check", "d-squared", "--preset", "Z", "--samples", "0"),
+            ("complex", "check", "d-squared", "--preset", "Z", "--samples", "-5"),
+            ("cohomology", "h0", "--preset", "Z", "--primes", "2,2"),
+            ("cohomology", "h0", "--preset", "Z", "--primes", "4"),
+            ("deform", "normalize", "--deformation", "{order_one}", "--level", "0"),
+            ("deform", "normalize", "--deformation", "{order_one}", "--level", "5"),
+        ],
+    )
+    def test_unusable_input_exits_two(self, tmp_path, argv):
+        z = preset_family("Z", (2, 3, 5))
+        path = write_json(
+            tmp_path / "z.json", deformation_to_dict(trivial_deformation(z, 1))
+        )
+        process = run_module(*(arg.format(order_one=path) for arg in argv))
+        assert process.returncode == 2, process.stderr
+        assert "Traceback" not in process.stderr
+
     @pytest.mark.parametrize("bound", ["0", "-1"])
     def test_extend_bound_below_one(self, tmp_path, bound):
         z = preset_family("Z", (2, 3, 5))

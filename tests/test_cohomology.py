@@ -271,7 +271,7 @@ class TestCoboundarySolver:
         assert witness is not None
         from lambdaring.rings import frobenius_compatible
 
-        assert frobenius_compatible(witness, rc3_family.ring, rc3_family.universe)
+        assert frobenius_compatible(witness, rc3_family)
         for p in (2, 3, 5):
             a = rc3_family.generator(p)
             assert a @ witness - witness @ a == target.value(p)

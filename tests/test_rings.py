@@ -194,14 +194,11 @@ class TestFrobenius:
         assert rc2_family.frobenius(2) == IntMatrix.from_rows([[1, 1], [0, 0]])
 
     def test_compatibility_predicate(self, rc2_family):
-        spec, universe = rc2_family.ring, rc2_family.universe
-        assert frobenius_compatible(IntMatrix.identity(2), spec, universe)
-        assert frobenius_compatible(rc2_family.generator(2), spec, universe)
+        assert frobenius_compatible(IntMatrix.identity(2), rc2_family)
+        assert frobenius_compatible(rc2_family.generator(2), rc2_family)
         # The projection onto the second coordinate does not commute with
         # the mod-2 Frobenius.
-        assert not frobenius_compatible(
-            IntMatrix.from_rows([[0, 0], [0, 1]]), spec, universe
-        )
+        assert not frobenius_compatible(IntMatrix.from_rows([[0, 0], [0, 1]]), rc2_family)
 
     def test_entries_reduced(self, nil3_family):
         frob = frobenius_map(nil3_family.ring, 3)

@@ -6,11 +6,12 @@ import pathlib
 
 import pytest
 
-from lambdaring.errors import LimitExceeded
+from lambdaring.errors import InternalInconsistency, LimitExceeded
 from lambdaring.rings import LambdaData, preset_family
 from lambdaring.symfun import (
     DEFAULT_COMPOSITION_LIMIT,
     MultiPoly,
+    _exact_division,
     compute_P,
     compute_P_ij,
     verify_lambda_axioms,
@@ -72,6 +73,14 @@ class TestMultiPoly:
         with pytest.raises(ValueError):
             (s1 + 1) ** -1
 
+    def test_exact_division(self):
+        s1 = MultiPoly.variable("s", 1)
+        assert _exact_division(6 * s1 - 4, 2) == 3 * s1 - 2
+        # A remainder means the Newton recursion was fed inconsistent
+        # data; it is raised, not rounded, and survives python -O.
+        with pytest.raises(InternalInconsistency):
+            _exact_division(6 * s1 - 3, 2)
+
 
 class TestProductPolynomials:
     def test_first_values(self):
@@ -81,7 +90,7 @@ class TestProductPolynomials:
     def test_binomial_specialization(self):
         # With lambda_a(m) = C(m, a) the product rule must reproduce
         # C(mn, i); this pins every coefficient of the polynomial.
-        for i in range(1, 5):
+        for i in range(1, 6):
             polynomial = compute_P(i).expression
             for m in range(-5, 6):
                 for n in range(-5, 6):
@@ -92,16 +101,17 @@ class TestProductPolynomials:
                     assert polynomial.eval_int(assignment) == binomial(m * n, i)
 
     def test_concrete_alphabets(self):
-        # Independent of the elementary-basis reduction: expand the
-        # z-coefficient directly over explicit integer alphabets, with
-        # more letters than the polynomial's defining alphabet to catch
-        # any hidden dependence on the alphabet size.
-        for i in (1, 2, 3):
+        # Independent of the Newton recursion: expand the z-coefficient
+        # of the product of (1 + x_a y_b z) directly over explicit integer
+        # alphabets, with more letters than the polynomial's defining
+        # alphabet to catch any hidden dependence on the alphabet size.
+        for i in (1, 2, 3, 5):
             polynomial = compute_P(i).expression
             for x, y in [
                 ((2, 3, 5), (1, 2, 4)),
                 ((1, -1, 2), (3, 1, 1)),
                 ((2, 3, 5, 7), (1, 1, 2, 3)),
+                ((2, -1, 3, 1, 2), (1, 3, -2, 1, 1)),
             ]:
                 if len(x) < i:
                     continue
@@ -167,12 +177,14 @@ class TestCompositionPolynomials:
 
 class TestGoldenFiles:
     def test_product_polynomials_match(self):
-        for i in range(1, 5):
+        for i in range(1, 6):
             expected = (GOLDEN / f"product_P{i}.txt").read_text().strip()
             assert compute_P(i).text() == expected
 
     def test_composition_polynomials_match(self):
-        for i, j in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3), (3, 2)]:
+        pairs = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3), (3, 2)]
+        pairs += [(1, 4), (1, 5), (1, 6), (4, 1), (5, 1), (6, 1)]
+        for i, j in pairs:
             expected = (GOLDEN / f"composition_P{i}_{j}.txt").read_text().strip()
             assert compute_P_ij(i, j).text() == expected
 
