@@ -392,9 +392,11 @@ def _cmd_deform_infinitesimal(args: argparse.Namespace) -> int:
 
 
 def _cmd_deform_obstruction(args: argparse.Namespace) -> int:
+    bound = args.bound if args.bound is not None else 2
+    if bound < 1:
+        raise ConfigParseError(f"--bound must be at least 1 for obstruction, got {bound}")
     deformation = _load_deformation(args.deformation)
     obs = obstruction(deformation)
-    bound = args.bound if args.bound is not None else 2
     box = factored_box(deformation.family.universe, bound, include_one=False)
     entries = []
     for m in box:

@@ -22,6 +22,7 @@ reported pass is reproducible from the seed.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from itertools import product
@@ -95,24 +96,29 @@ class Cochain:
                 f"a dimension-{self.dimension} cochain takes {self.dimension} "
                 f"arguments, got {len(args)}"
             )
-        coerced = []
         for a in args:
-            if isinstance(a, FactoredInt):
-                coerced.append(a)
-            else:
-                coerced.append(self.family.universe.factor(int(a)))
-        return tuple(coerced)
+            if not isinstance(a, FactoredInt):
+                break
+        else:
+            return args
+        factor = self.family.universe.factor
+        return tuple(a if isinstance(a, FactoredInt) else factor(int(a)) for a in args)
 
     def at(self, *args) -> IntMatrix:
         """Value on the given arguments (factored integers or plain ints)."""
+        value = self._cache.get(args)
+        if value is not None:
+            return value
         key = self._coerce_args(args)
-        if key not in self._cache:
+        if key is not args:
+            value = self._cache.get(key)
+        if value is None:
             value = self._evaluate(key)
             d = self.family.rank
             if value.rows != d or value.cols != d:
                 raise ValueError("cochain values must be square of the ring rank")
             self._cache[key] = value
-        return self._cache[key]
+        return value
 
     def _check_context(self, other: "Cochain", same_dimension: bool) -> None:
         if self.family != other.family:
@@ -143,11 +149,12 @@ class Cochain:
         )
 
     def scale(self, c: int) -> "Cochain":
+        def evaluate(args: tuple[FactoredInt, ...]) -> IntMatrix:
+            value = self.at(*args)
+            return value if c == 1 else c * value
+
         return Cochain(
-            self.family,
-            self.dimension,
-            lambda args: c * self.at(*args),
-            prime_divisible=self.prime_divisible,
+            self.family, self.dimension, evaluate, prime_divisible=self.prime_divisible
         )
 
     def compose(self, other: "Cochain") -> "Cochain":
@@ -237,15 +244,20 @@ def differential(f: Cochain) -> Cochain:
     """Coboundary of a cochain, one dimension up."""
     family = f.family
     n = f.dimension
+    d = family.rank
 
     def evaluate(args: tuple[FactoredInt, ...]) -> IntMatrix:
-        total = family.adams_at(args[0]) @ f.at(*args[1:])
-        sign = -1
-        for i in range(1, n + 1):
-            merged = args[: i - 1] + (args[i - 1] * args[i],) + args[i + 1 :]
-            total = total + sign * f.at(*merged)
-            sign = -sign
-        return total + sign * (f.at(*args[:-1]) @ family.adams_at(args[-1]))
+        # The terms are summed row by row into one buffer, the i-th
+        # with the sign (-1)^i of the formula in the module docstring.
+        rows = (family.adams_at(args[0]) @ f.at(*args[1:])).entries
+        for i in range(1, n + 2):
+            if i <= n:
+                term = f.at(*args[: i - 1], args[i - 1] * args[i], *args[i + 1 :])
+            else:
+                term = f.at(*args[:-1]) @ family.adams_at(args[-1])
+            op = operator.sub if i % 2 else operator.add
+            rows = [tuple(map(op, a, b)) for a, b in zip(rows, term.entries)]
+        return IntMatrix._trusted(d, d, tuple(rows))
 
     return Cochain(family, n + 1, evaluate, prime_divisible=(n == 0))
 
@@ -298,11 +310,12 @@ def _seeded_matrix(
     seed: str, d: int, entry_bound: int, scale: int = 1
 ) -> IntMatrix:
     rng = random.Random(seed)
-    return IntMatrix.from_rows(
-        [
-            [scale * rng.randint(-entry_bound, entry_bound) for _ in range(d)]
-            for _ in range(d)
-        ]
+    return IntMatrix._trusted(
+        d,
+        d,
+        tuple(
+            [tuple([scale * rng.randint(-entry_bound, entry_bound) for _ in range(d)]) for _ in range(d)]
+        ),
     )
 
 

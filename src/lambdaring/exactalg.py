@@ -12,7 +12,7 @@ cohomology classes can be printed, not just counted.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import InternalInconsistency, NonIntegralDivision
@@ -40,9 +40,13 @@ def vec_zero(n: int) -> Vector:
     return (0,) * n
 
 
-@dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix with row-major entries.
+
+    ``entries`` is a tuple of row tuples.  The constructor and the
+    ``from_*``, ``identity`` and ``zeros`` builders validate the shape;
+    the arithmetic builds its results with ``_trusted``, which skips the
+    checks because each result's shape is known.
 
     >>> m = IntMatrix.from_rows([[1, 2], [3, 4]])
     >>> m @ IntMatrix.identity(2) == m
@@ -51,20 +55,56 @@ class IntMatrix:
     True
     >>> m.apply((1, 0))
     (1, 3)
+    >>> m
+    IntMatrix(rows=2, cols=2, entries=((1, 2), (3, 4)))
     """
+
+    __slots__ = ("rows", "cols", "entries")
 
     rows: int
     cols: int
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows:
+        if len(entries) != rows:
             raise ValueError("row count does not match entries")
-        for row in self.entries:
-            if len(row) != self.cols:
+        for row in entries:
+            if len(row) != cols:
                 raise ValueError("ragged matrix rows")
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_entries(self, entries)
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """Build without validation; the caller guarantees the shape."""
+        m = object.__new__(cls)
+        _set_rows(m, rows)
+        _set_cols(m, cols)
+        _set_entries(m, entries)
+        return m
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (IntMatrix, (self.rows, self.cols, self.entries))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.entries))
+
+    def __repr__(self) -> str:
+        return f"IntMatrix(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]]) -> "IntMatrix":
@@ -114,11 +154,11 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         data = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
-        return IntMatrix(self.cols, self.rows, data)
+        return IntMatrix._trusted(self.cols, self.rows, data)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_shape(other)
-        return IntMatrix(
+        return IntMatrix._trusted(
             self.rows,
             self.cols,
             tuple(tuple(map(operator.add, r, s)) for r, s in zip(self.entries, other.entries)),
@@ -126,26 +166,30 @@ class IntMatrix:
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_shape(other)
-        return IntMatrix(
+        return IntMatrix._trusted(
             self.rows,
             self.cols,
             tuple(tuple(map(operator.sub, r, s)) for r, s in zip(self.entries, other.entries)),
         )
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(tuple(-a for a in r) for r in self.entries))
+        return IntMatrix._trusted(
+            self.rows, self.cols, tuple(tuple(map(operator.neg, r)) for r in self.entries)
+        )
 
     def __rmul__(self, k: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(tuple(k * a for a in r) for r in self.entries))
+        return IntMatrix._trusted(
+            self.rows, self.cols, tuple(tuple(k * a for a in r) for r in self.entries)
+        )
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        cols_t = other.transpose().entries
+        columns = tuple(zip(*other.entries)) if other.rows else ((),) * other.cols
         data = tuple(
-            tuple(sum(map(operator.mul, row, col)) for col in cols_t) for row in self.entries
+            [tuple([sum(map(operator.mul, row, col)) for col in columns]) for row in self.entries]
         )
-        return IntMatrix(self.rows, other.cols, data)
+        return IntMatrix._trusted(self.rows, other.cols, data)
 
     def apply(self, vector: Sequence[int]) -> Vector:
         """Matrix times column vector."""
@@ -169,7 +213,9 @@ class IntMatrix:
             raise ZeroDivisionError("exact_divide by zero")
         if not self.is_divisible_by(k):
             raise NonIntegralDivision(f"matrix is not divisible by {k}")
-        return IntMatrix(self.rows, self.cols, tuple(tuple(a // k for a in r) for r in self.entries))
+        return IntMatrix._trusted(
+            self.rows, self.cols, tuple(tuple(a // k for a in r) for r in self.entries)
+        )
 
     def _check_shape(self, other: "IntMatrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -177,6 +223,11 @@ class IntMatrix:
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(a) for a in row) for row in self.entries) + "]"
+
+
+_set_rows = IntMatrix.rows.__set__
+_set_cols = IntMatrix.cols.__set__
+_set_entries = IntMatrix.entries.__set__
 
 
 @dataclass(frozen=True)

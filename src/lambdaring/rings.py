@@ -16,7 +16,7 @@ rounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .errors import (
@@ -96,12 +96,14 @@ class PrimeUniverse:
         if remaining != 1:
             stray = next(q for q in range(2, remaining + 1) if remaining % q == 0)
             raise UnknownPrime(f"{n} has the factor {stray} outside the universe {self.primes}")
-        return FactoredInt(tuple(factors))
+        return FactoredInt._trusted(tuple(factors))
 
 
-@dataclass(frozen=True)
 class FactoredInt:
     """A positive integer stored as its prime factorization.
+
+    Instances are immutable and hash by their factors; the hash is
+    computed once, since factored integers key every cochain cache.
 
     >>> n = FactoredInt(((2, 2), (3, 1)))
     >>> n.value
@@ -112,16 +114,48 @@ class FactoredInt:
     (2, FactoredInt(factors=((2, 1), (3, 1))))
     """
 
+    __slots__ = ("factors", "_hash")
+
     factors: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, factors: tuple[tuple[int, int], ...]) -> None:
         previous = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if e < 1:
                 raise ValueError("exponents must be positive")
             if p <= previous:
                 raise ValueError("factor primes must be strictly increasing")
             previous = p
+        _set_factors(self, factors)
+        _set_hash(self, hash((factors,)))
+
+    @classmethod
+    def _trusted(cls, factors: tuple[tuple[int, int], ...]) -> "FactoredInt":
+        """Build without validation; the caller guarantees sorted positive factors."""
+        n = object.__new__(cls)
+        _set_factors(n, factors)
+        _set_hash(n, hash((factors,)))
+        return n
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (FactoredInt, (self.factors,))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.factors == other.factors
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"FactoredInt(factors={self.factors!r})"
 
     @staticmethod
     def one() -> "FactoredInt":
@@ -157,10 +191,14 @@ class FactoredInt:
         return 0
 
     def __mul__(self, other: "FactoredInt") -> "FactoredInt":
+        if not other.factors:
+            return self
+        if not self.factors:
+            return other
         exponents = dict(self.factors)
         for p, e in other.factors:
             exponents[p] = exponents.get(p, 0) + e
-        return FactoredInt(tuple(sorted(exponents.items())))
+        return FactoredInt._trusted(tuple(sorted(exponents.items())))
 
     def peel(self) -> tuple[int, "FactoredInt"]:
         """Split off one power of the smallest prime: n == p * rest."""
@@ -168,13 +206,17 @@ class FactoredInt:
             raise ValueError("cannot peel 1")
         (p, e), *rest = self.factors
         if e == 1:
-            return p, FactoredInt(tuple(rest))
-        return p, FactoredInt(((p, e - 1), *rest))
+            return p, FactoredInt._trusted(tuple(rest))
+        return p, FactoredInt._trusted(((p, e - 1), *rest))
 
     def __str__(self) -> str:
         if self.is_one:
             return "1"
         return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in self.factors)
+
+
+_set_factors = FactoredInt.factors.__set__
+_set_hash = FactoredInt._hash.__set__
 
 
 @dataclass(frozen=True)

@@ -115,6 +115,8 @@ class TestInputContract:
             ("cohomology", "h0", "--preset", "Z", "--primes", "4"),
             ("deform", "normalize", "--deformation", "{order_one}", "--level", "0"),
             ("deform", "normalize", "--deformation", "{order_one}", "--level", "5"),
+            ("deform", "obstruction", "--deformation", "{order_one}", "--bound", "0"),
+            ("deform", "obstruction", "--deformation", "{order_one}", "--bound", "-3"),
         ],
     )
     def test_unusable_input_exits_two(self, tmp_path, argv):

@@ -1,6 +1,8 @@
 """The cochain complex: differentials, cofaces, identities, tables."""
 
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -28,7 +30,7 @@ from lambdaring.errors import (
     NotFrobeniusCompatible,
 )
 from lambdaring.exactalg import IntMatrix
-from lambdaring.rings import PrimeUniverse, preset_family
+from lambdaring.rings import FactoredInt, PrimeUniverse, preset_family
 
 
 def box_tuples(family, dimension, count, seed, exponent=2):
@@ -166,6 +168,99 @@ class TestDifferential:
         f = random_cochain(rc2_family, 1, seed=11)
         df = differential(f)
         assert df.at(1, 1) == f.at(1)
+
+
+def seed_differential(f: Cochain) -> Cochain:
+    """The term-by-term differential: one validated matrix per term.
+
+    Kept as the reference that the summed row buffer must reproduce.
+    """
+    family = f.family
+    n = f.dimension
+
+    def evaluate(args):
+        total = family.adams_at(args[0]) @ f.at(*args[1:])
+        sign = -1
+        for i in range(1, n + 1):
+            merged = args[: i - 1] + (args[i - 1] * args[i],) + args[i + 1 :]
+            total = total + sign * f.at(*merged)
+            sign = -sign
+        return total + sign * (f.at(*args[:-1]) @ family.adams_at(args[-1]))
+
+    return Cochain(family, n + 1, evaluate, prime_divisible=(n == 0))
+
+
+def merged_factors(m: FactoredInt, n: FactoredInt) -> tuple:
+    exponents = dict(m.factors)
+    for p, e in n.factors:
+        exponents[p] = exponents.get(p, 0) + e
+    return tuple(sorted(exponents.items()))
+
+
+class TestEvaluationMatchesSeed:
+    @pytest.mark.parametrize("name", ["Z", "RC2", "RC3"])
+    def test_differential_equals_the_term_by_term_reference(self, name):
+        family = preset_family(name, (2, 3, 5))
+        for dim in (0, 1, 2):
+            for seed in (1, 2):
+                if dim == 0:
+                    f = endo_cochain(family, random_endomorphism(family, seed))
+                else:
+                    f = random_cochain(family, dim, seed=seed)
+                df, ref = differential(f), seed_differential(f)
+                ddf, ref2 = differential(df), seed_differential(ref)
+                assert df.prime_divisible == ref.prime_divisible
+                for args in box_tuples(family, dim + 1, 25, seed=seed, exponent=3):
+                    assert df.at(*args) == ref.at(*args), (name, dim, args)
+                for args in box_tuples(family, dim + 2, 25, seed=seed):
+                    value = ddf.at(*args)
+                    assert value == ref2.at(*args), (name, dim, args)
+                    assert value.is_zero
+
+    def test_factored_products_equal_a_dict_merge(self):
+        universe = PrimeUniverse((2, 3, 5))
+        box = factored_box(universe, 4)
+        assert len(box) == 35
+        for m in box:
+            for n in box:
+                product = m * n
+                rebuilt = FactoredInt(merged_factors(m, n))
+                assert product.factors == rebuilt.factors
+                assert product == rebuilt
+                assert hash(product) == hash(rebuilt) == hash((rebuilt.factors,))
+                assert product.value == m.value * n.value
+                assert (product == m) == (n.is_one)
+        one = FactoredInt.one()
+        for m in box:
+            assert m * one is m
+            assert one * m is (one if m.is_one else m)
+            assert universe.factor(m.value) == m
+            assert hash(universe.factor(m.value)) == hash(m)
+
+    def test_factored_ints_validate_and_stay_frozen(self):
+        with pytest.raises(ValueError, match="positive"):
+            FactoredInt(((2, 0),))
+        with pytest.raises(ValueError, match="increasing"):
+            FactoredInt(((3, 1), (2, 1)))
+        n = FactoredInt(((2, 1), (3, 2)))
+        assert repr(n) == "FactoredInt(factors=((2, 1), (3, 2)))"
+        assert n != (((2, 1), (3, 2)),) and n != 18
+        with pytest.raises(FrozenInstanceError):
+            n.factors = ()
+        assert {n: 1}[FactoredInt(((2, 1), (3, 2)))] == 1
+        copied = pickle.loads(pickle.dumps(n))
+        assert copied == n and hash(copied) == hash(n)
+
+    def test_cache_hit_skips_coercion_but_keeps_the_arity_check(self, rc2_family):
+        f = random_cochain(rc2_family, 2, seed=4)
+        six = rc2_family.universe.factor(6)
+        value = f.at(six, six)
+        assert f.at(6, 6) is value
+        assert f.at(six, 6) is value
+        with pytest.raises(ValueError):
+            f.at(six)
+        with pytest.raises(ValueError):
+            f.at(six, six, six)
 
 
 class TestCofacesAndCodegeneracies:

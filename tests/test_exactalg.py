@@ -1,11 +1,15 @@
 """Exact integer linear algebra: normal forms, solvers, quotient groups."""
 
+import copy
+import operator
+import pickle
 import random
+from dataclasses import FrozenInstanceError, dataclass
 
 import pytest
 
 from lambdaring import exactalg
-from lambdaring.errors import InternalInconsistency
+from lambdaring.errors import InternalInconsistency, NonIntegralDivision
 from lambdaring.exactalg import (
     AbelianGroup,
     IntMatrix,
@@ -160,6 +164,156 @@ class TestEliminationMatchesSeed:
                 )
 
 
+@dataclass(frozen=True)
+class SeedIntMatrix:
+    """The dataclass matrix with its shape validated on every result.
+
+    Kept as the reference that the slotted ``IntMatrix`` must reproduce
+    value for value.
+    """
+
+    rows: int
+    cols: int
+    entries: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        if self.rows < 0 or self.cols < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
+        if len(self.entries) != self.rows:
+            raise ValueError("row count does not match entries")
+        for row in self.entries:
+            if len(row) != self.cols:
+                raise ValueError("ragged matrix rows")
+
+    def transpose(self) -> "SeedIntMatrix":
+        data = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return SeedIntMatrix(self.cols, self.rows, data)
+
+    def __add__(self, other):
+        return SeedIntMatrix(
+            self.rows,
+            self.cols,
+            tuple(tuple(map(operator.add, r, s)) for r, s in zip(self.entries, other.entries)),
+        )
+
+    def __sub__(self, other):
+        return SeedIntMatrix(
+            self.rows,
+            self.cols,
+            tuple(tuple(map(operator.sub, r, s)) for r, s in zip(self.entries, other.entries)),
+        )
+
+    def __neg__(self):
+        return SeedIntMatrix(self.rows, self.cols, tuple(tuple(-a for a in r) for r in self.entries))
+
+    def __rmul__(self, k):
+        return SeedIntMatrix(
+            self.rows, self.cols, tuple(tuple(k * a for a in r) for r in self.entries)
+        )
+
+    def __matmul__(self, other):
+        cols_t = other.transpose().entries
+        data = tuple(
+            tuple(sum(map(operator.mul, row, col)) for col in cols_t) for row in self.entries
+        )
+        return SeedIntMatrix(self.rows, other.cols, data)
+
+    def apply(self, vector):
+        return tuple(sum(map(operator.mul, row, vector)) for row in self.entries)
+
+    def exact_divide(self, k):
+        if k == 0:
+            raise ZeroDivisionError("exact_divide by zero")
+        if not all(a % k == 0 for row in self.entries for a in row):
+            raise NonIntegralDivision(f"matrix is not divisible by {k}")
+        return SeedIntMatrix(self.rows, self.cols, tuple(tuple(a // k for a in r) for r in self.entries))
+
+
+def matrix_pair(rng, rows, cols, bound=9):
+    """The same random entries as a lean and as a reference matrix."""
+    data = tuple(tuple(rng.randint(-bound, bound) for _ in range(cols)) for _ in range(rows))
+    return IntMatrix(rows, cols, data), SeedIntMatrix(rows, cols, data)
+
+
+def same(lean, ref) -> bool:
+    return (
+        type(lean) is IntMatrix
+        and (lean.rows, lean.cols, lean.entries) == (ref.rows, ref.cols, ref.entries)
+        and hash(lean) == hash(ref)
+        and repr(lean) == repr(ref).replace("SeedIntMatrix", "IntMatrix")
+    )
+
+
+class TestLeanCoreMatchesSeed:
+    """Results built without validation equal the validated reference."""
+
+    SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (1, 4), (4, 1), (2, 2), (3, 3), (2, 5), (5, 3)]
+
+    def test_arithmetic_equals_the_reference(self):
+        rng = random.Random(20261018)
+        for trial in range(40):
+            rows, cols = self.SHAPES[trial % len(self.SHAPES)]
+            inner = rng.choice((0, 1, 2, 3))
+            a, ra = matrix_pair(rng, rows, cols)
+            b, rb = matrix_pair(rng, rows, cols)
+            c, rc = matrix_pair(rng, cols, inner)
+            k = rng.choice((-3, -1, 0, 1, 2, 7))
+            assert same(a @ c, ra @ rc), trial
+            assert same(a + b, ra + rb), trial
+            assert same(a - b, ra - rb), trial
+            assert same(-a, -ra), trial
+            assert same(k * a, k * ra), trial
+            assert same(a.transpose(), ra.transpose()), trial
+            assert same(a.transpose() @ b, ra.transpose() @ rb), trial
+            x = tuple(rng.randint(-5, 5) for _ in range(cols))
+            assert a.apply(x) == ra.apply(x), trial
+            divisor = rng.choice((-2, 1, 3))
+            assert same((divisor * a).exact_divide(divisor), (divisor * ra).exact_divide(divisor))
+            if any(e % 4 for row in a.entries for e in row):
+                with pytest.raises(NonIntegralDivision):
+                    a.exact_divide(4)
+                with pytest.raises(NonIntegralDivision):
+                    ra.exact_divide(4)
+            with pytest.raises(ZeroDivisionError):
+                a.exact_divide(0)
+
+    def test_equality_and_hash_follow_the_entries(self):
+        a = IntMatrix.from_rows([[1, 2], [3, 4]])
+        assert a == IntMatrix(2, 2, ((1, 2), (3, 4)))
+        assert a != a.transpose()
+        assert a != SeedIntMatrix(2, 2, a.entries)
+        assert IntMatrix.zeros(0, 3) != IntMatrix.zeros(3, 0)
+        assert len({a, a @ IntMatrix.identity(2), a.transpose()}) == 2
+        assert pickle.loads(pickle.dumps(a)) == a
+        assert copy.deepcopy(a) == a
+
+    def test_constructor_still_validates(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            IntMatrix(-1, 0, ())
+        with pytest.raises(ValueError, match="nonnegative"):
+            IntMatrix.zeros(2, -1)
+        with pytest.raises(ValueError, match="row count"):
+            IntMatrix(2, 1, ((1,),))
+        with pytest.raises(ValueError, match="ragged"):
+            IntMatrix(2, 2, ((1, 2), (3,)))
+        with pytest.raises(ValueError):
+            IntMatrix.from_rows([[1, 2], [3]])
+        with pytest.raises(ValueError):
+            IntMatrix.from_flat(2, 2, [1, 2, 3])
+
+    def test_matrices_are_frozen(self):
+        a = IntMatrix.identity(2)
+        with pytest.raises(FrozenInstanceError):
+            a.rows = 3
+        with pytest.raises(FrozenInstanceError):
+            a.entries = ()
+        with pytest.raises(AttributeError):
+            a.extra = 1
+        with pytest.raises(FrozenInstanceError):
+            del a.cols
+        assert a == IntMatrix.identity(2)
+
+
 class TestInternalChecks:
     def test_smith_check_raises_on_a_broken_transform(self, monkeypatch):
         original = exactalg._Eliminator.diagonalize
@@ -249,6 +403,27 @@ class TestSmithNormalForm:
     def test_zero_and_identity(self):
         assert smith_normal_form(IntMatrix.zeros(2, 3)).diagonal == (0, 0)
         assert smith_normal_form(IntMatrix.identity(3)).diagonal == (1, 1, 1)
+
+
+    def test_invariant_factors_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+        rng = random.Random(31)
+        for trial in range(30):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            a = random_matrix(rng, rows, cols)
+            if trial % 3 == 1:
+                a = rank_deficient_matrix(rng, rows + 1, cols + 1)
+            elif trial % 3 == 2:
+                # Scaled rows force torsion beyond the first invariant.
+                a = IntMatrix.from_rows(
+                    [[(i + 2) * e for e in a.row(i)] for i in range(a.rows)]
+                )
+            ours = smith_normal_form(a).diagonal
+            reference = sympy_snf(sympy.Matrix(a.entries), domain=sympy.ZZ)
+            theirs = tuple(abs(int(reference[i, i])) for i in range(min(a.rows, a.cols)))
+            assert ours == theirs, f"trial {trial}: {a.entries}"
 
 
 class TestDeterminant:
