@@ -29,6 +29,7 @@ modulo p to a Frobenius commutator, so divisibility survives.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -388,25 +389,50 @@ def _extension_system(
         constants[n] = const
         return cols, const
 
+    # vec(A f(n)) and vec(f(n) A) depend on the pair only through one
+    # Adams matrix and one box element, and the box has few distinct
+    # Adams matrices: each product is formed once, as d*d rows over the
+    # unknowns plus a constant vector.
+    products: dict[tuple[bool, IntMatrix, FactoredInt], tuple[list[Vector], Vector]] = {}
+
+    def product_rows(left: bool, adams: IntMatrix, n: FactoredInt) -> tuple[list[Vector], Vector]:
+        key = (left, adams, n)
+        if key not in products:
+            cols, const = affine_at(n)
+            if left:
+                out = multiply_vecs(cols + [const], left=adams)
+            else:
+                out = multiply_vecs(cols + [const], right=adams)
+            const = out.pop()
+            products[key] = list(zip(*out)), const
+        return products[key]
+
+    transposed: dict[FactoredInt, tuple[list[Vector], Vector]] = {}
+
+    def affine_rows(n: FactoredInt) -> tuple[list[Vector], Vector]:
+        if n not in transposed:
+            cols, const = affine_at(n)
+            transposed[n] = list(zip(*cols)), const
+        return transposed[n]
+
     box = factored_box(family.universe, exponent_bound, include_one=False)
     rows: list[Vector] = []
     rhs: list[int] = []
+    # equal rows share one tuple: tall systems repeat a few rows many times
+    intern = {}.setdefault
     for m in box:
         am = family.adams_at(m)
         for n in box:
-            an = family.adams_at(n)
-            cols_m, c_m = affine_at(m)
-            cols_n, c_n = affine_at(n)
-            cols_mn, c_mn = affine_at(m * n)
-            left = multiply_vecs(cols_n + [c_n], left=am)
-            right = multiply_vecs(cols_m + [c_m], right=an)
-            total = [
-                vec_add(vec_sub(x, y), z)
-                for x, y, z in zip(left, cols_mn + [c_mn], right)
-            ]
-            total_const = total.pop()
-            rows.extend(zip(*total))
-            rhs.extend(vec_sub(obs.at(m, n).flat(), total_const))
+            left_rows, left_const = product_rows(True, am, n)
+            right_rows, right_const = product_rows(False, family.adams_at(n), m)
+            mn_rows, mn_const = affine_rows(m * n)
+            for x, y, z in zip(left_rows, mn_rows, right_rows):
+                row = tuple(map(operator.add, map(operator.sub, x, y), z))
+                rows.append(intern(row, row))
+            rhs.extend(
+                o - (x - y + z)
+                for o, x, y, z in zip(obs.at(m, n).flat(), left_const, mn_const, right_const)
+            )
     return box, IntMatrix(len(rows), width, tuple(rows)), tuple(rhs)
 
 

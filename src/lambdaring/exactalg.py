@@ -267,6 +267,16 @@ class _Eliminator:
     transform (with inverse), and a right-hand side that receives the
     same row operations.  Solvers skip the left transform entirely so
     huge systems never materialize an rows-by-rows matrix.
+
+    Only the nonzero rows are copied into lists, and ``live`` holds
+    those lists; every zero row is the one shared tuple ``zero_row``.
+    A zero row stays zero under every column operation, and ``add_row``
+    only changes the pivot row or a row that is nonzero in the pivot
+    column, so the pivot search and the column operations visit the
+    live rows alone.  Row operations change a row list in place and
+    swaps exchange whole rows, so a swap never updates ``live`` and a
+    dense system pays nothing for the bookkeeping.  The pivot search
+    also retires rows that elimination has made zero.
     """
 
     def __init__(
@@ -279,7 +289,9 @@ class _Eliminator:
     ) -> None:
         self.nrows = matrix.rows
         self.ncols = matrix.cols
-        self.d = [list(row) for row in matrix.entries]
+        self.zero_row = (0,) * self.ncols
+        self.d = [list(row) if any(row) else self.zero_row for row in matrix.entries]
+        self.live = [row for row in self.d if row is not self.zero_row]
         self.u = _identity_rows(self.nrows) if track_u else None
         self.u_inv = _identity_rows(self.nrows) if track_u else None
         self.v = _identity_rows(self.ncols)
@@ -304,7 +316,7 @@ class _Eliminator:
         """row_i += q * row_j."""
         if q == 0:
             return
-        self.d[i] = [a + q * b for a, b in zip(self.d[i], self.d[j])]
+        self.d[i][:] = [a + q * b for a, b in zip(self.d[i], self.d[j])]
         if self.u is not None:
             self.u[i] = [a + q * b for a, b in zip(self.u[i], self.u[j])]
             for row in self.u_inv:
@@ -313,7 +325,7 @@ class _Eliminator:
             self.rhs[i] += q * self.rhs[j]
 
     def negate_row(self, i: int) -> None:
-        self.d[i] = [-a for a in self.d[i]]
+        self.d[i][:] = [-a for a in self.d[i]]
         if self.u is not None:
             self.u[i] = [-a for a in self.u[i]]
             for row in self.u_inv:
@@ -327,7 +339,7 @@ class _Eliminator:
     def swap_cols(self, i: int, j: int) -> None:
         if i == j:
             return
-        for row in self.d:
+        for row in self.live:
             row[i], row[j] = row[j], row[i]
         for row in self.v:
             row[i], row[j] = row[j], row[i]
@@ -338,7 +350,7 @@ class _Eliminator:
         """col_j += q * col_i."""
         if q == 0:
             return
-        for row in self.d:
+        for row in self.live:
             row[j] += q * row[i]
         for row in self.v:
             row[j] += q * row[i]
@@ -361,7 +373,10 @@ class _Eliminator:
         row swap with t or the divisibility step).  Every other
         operation leaves the scanned zeros in place, so the sequence of
         swaps, additions and quotients is the same as that of a scan
-        restarted from t+1 after every step.
+        restarted from t+1 after every step.  A zero row has no entry
+        for any scan to find, so leaving it out of the pivot search and
+        the column operations, while the row scans still walk every
+        position, takes the same path as visiting every row.
         """
         d = self.d
         nrows, ncols = self.nrows, self.ncols
@@ -419,14 +434,26 @@ class _Eliminator:
         """First entry of least absolute value in the block below and right of (t, t)."""
         pivot = None
         best = 0
+        d = self.d
+        zero_row = self.zero_row
+        retired = False
         for i in range(t, self.nrows):
-            segment = self.d[i][t:]
+            row = d[i]
+            if row is zero_row:
+                continue
+            segment = row[t:]
             least = min(map(abs, filter(None, segment)), default=0)
-            if least and (pivot is None or least < best):
+            if not least:
+                # below row t the columns before t are clear: the row is zero
+                d[i] = zero_row
+                retired = True
+            elif pivot is None or least < best:
                 j = next(j for j, e in enumerate(segment) if abs(e) == least)
                 pivot, best = (i, t + j), least
                 if best == 1:
                     break
+        if retired:
+            self.live = [row for row in d if row is not zero_row]
         return pivot
 
 

@@ -431,20 +431,25 @@ def newton_lambda(
     add: Callable[[T, T], T],
     scale: Callable[[int, T], T],
     divide: Callable[[T, int], T],
+    known: Sequence[T] = (),
 ) -> list[T]:
     """Lambda values from Adams values by Newton's identity.
 
     Solves n*lam_n = sum_{k=1..n} (-1)^(k-1) lam_{n-k} psi_k for
     ``[lam_1, ..., lam_N]`` given ``[psi_1, ..., psi_N]``, over any
     coefficients supplied as ``one`` and the arithmetic callables;
-    ``divide(x, n)`` is the exact division by n.
+    ``divide(x, n)`` is the exact division by n.  ``known`` is a prefix
+    ``[lam_1, ..., lam_k]`` from an earlier run; the recursion resumes
+    at degree k+1.
 
     >>> Z = preset_family("Z").ring
     >>> newton_lambda([(4,)] * 4, Z.unit, Z.mul, vec_add, vec_scale, _vec_divide)
     [(4,), (6,), (4,), (1,)]
+    >>> newton_lambda([(4,)] * 4, Z.unit, Z.mul, vec_add, vec_scale, _vec_divide, [(4,), (6,)])
+    [(4,), (6,), (4,), (1,)]
     """
-    lams = [one]
-    for n in range(1, len(psis) + 1):
+    lams = [one, *known]
+    for n in range(len(lams), len(psis) + 1):
         acc = mul(lams[n - 1], psis[0])
         for k in range(2, n + 1):
             acc = add(acc, scale(-1 if k % 2 == 0 else 1, mul(lams[n - k], psis[k - 1])))
@@ -486,14 +491,18 @@ def _vec_divide(v: Vector, n: int) -> Vector:
 
 
 def lambda_from_adams(
-    family: AdamsFamily, element: Sequence[int], max_degree: int
+    family: AdamsFamily,
+    element: Sequence[int],
+    max_degree: int,
+    known: Sequence[Vector] = (),
 ) -> list[Vector]:
     """Lambda-operation values on one element via the Newton recursion.
 
-    Returns ``[lam_1, ..., lam_max_degree]`` as coordinate vectors.
-    Each step divides by the degree; a remainder means the Adams data
-    is not the shadow of any lambda-structure on this element and
-    raises NonIntegralDivision.
+    Returns ``[lam_1, ..., lam_max_degree]`` as coordinate vectors,
+    resuming after the values ``known`` from an earlier call.  Each
+    step divides by the degree; a remainder means the Adams data is not
+    the shadow of any lambda-structure on this element and raises
+    NonIntegralDivision.
 
     >>> fam = preset_family("Z")
     >>> lambda_from_adams(fam, (4,), 4)
@@ -507,7 +516,9 @@ def lambda_from_adams(
         family.adams_at(family.universe.factor(k)).apply(element)
         for k in range(1, max_degree + 1)
     ]
-    return newton_lambda(adams_values, spec.unit, spec.mul, vec_add, vec_scale, _vec_divide)
+    return newton_lambda(
+        adams_values, spec.unit, spec.mul, vec_add, vec_scale, _vec_divide, known
+    )
 
 
 class LambdaData:
@@ -533,14 +544,14 @@ class LambdaData:
         self.spec = spec
         self.max_degree = max_degree
         self.family = family
-        self._values: dict[tuple[Vector, int], Vector] = {}
+        # [lambda_1, ..., lambda_k] of each element, k as far as asked
+        self._values: dict[Vector, list[Vector]] = {}
         if table is not None:
             for r, values in table.items():
                 r = tuple(r)
                 if values and tuple(values[0]) != r:
                     raise ValueError("a lambda table must start with lambda_1(r) == r")
-                for i, v in enumerate(values, start=1):
-                    self._values[(r, i)] = tuple(v)
+                self._values[r] = [tuple(v) for v in values]
 
     @staticmethod
     def from_adams(family: AdamsFamily, max_degree: int) -> "LambdaData":
@@ -554,21 +565,28 @@ class LambdaData:
 
     def value(self, element: Sequence[int], degree: int) -> Vector:
         """lambda_degree(element); degree 0 is the unit, degree 1 the element."""
-        element = tuple(element)
         if degree < 0:
             raise ValueError("negative lambda degrees are not defined")
         if degree == 0:
             return self.spec.unit
-        if degree == 1:
-            return element
-        key = (element, degree)
-        if key not in self._values:
+        return self.values(element, degree)[degree - 1]
+
+    def values(self, element: Sequence[int], degree: int) -> list[Vector]:
+        """``[lambda_1(element), ..., lambda_degree(element)]``.
+
+        Adams-backed data resumes the recursion after the values already
+        stored, so each value is computed once.
+        """
+        element = tuple(element)
+        if degree < 2:
+            return [element] if degree == 1 else []
+        known = self._values.get(element, [])
+        if len(known) < degree:
             if self.family is None:
                 raise KeyError(f"no stored value for lambda_{degree} at {element}")
-            values = lambda_from_adams(self.family, element, degree)
-            for i, v in enumerate(values, start=1):
-                self._values[(element, i)] = v
-        return self._values[key]
+            known = lambda_from_adams(self.family, element, degree, known)
+            self._values[element] = known
+        return known[:degree]
 
 
 def adams_from_lambda(
@@ -583,9 +601,7 @@ def adams_from_lambda(
     >>> adams_from_lambda(data, (5,), 4)
     [(5,), (5,), (5,), (5,)]
     """
-    spec = data.spec
-    lams = [data.value(element, n) for n in range(1, max_degree + 1)]
-    return newton_psi(lams, spec.mul, vec_add, vec_scale)
+    return newton_psi(data.values(element, max_degree), data.spec.mul, vec_add, vec_scale)
 
 
 def lambda_series(data: LambdaData, element: Sequence[int], order: int) -> tuple[Vector, ...]:

@@ -1,8 +1,12 @@
 """Command-line interface: exit codes, report formats, determinism."""
 
+import ast
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -492,3 +496,164 @@ class TestModuleEntryPoint:
         )
         assert process.returncode == 0
         assert process.stdout.strip() == "s1*t1"
+
+
+# --- argv fuzz: the exit-code contract for any argument list ---------------
+
+# Positional words of each command, and the options its parser knows
+# beyond the common ones.
+FUZZ_COMMANDS = (
+    (("ring", "verify"), ()),
+    (("adams", "verify"), ()),
+    (("lambda", "from-adams"), ("--element", "--max-degree")),
+    (("poly", "P"), ()),
+    (("poly", "Pij"), ()),
+    (("complex", "check", "d-squared"), ("--dimension",)),
+    (("complex", "check", "cosimplicial"), ("--dimension",)),
+    (("complex", "check", "leibniz"), ("--dimension",)),
+    (("cohomology", "h0"), ()),
+    (("cohomology", "h1"), ()),
+    (("deform", "verify"), ("--deformation", "--other", "--level")),
+    (("deform", "infinitesimal"), ("--deformation", "--other", "--level")),
+    (("deform", "obstruction"), ("--deformation", "--other", "--level")),
+    (("deform", "extend"), ("--deformation", "--other", "--level")),
+    (("deform", "normalize"), ("--deformation", "--other", "--level")),
+    (("deform", "equiv"), ("--deformation", "--other", "--level")),
+)
+COMMON_OPTIONS = (
+    "--preset", "--ring", "--primes", "--samples", "--seed", "--bound", "--order", "--format",
+)
+# (usable values, bad values) of each option and of the poly indices.
+# Every value is small, so any parse the grammar allows finishes in milliseconds.
+FUZZ_VALUES = {
+    "--preset": (("Z", "RC2", "RC3"), ("RC9", "")),
+    "--primes": (("2", "2,3", "2,3,5", "3,5"), ("2,2", "4", "0", "-2", "", "x", "2,,3")),
+    "--samples": (("1", "2"), ("0", "-1", "x")),
+    "--seed": (("0", "1", "3"), ("-2", "y")),
+    "--bound": (("1", "2"), ("0", "-1", "1.5")),
+    "--order": (("1", "2"), ("0", "-1")),
+    "--format": (("text", "json"), ("xml",)),
+    "--element": (("1", "-3", "0", "1,2", "1,2,3"), ("x", "", "1,,2")),
+    "--max-degree": (("1", "2", "3", "7"), ("0", "-2")),
+    "--dimension": (("0", "1", "2", "3"), ("-1", "z")),
+    "--level": (("1", "2"), ("0", "-1", "q")),
+    "index": (("1", "2", "3"), ("0", "-1", "x")),
+}
+JUNK = (
+    "", "-", "--", "x", "-1", "0", "nan", "1e3", "--bogus", "2,x", "--bound", "--samples", "ψ",
+    "deform",
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    z = preset_family("Z", (2, 3, 5))
+    rc2 = preset_family("RC2", (2, 3))
+    scaling = make_deformation(z, 1, {p: {1: IntMatrix.from_rows([[p]])} for p in (2, 3, 5)})
+    (root / "not-json.json").write_text("{not json")
+    (root / "binary.json").write_bytes(b"\xff\xfe\x00")
+    (root / "empty.json").write_text("{}")
+    ring = write_json(root / "z-ring.json", family_to_dict(z))
+    deformations = (
+        write_json(root / "z-trivial.json", deformation_to_dict(trivial_deformation(z, 1))),
+        write_json(root / "z-scaling.json", deformation_to_dict(scaling)),
+        write_json(root / "rc2-trivial.json", deformation_to_dict(trivial_deformation(rc2, 1))),
+    )
+    # the last one names the directory itself
+    unusable = tuple(
+        str(root / name)
+        for name in ("not-json.json", "binary.json", "empty.json", "missing.json", "")
+    )
+    return {
+        "--ring": ((ring,), deformations[:1] + unusable),
+        "--deformation": (deformations, (ring,) + unusable),
+        "--other": (deformations, (ring,) + unusable),
+    }
+
+
+def fuzz_argv(data, files):
+    """An argv that mostly follows the grammar, with bad values and junk tokens."""
+    from hypothesis import strategies as st
+
+    def value(name):
+        good, bad = files[name] if name in files else FUZZ_VALUES[name]
+        return data.draw(st.sampled_from(bad if data.draw(st.integers(0, 5)) == 5 else good))
+
+    words, own = data.draw(st.sampled_from(FUZZ_COMMANDS))
+    argv = list(words)
+    if words[0] == "poly":
+        argv += [value("index") for _ in range(data.draw(st.integers(1, 3)))]
+    required = {"lambda": ["--element"], "deform": ["--deformation"]}.get(words[0], [])
+    if words[0] in ("ring", "adams", "lambda", "complex", "cohomology"):
+        required.append(data.draw(st.sampled_from(("--preset", "--preset", "--ring"))))
+    # the defaults (100 samples, bound 3) are slower than a fuzz example should be
+    required.append({"complex": "--samples", "deform": "--bound"}.get(words[0], "--format"))
+    optional = [n for n in COMMON_OPTIONS + own if n not in required]
+    names = required + data.draw(st.lists(st.sampled_from(optional), max_size=3, unique=True))
+    for name in data.draw(st.permutations(names)):
+        argv += [name, value(name)]
+    if data.draw(st.integers(0, 2)) == 2:
+        for _ in range(data.draw(st.integers(1, 2))):
+            position = data.draw(st.integers(0, len(argv)))
+            argv.insert(position, data.draw(st.sampled_from(JUNK)))
+    return argv
+
+
+class TestArgvFuzz:
+    def test_exit_codes_hold_for_any_argv(self, fuzz_files):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        @hypothesis.settings(
+            max_examples=200,
+            deadline=None,
+            derandomize=True,
+            suppress_health_check=list(hypothesis.HealthCheck),
+        )
+        @hypothesis.given(st.data())
+        def check(data):
+            argv = fuzz_argv(data, fuzz_files)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = entry(argv)
+                except SystemExit as exc:
+                    assert exc.code == 2, (argv, err.getvalue())
+                    code = 2
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in err.getvalue(), argv
+
+        check()
+
+
+# --- python -O: no assert statements, the same reports ---------------------
+
+
+class TestOptimizedMode:
+    def test_library_has_no_assert_statements(self):
+        package = Path(__file__).resolve().parent.parent / "src" / "lambdaring"
+        sources = sorted(package.glob("*.py"))
+        assert sources
+        found = []
+        for path in sources:
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            found += [
+                f"{path.name}:{node.lineno}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Assert)
+            ]
+        assert not found, f"assert statements vanish under python -O: {found}"
+
+    def test_extend_report_is_identical_under_dash_o(self, tmp_path):
+        rc2 = preset_family("RC2", (2, 3))
+        path = write_json(tmp_path / "rc2.json", deformation_to_dict(trivial_deformation(rc2, 1)))
+        argv = [
+            "-m", "lambdaring.cli", "deform", "extend",
+            "--deformation", path, "--bound", "2", "--format", "json",
+        ]
+        plain = subprocess.run([sys.executable, *argv], capture_output=True)
+        optimized = subprocess.run([sys.executable, "-O", *argv], capture_output=True)
+        assert plain.returncode == optimized.returncode == 0, optimized.stderr
+        assert b'"succeeded": true' in plain.stdout
+        assert optimized.stdout == plain.stdout

@@ -275,6 +275,15 @@ class TestExtensionSystem:
                 if name != "Z":  # rank one: the equations hold identically
                     assert any(rhs), (name, bound)
 
+    def test_equal_rows_share_one_tuple(self, rc3_family):
+        deformation = trivial_deformation(rc3_family, 1)
+        _, system, _ = deformation_module._extension_system(deformation, 3)
+        assert (system.rows, system.cols) == (3249, 27)
+        distinct = set(system.entries)
+        assert len({id(row) for row in system.entries}) == len(distinct) < 100
+        fresh = IntMatrix(system.rows, system.cols, tuple(tuple(list(r)) for r in system.entries))
+        assert system == fresh and hash(system) == hash(fresh) and repr(system) == repr(fresh)
+
     def test_bound_below_one_is_rejected(self, z_family):
         with pytest.raises(ValueError):
             try_extend(trivial_deformation(z_family, 1), exponent_bound=0)

@@ -1,6 +1,7 @@
 """Exact integer linear algebra: normal forms, solvers, quotient groups."""
 
 import copy
+import math
 import operator
 import pickle
 import random
@@ -56,12 +57,84 @@ def reference_determinant(m: IntMatrix) -> int:
     return total
 
 
-def seed_diagonalize(self, *, divisibility_chain: bool) -> int:
-    """The original elimination: every scan restarts from t + 1.
+class SeedEliminator:
+    """The original elimination engine: every row copied, every scan restarted.
 
-    Kept as the reference that the resuming scans must reproduce step
-    for step.
+    Kept whole as the reference that the resuming scans and the
+    live-row bookkeeping of ``exactalg._Eliminator`` must reproduce
+    step for step.
     """
+
+    def __init__(self, matrix, *, track_u, track_v_inv, rhs=None):
+        identity = lambda n: [[int(i == j) for j in range(n)] for i in range(n)]
+        self.nrows = matrix.rows
+        self.ncols = matrix.cols
+        self.d = [list(row) for row in matrix.entries]
+        self.u = identity(self.nrows) if track_u else None
+        self.u_inv = identity(self.nrows) if track_u else None
+        self.v = identity(self.ncols)
+        self.v_inv = identity(self.ncols) if track_v_inv else None
+        self.rhs = list(rhs) if rhs is not None else None
+
+    def swap_rows(self, i, j):
+        if i == j:
+            return
+        self.d[i], self.d[j] = self.d[j], self.d[i]
+        if self.u is not None:
+            self.u[i], self.u[j] = self.u[j], self.u[i]
+            for row in self.u_inv:
+                row[i], row[j] = row[j], row[i]
+        if self.rhs is not None:
+            self.rhs[i], self.rhs[j] = self.rhs[j], self.rhs[i]
+
+    def add_row(self, i, j, q):
+        if q == 0:
+            return
+        self.d[i] = [a + q * b for a, b in zip(self.d[i], self.d[j])]
+        if self.u is not None:
+            self.u[i] = [a + q * b for a, b in zip(self.u[i], self.u[j])]
+            for row in self.u_inv:
+                row[j] -= q * row[i]
+        if self.rhs is not None:
+            self.rhs[i] += q * self.rhs[j]
+
+    def negate_row(self, i):
+        self.d[i] = [-a for a in self.d[i]]
+        if self.u is not None:
+            self.u[i] = [-a for a in self.u[i]]
+            for row in self.u_inv:
+                row[i] = -row[i]
+        if self.rhs is not None:
+            self.rhs[i] = -self.rhs[i]
+
+    def swap_cols(self, i, j):
+        if i == j:
+            return
+        for row in self.d:
+            row[i], row[j] = row[j], row[i]
+        for row in self.v:
+            row[i], row[j] = row[j], row[i]
+        if self.v_inv is not None:
+            self.v_inv[i], self.v_inv[j] = self.v_inv[j], self.v_inv[i]
+
+    def add_col(self, j, i, q):
+        if q == 0:
+            return
+        for row in self.d:
+            row[j] += q * row[i]
+        for row in self.v:
+            row[j] += q * row[i]
+        if self.v_inv is not None:
+            vi, vj = self.v_inv[i], self.v_inv[j]
+            for k in range(self.ncols):
+                vi[k] -= q * vj[k]
+
+    def diagonalize(self, *, divisibility_chain):
+        return seed_diagonalize(self, divisibility_chain=divisibility_chain)
+
+
+def seed_diagonalize(self, *, divisibility_chain: bool) -> int:
+    """The original elimination: every scan restarts from t + 1."""
     t = 0
     limit = min(self.nrows, self.ncols)
     while t < limit:
@@ -142,26 +215,100 @@ def comparison_matrices():
         yield rank_deficient_matrix(rng, rng.randint(2, 30), rng.randint(2, 8))
 
 
+def extend_shaped_matrix(rng, rows, cols):
+    """Tall, like the extension systems: a few distinct rows, repeated, among many zero rows.
+
+    Equal rows are one shared tuple, as the interned system rows are.
+    """
+    distinct = [
+        tuple(rng.choice((0, 0, 0, 1, -1, 2, -2, 3, 6)) for _ in range(cols))
+        for _ in range(rng.randint(1, 5))
+    ]
+    zero = (0,) * cols
+    entries = tuple(
+        zero if rng.random() < 0.5 else rng.choice(distinct) for _ in range(rows)
+    )
+    return IntMatrix(rows, cols, entries)
+
+
+def swapped_in_zero_row_matrices():
+    """A zero row sits at position t when the pivot row is swapped in."""
+    yield IntMatrix.from_rows([[0, 0, 0], [0, 4, 2], [0, 0, 0], [1, 3, 0]])
+    yield IntMatrix.from_rows([[2, 0], [0, 0], [0, 0], [4, 6], [0, 3]])
+    yield IntMatrix.from_rows([[0, 0], [0, 0], [2, 0], [0, 0], [0, 5], [2, 5]])
+    # row 1 becomes zero under the first pivot, then the next pivot is swapped over it
+    yield IntMatrix.from_rows([[1, 2, 0], [2, 4, 0], [0, 0, 0], [0, 3, 3], [0, 0, 7]])
+
+
+def degenerate_matrices():
+    for shape in ((3, 4), (5, 1), (1, 5), (0, 3), (3, 0), (0, 0)):
+        yield IntMatrix.zeros(*shape)
+
+
 class TestEliminationMatchesSeed:
-    """The resuming scans take exactly the seed's elimination path."""
+    """The resuming scans and the live-row bookkeeping take exactly the seed's path."""
+
+    @staticmethod
+    def assert_same_as_seed(monkeypatch, a, right_hand_sides, label):
+        fast = [solve_linear(a, rhs) for rhs in right_hand_sides]
+        fast_snf = smith_normal_form(a)
+        with monkeypatch.context() as patch:
+            patch.setattr(exactalg, "_Eliminator", SeedEliminator)
+            slow = [solve_linear(a, rhs) for rhs in right_hand_sides]
+            slow_snf = smith_normal_form(a)
+        assert fast == slow, f"{label}: solve_linear differs"
+        for name in ("u", "d", "v", "u_inv", "v_inv"):
+            assert getattr(fast_snf, name) == getattr(slow_snf, name), (
+                f"{label}: {name} differs"
+            )
+        return fast
 
     def test_solutions_and_normal_forms_equal_the_reference(self, monkeypatch):
         rng = random.Random(5)
         for trial, a in enumerate(comparison_matrices()):
             x = tuple(rng.randint(-3, 3) for _ in range(a.cols))
             right_hand_sides = [a.apply(x), tuple(rng.randint(-2, 2) for _ in range(a.rows))]
-            fast = [solve_linear(a, rhs) for rhs in right_hand_sides]
-            fast_snf = smith_normal_form(a)
-            with monkeypatch.context() as patch:
-                patch.setattr(exactalg._Eliminator, "diagonalize", seed_diagonalize)
-                slow = [solve_linear(a, rhs) for rhs in right_hand_sides]
-                slow_snf = smith_normal_form(a)
-            assert fast == slow, f"trial {trial}: solve_linear differs"
+            fast = self.assert_same_as_seed(monkeypatch, a, right_hand_sides, f"trial {trial}")
             assert fast[0] is not None
-            for name in ("u", "d", "v", "u_inv", "v_inv"):
-                assert getattr(fast_snf, name) == getattr(slow_snf, name), (
-                    f"trial {trial}: {name} differs"
-                )
+
+    def test_extend_shaped_systems_equal_the_reference(self, monkeypatch):
+        rng = random.Random(20261019)
+        for trial in range(30):
+            a = extend_shaped_matrix(rng, rng.randint(10, 80), rng.randint(2, 9))
+            x = tuple(rng.randint(-3, 3) for _ in range(a.cols))
+            right_hand_sides = [
+                a.apply(x),
+                tuple(rng.randint(-1, 1) if any(row) else 0 for row in a.entries),
+                tuple(rng.randint(-1, 1) for _ in range(a.rows)),
+            ]
+            fast = self.assert_same_as_seed(monkeypatch, a, right_hand_sides, f"trial {trial}")
+            assert fast[0] is not None
+
+    def test_zero_rows_swapped_out_of_the_pivot_position(self, monkeypatch):
+        for k, a in enumerate(swapped_in_zero_row_matrices()):
+            x = tuple(range(1, a.cols + 1))
+            fast = self.assert_same_as_seed(monkeypatch, a, [a.apply(x)], f"case {k}")
+            assert a.apply(fast[0].particular) == a.apply(x)
+
+    def test_zero_and_empty_matrices(self, monkeypatch):
+        for a in degenerate_matrices():
+            label = f"{a.rows}x{a.cols}"
+            (fast,) = self.assert_same_as_seed(monkeypatch, a, [(0,) * a.rows], label)
+            assert fast.particular == (0,) * a.cols, label
+            assert len(fast.kernel) == a.cols, label
+            if a.rows:
+                assert solve_linear(a, (1,) + (0,) * (a.rows - 1)) is None, label
+
+    def test_interned_rows_build_the_same_matrix(self):
+        rng = random.Random(3)
+        for _ in range(10):
+            shared = extend_shaped_matrix(rng, 40, 6)
+            copies = tuple(tuple(list(r)) for r in shared.entries)
+            fresh = IntMatrix(shared.rows, shared.cols, copies)
+            assert len({id(r) for r in shared.entries}) < len({id(r) for r in fresh.entries})
+            assert shared == fresh
+            assert hash(shared) == hash(fresh)
+            assert repr(shared) == repr(fresh)
 
 
 @dataclass(frozen=True)
@@ -481,6 +628,55 @@ class TestSolveLinear:
     def test_rhs_length_checked(self):
         with pytest.raises(ValueError):
             solve_linear(IntMatrix.identity(2), (1,))
+
+    def test_against_sympy(self):
+        # A x == b has an integer solution exactly when A and [A | b] have
+        # the same rank and the same product of nonzero invariant factors.
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+        def rank_and_divisor(rows):
+            m = sympy.Matrix(rows)
+            if not m.rows or not m.cols:
+                return 0, 1
+            diagonal = sympy_snf(m, domain=sympy.ZZ).diagonal()
+            nonzero = [abs(int(e)) for e in diagonal if e != 0]
+            return m.rank(), math.prod(nonzero)
+
+        rng = random.Random(20261020)
+        solvable = 0
+        for trial in range(30):
+            if trial % 3 == 0:
+                a = sparse_unit_matrix(rng, rng.randint(15, 40), rng.randint(2, 7))
+            elif trial % 3 == 1:
+                a = extend_shaped_matrix(rng, rng.randint(15, 40), rng.randint(2, 7))
+            else:
+                a = rank_deficient_matrix(rng, rng.randint(2, 7), rng.randint(2, 7))
+            if trial % 2:
+                rhs = a.apply(tuple(rng.randint(-3, 3) for _ in range(a.cols)))
+            else:
+                rhs = tuple(rng.choice((0, 0, 1, -2)) for _ in range(a.rows))
+            ours = solve_linear(a, rhs)
+            rows = [list(r) for r in a.entries]
+            expected = rank_and_divisor(rows) == rank_and_divisor(
+                [r + [b] for r, b in zip(rows, rhs)]
+            )
+            assert (ours is not None) == expected, f"trial {trial}"
+            if ours is None:
+                continue
+            solvable += 1
+            assert a.apply(ours.particular) == rhs, f"trial {trial}"
+            rank = sympy.Matrix(rows).rank()
+            assert len(ours.kernel) == a.cols - rank, f"trial {trial}"
+            for k in ours.kernel:
+                assert a.apply(k) == (0,) * a.rows, f"trial {trial}"
+            if ours.kernel:
+                # a basis of the whole integer kernel: independent and saturated
+                assert rank_and_divisor([list(k) for k in ours.kernel]) == (
+                    len(ours.kernel),
+                    1,
+                ), f"trial {trial}"
+        assert 15 <= solvable < 30
 
 
 class TestRowSpace:

@@ -249,6 +249,56 @@ class TestNewtonRecursion:
         )
         assert left == right
 
+    def test_each_value_is_computed_once(self, rc3_family, monkeypatch):
+        import lambdaring.rings as rings
+
+        calls = []
+        steps = []
+        recursion = rings.lambda_from_adams
+        divide = rings._vec_divide
+
+        def counted(family, element, max_degree, known=()):
+            calls.append((element, max_degree, len(known)))
+            return recursion(family, element, max_degree, known)
+
+        def counted_divide(v, n):
+            steps.append(n)
+            return divide(v, n)
+
+        monkeypatch.setattr(rings, "lambda_from_adams", counted)
+        monkeypatch.setattr(rings, "_vec_divide", counted_divide)
+        data = LambdaData.from_adams(rc3_family, 6)
+        expected = [rc3_family.adams_at(n).apply((1, 2, 3)) for n in range(1, 7)]
+        assert adams_from_lambda(data, (1, 2, 3), 6) == expected
+        assert calls == [((1, 2, 3), 6, 0)]
+        assert steps == [1, 2, 3, 4, 5, 6]
+        assert adams_from_lambda(data, (1, 2, 3), 6) == expected
+        assert len(calls) == 1
+
+        # ascending single values, as the axiom checker asks: one new step each
+        expected = lambda_from_adams(rc3_family, (2, 0, -1), 6)[1:]
+        calls.clear()
+        steps.clear()
+        fresh = LambdaData.from_adams(rc3_family, 6)
+        assert [fresh.value((2, 0, -1), n) for n in range(2, 7)] == expected
+        assert [c[1:] for c in calls] == [(2, 0), (3, 2), (4, 3), (5, 4), (6, 5)]
+        assert steps == [1, 2, 3, 4, 5, 6]
+
+    def test_resumed_recursion_raises_at_the_same_degree(self):
+        # psi_2 = 1 and psi_3 = 3 on Z: lambda_2(1) = 0, then 3 lambda_3(1) = 2
+        spec = RingSpec(rank=1, structure=(((1,),),), unit=(1,), name="Z")
+        generators = ((2, IntMatrix.from_rows([[1]])), (3, IntMatrix.from_rows([[3]])))
+        family = AdamsFamily(spec, PrimeUniverse((2, 3)), generators)
+        with pytest.raises(NonIntegralDivision, match="lambda_3") as direct:
+            lambda_from_adams(family, (1,), 4)
+        data = LambdaData.from_adams(family, 4)
+        assert data.value((1,), 2) == (0,)
+        with pytest.raises(NonIntegralDivision) as stored:
+            data.value((1,), 4)
+        with pytest.raises(NonIntegralDivision) as recovered:
+            adams_from_lambda(LambdaData.from_adams(family, 4), (1,), 4)
+        assert str(stored.value) == str(direct.value) == str(recovered.value)
+
     def test_table_backed_data(self, z_family):
         table = {(2,): [(2,), (1,), (0,)]}
         data = LambdaData.from_table(z_family.ring, table, 3)
@@ -256,6 +306,9 @@ class TestNewtonRecursion:
         assert data.value((2,), 0) == (1,)
         with pytest.raises(KeyError):
             data.value((3,), 2)
+        assert data.values((2,), 3) == [(2,), (1,), (0,)]
+        with pytest.raises(KeyError, match="lambda_5"):
+            data.values((2,), 5)
 
     def test_table_must_start_with_element(self, z_family):
         with pytest.raises(ValueError):
