@@ -518,7 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--samples", type=_positive_int, default=100, help="sample count")
     common.add_argument("--seed", type=int, default=0, help="random seed")
     common.add_argument("--bound", type=int, help="exponent or index bound")
-    common.add_argument("--order", type=int, help="deformation order")
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )

@@ -30,6 +30,7 @@ from .cochain import Cochain
 from .errors import (
     DivisibilityViolation,
     InconsistentDerivation,
+    InternalInconsistency,
     NotFrobeniusCompatible,
 )
 from .exactalg import (
@@ -37,9 +38,7 @@ from .exactalg import (
     IntMatrix,
     Vector,
     kernel_basis,
-    left_multiplication_operator,
     quotient_with_generators,
-    right_multiplication_operator,
     row_space_basis,
     solve_linear,
     vec_add,
@@ -49,9 +48,55 @@ from .exactalg import (
 from .rings import AdamsFamily, FactoredInt, frobenius_compatible
 
 
-def _commutator_operator(matrix: IntMatrix) -> IntMatrix:
-    """Operator sending vec(g) to vec(matrix @ g - g @ matrix)."""
-    return left_multiplication_operator(matrix) - right_multiplication_operator(matrix)
+def _commutator_rows(a: IntMatrix) -> list[list[int]]:
+    """The d^2 rows of vec(g) -> vec(a @ g - g @ a), row-major vec.
+
+    >>> _commutator_rows(IntMatrix.from_rows([[0, 1], [0, 0]]))
+    [[0, 0, 1, 0], [-1, 0, 0, 1], [0, 0, 0, 0], [0, 0, -1, 0]]
+    """
+    d = a.rows
+    entries = a.entries
+    rows = []
+    for i in range(d):
+        for j in range(d):
+            row = [0] * (d * d)
+            for k in range(d):
+                row[k * d + j] += entries[i][k]
+                row[i * d + k] -= entries[k][j]
+            rows.append(row)
+    return rows
+
+
+def _compatible_system(family: AdamsFamily, exact: bool) -> IntMatrix:
+    """Rows of the compatibility system on vec(g) and one block per prime.
+
+    Per prime p in universe order: when ``exact``, the d^2 rows
+    [A_p, g] = 0 with no auxiliary part, then the d^2 rows
+    [Frob_p, g] + p * e_p = 0, where the auxiliary unknown e_p absorbs
+    the multiple of p that Frobenius compatibility allows.
+    """
+    d2 = family.rank * family.rank
+    primes = family.universe.primes
+    aux = d2 * len(primes)
+    rows: list[list[int]] = []
+    for idx, p in enumerate(primes):
+        if exact:
+            rows.extend(row + [0] * aux for row in _commutator_rows(family.generator(p)))
+        for r, row in enumerate(_commutator_rows(family.frobenius(p))):
+            tail = [0] * aux
+            tail[idx * d2 + r] = p
+            rows.append(row + tail)
+    return IntMatrix.from_rows(rows)
+
+
+def _endomorphism_lattice(family: AdamsFamily, exact: bool) -> list[IntMatrix]:
+    """Kernel of the compatibility system, projected onto vec(g) and re-echelonized."""
+    d = family.rank
+    kernel = kernel_basis(_compatible_system(family, exact))
+    return [
+        IntMatrix.from_flat(d, d, v)
+        for v in row_space_basis((v[: d * d] for v in kernel), d * d)
+    ]
 
 
 class DerivationSpec:
@@ -196,16 +241,6 @@ class DerivationSpec:
         )
 
 
-def is_derivation(spec: DerivationSpec) -> bool:
-    """Whether the degree-one data is a cocycle for the differential."""
-    return spec.is_cocycle()
-
-
-def extend_derivation(spec: DerivationSpec, m) -> IntMatrix:
-    """Cocycle value at a factored integer; raises on inconsistent data."""
-    return spec.extend(m)
-
-
 def inner_derivation(family: AdamsFamily, g: IntMatrix) -> DerivationSpec:
     """The coboundary of a compatible endomorphism, as prime values.
 
@@ -230,23 +265,7 @@ def frobenius_compatible_basis(family: AdamsFamily) -> list[IntMatrix]:
     multiple of p, then projecting the kernel onto the endomorphism
     block and re-echelonizing.
     """
-    d = family.rank
-    d2 = d * d
-    primes = family.universe.primes
-    width = d2 * (1 + len(primes))
-    rows: list[list[int]] = []
-    for idx, p in enumerate(primes):
-        c = _commutator_operator(family.frobenius(p))
-        for r in range(d2):
-            row = [0] * width
-            row[0:d2] = c.row(r)
-            row[d2 * (1 + idx) + r] = p
-            rows.append(row)
-    kernel = kernel_basis(IntMatrix.from_rows(rows))
-    projected = [v[:d2] for v in kernel]
-    return [
-        IntMatrix.from_flat(d, d, v) for v in row_space_basis(projected, d2)
-    ]
+    return _endomorphism_lattice(family, exact=False)
 
 
 @dataclass(frozen=True)
@@ -263,27 +282,7 @@ def compute_H0(family: AdamsFamily) -> H0Result:
     Commuting with the generators forces commuting with all Adams
     matrices, since those are products of generator powers.
     """
-    d = family.rank
-    d2 = d * d
-    primes = family.universe.primes
-    width = d2 * (1 + len(primes))
-    rows: list[list[int]] = []
-    for idx, p in enumerate(primes):
-        exact = _commutator_operator(family.generator(p))
-        for r in range(d2):
-            row = [0] * width
-            row[0:d2] = exact.row(r)
-            rows.append(row)
-        compat = _commutator_operator(family.frobenius(p))
-        for r in range(d2):
-            row = [0] * width
-            row[0:d2] = compat.row(r)
-            row[d2 * (1 + idx) + r] = p
-            rows.append(row)
-    kernel = kernel_basis(IntMatrix.from_rows(rows))
-    projected = [v[:d2] for v in kernel]
-    basis_vectors = row_space_basis(projected, d2)
-    basis = tuple(IntMatrix.from_flat(d, d, v) for v in basis_vectors)
+    basis = tuple(_endomorphism_lattice(family, exact=True))
     return H0Result(AbelianGroup(len(basis), ()), basis)
 
 
@@ -305,18 +304,15 @@ def _cocycle_kernel(family: AdamsFamily) -> list[Vector]:
     primes = family.universe.primes
     k = len(primes)
     width = k * d2
+    commutators = [_commutator_rows(family.generator(p)) for p in primes]
     rows: list[list[int]] = []
     for i in range(k):
         for j in range(i + 1, k):
             p, q = primes[i], primes[j]
-            cp = _commutator_operator(family.generator(p))
-            cq = _commutator_operator(family.generator(q))
-            for r in range(d2):
+            for cp, cq in zip(commutators[i], commutators[j]):
                 row = [0] * width
-                left = vec_scale(q, tuple(cp.row(r)))
-                right = vec_scale(-p, tuple(cq.row(r)))
-                row[j * d2 : (j + 1) * d2] = left
-                row[i * d2 : (i + 1) * d2] = right
+                row[j * d2 : (j + 1) * d2] = vec_scale(q, cp)
+                row[i * d2 : (i + 1) * d2] = vec_scale(-p, cq)
                 rows.append(row)
     if not rows:
         rows = [[0] * width]
@@ -368,7 +364,7 @@ def compute_H1(family: AdamsFamily) -> H1Result:
     for v in images:
         solution = solve_linear(basis_matrix, v)
         if solution is None:
-            raise AssertionError("coboundary image escapes the cocycle lattice")
+            raise InternalInconsistency("coboundary image escapes the cocycle lattice")
         columns.append(solution.particular)
     if columns:
         relations = IntMatrix.from_columns(columns, rank)
@@ -398,26 +394,11 @@ def solve_coboundary_1(
     """
     d = family.rank
     d2 = d * d
-    primes = family.universe.primes
-    width = d2 * (1 + len(primes))
-    rows: list[list[int]] = []
     rhs: list[int] = []
-    for idx, p in enumerate(primes):
-        exact = _commutator_operator(family.generator(p))
-        target_flat = target.value(p).flat()
-        for r in range(d2):
-            row = [0] * width
-            row[0:d2] = exact.row(r)
-            rows.append(row)
-            rhs.append(target_flat[r])
-        compat = _commutator_operator(family.frobenius(p))
-        for r in range(d2):
-            row = [0] * width
-            row[0:d2] = compat.row(r)
-            row[d2 * (1 + idx) + r] = p
-            rows.append(row)
-            rhs.append(0)
-    solution = solve_linear(IntMatrix.from_rows(rows), tuple(rhs))
+    for p in family.universe.primes:
+        rhs.extend(target.value(p).flat())
+        rhs.extend([0] * d2)
+    solution = solve_linear(_compatible_system(family, exact=True), tuple(rhs))
     if solution is None:
         return None
     return IntMatrix.from_flat(d, d, solution.particular[:d2])

@@ -471,55 +471,17 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     """
     work = _Eliminator(matrix, track_u=True, track_v_inv=True)
     work.diagonalize(divisibility_chain=True)
+    n, m = work.nrows, work.ncols
     decomposition = SmithDecomposition(
-        u=IntMatrix.from_flat(work.nrows, work.nrows, [e for r in work.u for e in r])
-        if work.nrows
-        else IntMatrix.zeros(0, 0),
-        d=IntMatrix(work.nrows, work.ncols, tuple(tuple(r) for r in work.d)),
-        v=IntMatrix.from_flat(work.ncols, work.ncols, [e for r in work.v for e in r])
-        if work.ncols
-        else IntMatrix.zeros(0, 0),
-        u_inv=IntMatrix.from_flat(work.nrows, work.nrows, [e for r in work.u_inv for e in r])
-        if work.nrows
-        else IntMatrix.zeros(0, 0),
-        v_inv=IntMatrix.from_flat(work.ncols, work.ncols, [e for r in work.v_inv for e in r])
-        if work.ncols
-        else IntMatrix.zeros(0, 0),
+        u=IntMatrix.from_flat(n, n, [e for r in work.u for e in r]),
+        d=IntMatrix(n, m, tuple(tuple(r) for r in work.d)),
+        v=IntMatrix.from_flat(m, m, [e for r in work.v for e in r]),
+        u_inv=IntMatrix.from_flat(n, n, [e for r in work.u_inv for e in r]),
+        v_inv=IntMatrix.from_flat(m, m, [e for r in work.v_inv for e in r]),
     )
     if decomposition.u @ matrix @ decomposition.v != decomposition.d:
         raise InternalInconsistency("Smith transforms do not reproduce the diagonal form")
     return decomposition
-
-
-def determinant(matrix: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    >>> determinant(IntMatrix.from_rows([[2, 4], [6, 8]]))
-    -8
-    >>> determinant(IntMatrix.identity(3))
-    1
-    """
-    if matrix.rows != matrix.cols:
-        raise ValueError("determinant needs a square matrix")
-    n = matrix.rows
-    if n == 0:
-        return 1
-    a = [list(row) for row in matrix.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
@@ -791,28 +753,3 @@ def multiply_vecs(
                         acc[base + j] += f * b_row[j]
         out.append(tuple(acc))
     return out
-
-
-def stack_rows(blocks: Sequence[IntMatrix]) -> IntMatrix:
-    """Vertical concatenation of matrices with equal column counts."""
-    if not blocks:
-        raise ValueError("nothing to stack")
-    cols = blocks[0].cols
-    rows = []
-    for b in blocks:
-        if b.cols != cols:
-            raise ValueError("column counts differ")
-        rows.extend(b.entries)
-    return IntMatrix(sum(b.rows for b in blocks), cols, tuple(rows))
-
-
-def stack_cols(blocks: Sequence[IntMatrix]) -> IntMatrix:
-    """Horizontal concatenation of matrices with equal row counts."""
-    if not blocks:
-        raise ValueError("nothing to stack")
-    nrows = blocks[0].rows
-    for b in blocks:
-        if b.rows != nrows:
-            raise ValueError("row counts differ")
-    data = tuple(tuple(e for b in blocks for e in b.entries[i]) for i in range(nrows))
-    return IntMatrix(nrows, sum(b.cols for b in blocks), data)

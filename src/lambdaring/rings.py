@@ -25,7 +25,7 @@ from .errors import (
     UnknownPreset,
     UnknownPrime,
 )
-from .exactalg import IntMatrix, Vector, vec_add, vec_scale, vec_zero
+from .exactalg import IntMatrix, Vector, vec_add, vec_scale
 
 DEFAULT_PRIMES = (2, 3, 5)
 
@@ -602,22 +602,6 @@ def adams_from_lambda(
     [(5,), (5,), (5,), (5,)]
     """
     return newton_psi(data.values(element, max_degree), data.spec.mul, vec_add, vec_scale)
-
-
-def lambda_series(data: LambdaData, element: Sequence[int], order: int) -> tuple[Vector, ...]:
-    """Coefficients of the lambda-series of an element, degrees 0..order."""
-    return tuple(data.value(element, i) for i in range(order + 1))
-
-
-def element_series_mul(
-    spec: RingSpec, a: Sequence[Vector], b: Sequence[Vector], order: int
-) -> tuple[Vector, ...]:
-    """Truncated product of two coefficient series with ring coefficients."""
-    out = [vec_zero(spec.rank) for _ in range(order + 1)]
-    for i, ai in enumerate(a[: order + 1]):
-        for j, bj in enumerate(b[: order + 1 - i]):
-            out[i + j] = vec_add(out[i + j], spec.mul(ai, bj))
-    return tuple(out)
 
 
 # Preset rings: the integers, and the group rings of the cyclic groups

@@ -121,6 +121,7 @@ class TestInputContract:
             ("deform", "normalize", "--deformation", "{order_one}", "--level", "5"),
             ("deform", "obstruction", "--deformation", "{order_one}", "--bound", "0"),
             ("deform", "obstruction", "--deformation", "{order_one}", "--bound", "-3"),
+            ("deform", "extend", "--deformation", "{order_one}", "--order", "1"),
         ],
     )
     def test_unusable_input_exits_two(self, tmp_path, argv):
@@ -521,7 +522,7 @@ FUZZ_COMMANDS = (
     (("deform", "equiv"), ("--deformation", "--other", "--level")),
 )
 COMMON_OPTIONS = (
-    "--preset", "--ring", "--primes", "--samples", "--seed", "--bound", "--order", "--format",
+    "--preset", "--ring", "--primes", "--samples", "--seed", "--bound", "--format",
 )
 # (usable values, bad values) of each option and of the poly indices.
 # Every value is small, so any parse the grammar allows finishes in milliseconds.
@@ -531,7 +532,6 @@ FUZZ_VALUES = {
     "--samples": (("1", "2"), ("0", "-1", "x")),
     "--seed": (("0", "1", "3"), ("-2", "y")),
     "--bound": (("1", "2"), ("0", "-1", "1.5")),
-    "--order": (("1", "2"), ("0", "-1")),
     "--format": (("text", "json"), ("xml",)),
     "--element": (("1", "-3", "0", "1,2", "1,2,3"), ("x", "", "1,,2")),
     "--max-degree": (("1", "2", "3", "7"), ("0", "-2")),

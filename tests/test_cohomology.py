@@ -5,25 +5,38 @@ import random
 import pytest
 
 from conftest import nilpotent_family
+from lambdaring import cohomology
 from lambdaring.cochain import differential, endo_cochain, random_endomorphism
 from lambdaring.cohomology import (
     DerivationSpec,
     cocycle_space_basis,
     compute_H0,
     compute_H1,
-    extend_derivation,
     frobenius_compatible_basis,
     inner_derivation,
-    is_derivation,
     solve_coboundary_1,
 )
 from lambdaring.errors import (
     DivisibilityViolation,
     InconsistentDerivation,
+    InternalInconsistency,
     NotFrobeniusCompatible,
 )
-from lambdaring.exactalg import AbelianGroup, IntMatrix, solve_linear
-from lambdaring.rings import preset_family
+from lambdaring.exactalg import (
+    AbelianGroup,
+    IntMatrix,
+    left_multiplication_operator,
+    right_multiplication_operator,
+    solve_linear,
+    vec_scale,
+)
+from lambdaring.rings import (
+    AdamsFamily,
+    PrimeUniverse,
+    _cyclic_adams_matrix,
+    _cyclic_group_ring,
+    preset_family,
+)
 
 
 def in_span(matrices, target):
@@ -104,7 +117,7 @@ class TestH0:
 class TestCocycles:
     def test_basis_members_are_cocycles(self, each_preset):
         for spec in cocycle_space_basis(each_preset):
-            assert is_derivation(spec)
+            assert spec.is_cocycle()
 
     def test_cocycle_ranks(self):
         assert len(cocycle_space_basis(preset_family("Z", (2, 3, 5)))) == 3
@@ -145,9 +158,9 @@ class TestCocycles:
             5: IntMatrix.zeros(2, 2),
         }
         spec = DerivationSpec(rc2_family, values)
-        assert not is_derivation(spec)
+        assert not spec.is_cocycle()
         with pytest.raises(InconsistentDerivation):
-            extend_derivation(spec, 6)
+            spec.extend(6)
         with pytest.raises(InconsistentDerivation):
             spec.as_cochain()
 
@@ -178,7 +191,7 @@ class TestInnerDerivations:
         for p in (2, 3, 5):
             a = rc2_family.generator(p)
             assert spec.value(p) == a @ g - g @ a
-        assert is_derivation(spec)
+        assert spec.is_cocycle()
 
     def test_incompatible_rejected(self, rc2_family):
         with pytest.raises(NotFrobeniusCompatible):
@@ -227,7 +240,7 @@ class TestH1:
     def test_representatives_are_noninner_cocycles(self, each_preset):
         result = compute_H1(each_preset)
         for cls in result.classes:
-            assert is_derivation(cls.derivation)
+            assert cls.derivation.is_cocycle()
             assert solve_coboundary_1(each_preset, cls.derivation) is None
             if cls.order:
                 scaled = cls.derivation.scale(cls.order)
@@ -263,6 +276,12 @@ class TestH1:
         assert solve_coboundary_1(rc2_family, shifted) is None
 
 
+    def test_escaping_coboundary_image_is_an_internal_error(self, rc2_family, monkeypatch):
+        monkeypatch.setattr(cohomology, "solve_linear", lambda matrix, rhs: None)
+        with pytest.raises(InternalInconsistency):
+            compute_H1(rc2_family)
+
+
 class TestCoboundarySolver:
     def test_witness_is_compatible_and_exact(self, rc3_family):
         g = random_endomorphism(rc3_family, 8)
@@ -283,3 +302,129 @@ class TestCoboundarySolver:
         witness = solve_coboundary_1(rc2_family, zero)
         assert witness is not None
         assert inner_derivation(rc2_family, witness).is_zero
+
+
+# The compatibility systems as the seed built them: each row by hand
+# from the difference of the two d^2 x d^2 multiplication operators.
+
+
+def seed_commutator_operator(matrix):
+    return left_multiplication_operator(matrix) - right_multiplication_operator(matrix)
+
+
+def seed_frobenius_system(family):
+    d2 = family.rank**2
+    primes = family.universe.primes
+    width = d2 * (1 + len(primes))
+    rows = []
+    for idx, p in enumerate(primes):
+        c = seed_commutator_operator(family.frobenius(p))
+        for r in range(d2):
+            row = [0] * width
+            row[0:d2] = c.row(r)
+            row[d2 * (1 + idx) + r] = p
+            rows.append(row)
+    return IntMatrix.from_rows(rows)
+
+
+def seed_coboundary_system(family, target=None):
+    """The H0 system, and with a target the right-hand side of its solve."""
+    d2 = family.rank**2
+    primes = family.universe.primes
+    width = d2 * (1 + len(primes))
+    rows = []
+    rhs = []
+    for idx, p in enumerate(primes):
+        exact = seed_commutator_operator(family.generator(p))
+        target_flat = target.value(p).flat() if target is not None else (0,) * d2
+        for r in range(d2):
+            row = [0] * width
+            row[0:d2] = exact.row(r)
+            rows.append(row)
+            rhs.append(target_flat[r])
+        compat = seed_commutator_operator(family.frobenius(p))
+        for r in range(d2):
+            row = [0] * width
+            row[0:d2] = compat.row(r)
+            row[d2 * (1 + idx) + r] = p
+            rows.append(row)
+            rhs.append(0)
+    return IntMatrix.from_rows(rows), tuple(rhs)
+
+
+def seed_cocycle_system(family):
+    d2 = family.rank**2
+    primes = family.universe.primes
+    k = len(primes)
+    width = k * d2
+    rows = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            p, q = primes[i], primes[j]
+            cp = seed_commutator_operator(family.generator(p))
+            cq = seed_commutator_operator(family.generator(q))
+            for r in range(d2):
+                row = [0] * width
+                row[j * d2 : (j + 1) * d2] = vec_scale(q, tuple(cp.row(r)))
+                row[i * d2 : (i + 1) * d2] = vec_scale(-p, tuple(cq.row(r)))
+                rows.append(row)
+    if not rows:
+        rows = [[0] * width]
+    return IntMatrix.from_rows(rows)
+
+
+def cyclic_family(k, primes):
+    spec = _cyclic_group_ring(k, f"ZC{k}")
+    generators = tuple((p, _cyclic_adams_matrix(k, p)) for p in primes)
+    return AdamsFamily(spec, PrimeUniverse(primes), generators)
+
+
+SMALL, WIDE = (2, 3, 5), (2, 3, 5, 7, 11, 13)
+SYSTEM_FAMILIES = [
+    *(preset_family(name, primes) for name in ("Z", "RC2", "RC3") for primes in (SMALL, WIDE)),
+    *(nilpotent_family(primes) for primes in (SMALL, WIDE)),
+    *(cyclic_family(k, SMALL) for k in (4, 5)),
+]
+
+
+class TestCompatibilitySystemMatchesSeed:
+    """The one builder emits the seed's rows, in the seed's order."""
+
+    def test_commutator_rows_equal_the_operator_difference(self):
+        rng = random.Random(20261018)
+        for trial in range(60):
+            d = trial % 4 + 1
+            a = IntMatrix.from_flat(d, d, [rng.randint(-7, 7) for _ in range(d * d)])
+            rows = cohomology._commutator_rows(a)
+            assert IntMatrix.from_rows(rows) == seed_commutator_operator(a), trial
+
+    @pytest.mark.parametrize(
+        "family", SYSTEM_FAMILIES, ids=lambda f: f"{f.ring.name}-{len(f.universe.primes)}p"
+    )
+    def test_systems_and_right_hand_sides(self, family, monkeypatch):
+        assert cohomology._compatible_system(family, exact=False) == seed_frobenius_system(family)
+        h0_system, _ = seed_coboundary_system(family)
+        assert cohomology._compatible_system(family, exact=True) == h0_system
+
+        solves, kernels = [], []
+        solve, kernel = cohomology.solve_linear, cohomology.kernel_basis
+
+        def record_solve(matrix, rhs):
+            solves.append((matrix, tuple(rhs)))
+            return solve(matrix, rhs)
+
+        def record_kernel(matrix):
+            kernels.append(matrix)
+            return kernel(matrix)
+
+        monkeypatch.setattr(cohomology, "solve_linear", record_solve)
+        monkeypatch.setattr(cohomology, "kernel_basis", record_kernel)
+        cocycles = cocycle_space_basis(family)
+        assert kernels == [seed_cocycle_system(family)]
+        compatible = frobenius_compatible_basis(family)
+        targets = [inner_derivation(family, g) for g in compatible[:3]]
+        targets.append(sum(cocycles[1:], cocycles[0]))
+        for target in targets:
+            solves.clear()
+            solve_coboundary_1(family, target)
+            assert solves == [seed_coboundary_system(family, target)]

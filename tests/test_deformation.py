@@ -42,8 +42,6 @@ from lambdaring.exactalg import (
     IntMatrix,
     left_multiplication_operator,
     right_multiplication_operator,
-    stack_cols,
-    stack_rows,
     vec_add,
     vec_sub,
 )
@@ -195,6 +193,31 @@ class TestObstruction:
         assert obs.at(2, 3) == scalar(-6)
 
 
+def stack_rows(blocks):
+    """Vertical concatenation of matrices with equal column counts."""
+    if not blocks:
+        raise ValueError("nothing to stack")
+    cols = blocks[0].cols
+    rows = []
+    for b in blocks:
+        if b.cols != cols:
+            raise ValueError("column counts differ")
+        rows.extend(b.entries)
+    return IntMatrix(sum(b.rows for b in blocks), cols, tuple(rows))
+
+
+def stack_cols(blocks):
+    """Horizontal concatenation of matrices with equal row counts."""
+    if not blocks:
+        raise ValueError("nothing to stack")
+    nrows = blocks[0].rows
+    for b in blocks:
+        if b.rows != nrows:
+            raise ValueError("row counts differ")
+    data = tuple(tuple(e for b in blocks for e in b.entries[i]) for i in range(nrows))
+    return IntMatrix(nrows, sum(b.cols for b in blocks), data)
+
+
 def kronecker_system(deformation, exponent_bound):
     """The extension system built with the d^2 x d^2 multiplication operators.
 
@@ -263,6 +286,12 @@ def system_test_deformations():
 
 
 class TestExtensionSystem:
+    def test_stacking(self):
+        a = IntMatrix.from_rows([[1, 2]])
+        b = IntMatrix.from_rows([[3, 4]])
+        assert stack_rows([a, b]).flat() == (1, 2, 3, 4)
+        assert stack_cols([a.transpose(), b.transpose()]).flat() == (1, 3, 2, 4)
+
     def test_direct_build_equals_the_kronecker_reference(self):
         for name, deformation in system_test_deformations():
             assert verify_deformation(deformation).passed, name

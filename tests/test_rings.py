@@ -6,7 +6,7 @@ import pytest
 
 from conftest import nilpotent_family
 from lambdaring.errors import NonIntegralDivision, UnknownPreset, UnknownPrime
-from lambdaring.exactalg import IntMatrix
+from lambdaring.exactalg import IntMatrix, vec_add, vec_zero
 from lambdaring.rings import (
     AdamsFamily,
     FactoredInt,
@@ -14,13 +14,11 @@ from lambdaring.rings import (
     PrimeUniverse,
     RingSpec,
     adams_from_lambda,
-    element_series_mul,
     family_from_dict,
     family_to_dict,
     frobenius_compatible,
     frobenius_map,
     lambda_from_adams,
-    lambda_series,
     preset_family,
     verify_adams,
     verify_ring,
@@ -35,6 +33,20 @@ def binomial(m: int, i: int) -> int:
     for k in range(i):
         num *= m - k
     return num // math.factorial(i)
+
+
+def lambda_series(data, element, order):
+    """Coefficients of the lambda-series of an element, degrees 0..order."""
+    return tuple(data.value(element, i) for i in range(order + 1))
+
+
+def element_series_mul(spec, a, b, order):
+    """Truncated product of two coefficient series with ring coefficients."""
+    out = [vec_zero(spec.rank) for _ in range(order + 1)]
+    for i, ai in enumerate(a[: order + 1]):
+        for j, bj in enumerate(b[: order + 1 - i]):
+            out[i + j] = vec_add(out[i + j], spec.mul(ai, bj))
+    return tuple(out)
 
 
 class TestPrimeUniverse:
