@@ -250,6 +250,8 @@ def _cmd_lambda_from_adams(args: argparse.Namespace) -> int:
 def _cmd_poly(args: argparse.Namespace) -> int:
     bound = args.bound if args.bound is not None else DEFAULT_COMPOSITION_LIMIT
     if args.which == "P":
+        if args.j is not None:
+            raise ConfigParseError("poly P takes one index")
         if args.i > bound:
             raise LimitExceeded(
                 f"index {args.i} exceeds the bound {bound}; raise --bound explicitly"
@@ -276,6 +278,8 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 
 
 def _cmd_complex_check(args: argparse.Namespace) -> int:
+    if args.dimension is not None and args.dimension < 0:
+        raise ConfigParseError(f"--dimension must be at least 0, got {args.dimension}")
     family = _load_family(args)
     if args.identity not in IDENTITY_NAMES:
         raise ConfigParseError(

@@ -483,14 +483,9 @@ def run_identity_check(
         f = endo_cochain(family, random_endomorphism(family, seed))
     else:
         f = random_cochain(family, dimension, seed)
-    if identity == "d-squared":
-        arg_count = dimension + 2
-    elif identity == "cosimplicial":
-        arg_count = dimension + 2
-    else:
-        arg_count = dimension + 1 + 1  # one extra slot for the dimension-one partner
+    # every identity compares two cochains of dimension + 2
     tuples = sample_tuples(
-        family.universe, arg_count, samples, rng, max_total_exponent=max_total_exponent
+        family.universe, dimension + 2, samples, rng, max_total_exponent=max_total_exponent
     )
     if identity == "d-squared":
         failures = _check_d_squared(f, tuples)

@@ -41,9 +41,7 @@ from .exactalg import (
     quotient_with_generators,
     row_space_basis,
     solve_linear,
-    vec_add,
     vec_scale,
-    vec_zero,
 )
 from .rings import AdamsFamily, FactoredInt, frobenius_compatible
 
@@ -349,14 +347,9 @@ def compute_H1(family: AdamsFamily) -> H1Result:
     specs = tuple(
         DerivationSpec.from_x_coordinates(family, v) for v in cocycles
     )
-    images: list[Vector] = []
-    for g in frobenius_compatible_basis(family):
-        coords: list[int] = []
-        for p in family.universe.primes:
-            a = family.generator(p)
-            commutator = a @ g - g @ a
-            coords.extend(commutator.exact_divide(p).flat())
-        images.append(tuple(coords))
+    images = [
+        inner_derivation(family, g).x_coordinates() for g in frobenius_compatible_basis(family)
+    ]
     if rank == 0:
         return H1Result(AbelianGroup(0, ()), (), ())
     basis_matrix = IntMatrix.from_columns(cocycles, len(cocycles[0]))
@@ -373,9 +366,7 @@ def compute_H1(family: AdamsFamily) -> H1Result:
     group, generators = quotient_with_generators(rank, relations)
     classes = []
     for gen in generators:
-        coords = vec_zero(len(cocycles[0]))
-        for c, basis_vector in zip(gen.vector, cocycles):
-            coords = vec_add(coords, vec_scale(c, basis_vector))
+        coords = basis_matrix.apply(gen.vector)
         classes.append(
             H1Class(gen.order, DerivationSpec.from_x_coordinates(family, coords))
         )

@@ -42,15 +42,7 @@ from .errors import (
     NotFrobeniusCompatible,
     PrefixMismatch,
 )
-from .exactalg import (
-    IntMatrix,
-    Vector,
-    multiply_vecs,
-    solve_linear,
-    vec_add,
-    vec_sub,
-    vec_zero,
-)
+from .exactalg import IntMatrix, Vector, solve_linear
 from .cohomology import DerivationSpec, solve_coboundary_1
 from .rings import AdamsFamily, FactoredInt, family_from_dict, family_to_dict, frobenius_compatible
 
@@ -284,9 +276,7 @@ def obstruction(deformation: Deformation) -> Cochain:
         right = deformation.at(n)
         total = IntMatrix.zeros(d, d)
         for i in range(1, order + 1):
-            j = order + 1 - i
-            if j <= order:
-                total = total + left[i] @ right[j]
+            total = total + left[i] @ right[order + 1 - i]
         return -total
 
     return Cochain(family, 2, evaluate)
@@ -345,7 +335,9 @@ def _extension_system(
 
     X stacks the divided top values at the primes.  Each pair (m, n)
     of the box gives the d*d rows of vec(A_m f(n) - f(mn) + f(m) A_n)
-    == vec(obstruction(m, n)), with f affine in X.
+    == vec(obstruction(m, n)), with f affine in X.  Every vec f(n) and
+    every product with an Adams matrix is held as d*d affine rows of
+    width + 1 entries: the coefficients of X, then the constant last.
     """
     if exponent_bound < 1:
         raise ValueError("the exponent bound must be at least 1")
@@ -355,65 +347,55 @@ def _extension_system(
     d2 = d * d
     width = len(primes) * d2
     obs = obstruction(deformation)
-    zero_vec = vec_zero(d2)
+    zero_row = (0,) * (width + 1)
 
-    # affine dependence of the peeled top term on the prime unknowns:
-    # vec f(n) = sum_c columns[n][c] * X[c] + constants[n]
-    columns: dict[FactoredInt, list[Vector]] = {FactoredInt.one(): [zero_vec] * width}
-    constants: dict[FactoredInt, Vector] = {FactoredInt.one(): zero_vec}
+    def row_sum(terms) -> Vector:
+        total = zero_row
+        for c, row in terms:
+            if c:
+                total = tuple([t + c * e for t, e in zip(total, row)])
+        return total
 
-    def affine_at(n: FactoredInt) -> tuple[list[Vector], Vector]:
-        if n in columns:
-            return columns[n], constants[n]
-        p, rest = n.peel()
-        if rest.is_one:
-            idx = primes.index(p)
-            cols = [zero_vec] * width
-            for e in range(d2):
-                cols[idx * d2 + e] = tuple(p if r == e else 0 for r in range(d2))
-            const = zero_vec
-        else:
-            rest_cols, rest_const = affine_at(rest)
-            prime_cols, _ = affine_at(FactoredInt.of_prime(p))
-            lead = family.generator(p)
-            cols = list(
-                map(
-                    vec_add,
-                    multiply_vecs(rest_cols, left=lead),
-                    multiply_vecs(prime_cols, right=family.adams_at(rest)),
-                )
-            )
-            (lead_const,) = multiply_vecs([rest_const], left=lead)
-            const = vec_sub(lead_const, obs.at(p, rest).flat())
-        columns[n] = cols
-        constants[n] = const
-        return cols, const
+    affine: dict[FactoredInt, list[Vector]] = {FactoredInt.one(): [zero_row] * d2}
+    for idx, p in enumerate(primes):
+        affine[FactoredInt.of_prime(p)] = [
+            tuple(p if c == idx * d2 + e else 0 for c in range(width + 1)) for e in range(d2)
+        ]
 
-    # vec(A f(n)) and vec(f(n) A) depend on the pair only through one
+    def affine_at(n: FactoredInt) -> list[Vector]:
+        # peeling: f(p * rest) = A_p f(rest) + f(p) psi(rest) - obs(p, rest)
+        if n not in affine:
+            p, rest = n.peel()
+            lead = product_rows(True, family.generator(p), rest)
+            tail = product_rows(False, family.adams_at(rest), FactoredInt.of_prime(p))
+            rows = []
+            for x, y, o in zip(lead, tail, obs.at(p, rest).flat()):
+                row = list(map(operator.add, x, y))
+                row[-1] -= o
+                rows.append(tuple(row))
+            affine[n] = rows
+        return affine[n]
+
+    # vec(A f(n)) and vec(f(n) A) depend on a pair only through one
     # Adams matrix and one box element, and the box has few distinct
-    # Adams matrices: each product is formed once, as d*d rows over the
-    # unknowns plus a constant vector.
-    products: dict[tuple[bool, IntMatrix, FactoredInt], tuple[list[Vector], Vector]] = {}
+    # Adams matrices: each product is formed once.
+    products: dict[tuple[bool, IntMatrix, FactoredInt], list[Vector]] = {}
 
-    def product_rows(left: bool, adams: IntMatrix, n: FactoredInt) -> tuple[list[Vector], Vector]:
+    def product_rows(left: bool, adams: IntMatrix, n: FactoredInt) -> list[Vector]:
         key = (left, adams, n)
         if key not in products:
-            cols, const = affine_at(n)
-            if left:
-                out = multiply_vecs(cols + [const], left=adams)
-            else:
-                out = multiply_vecs(cols + [const], right=adams)
-            const = out.pop()
-            products[key] = list(zip(*out)), const
+            f = affine_at(n)
+            a = adams.entries
+            if left:  # row (i, j) of vec(A F) is sum_k A[i][k] F[k*d + j]
+                out = [row_sum(zip(a[i], f[j::d])) for i in range(d) for j in range(d)]
+            else:  # row (i, j) of vec(F B) is sum_k B[k][j] F[i*d + k]
+                out = [
+                    row_sum((a[k][j], f[i * d + k]) for k in range(d))
+                    for i in range(d)
+                    for j in range(d)
+                ]
+            products[key] = out
         return products[key]
-
-    transposed: dict[FactoredInt, tuple[list[Vector], Vector]] = {}
-
-    def affine_rows(n: FactoredInt) -> tuple[list[Vector], Vector]:
-        if n not in transposed:
-            cols, const = affine_at(n)
-            transposed[n] = list(zip(*cols)), const
-        return transposed[n]
 
     box = factored_box(family.universe, exponent_bound, include_one=False)
     rows: list[Vector] = []
@@ -423,16 +405,17 @@ def _extension_system(
     for m in box:
         am = family.adams_at(m)
         for n in box:
-            left_rows, left_const = product_rows(True, am, n)
-            right_rows, right_const = product_rows(False, family.adams_at(n), m)
-            mn_rows, mn_const = affine_rows(m * n)
-            for x, y, z in zip(left_rows, mn_rows, right_rows):
-                row = tuple(map(operator.add, map(operator.sub, x, y), z))
+            left_rows = product_rows(True, am, n)
+            right_rows = product_rows(False, family.adams_at(n), m)
+            for x, y, z, o in zip(left_rows, affine_at(m * n), right_rows, obs.at(m, n).flat()):
+                row = list(map(operator.add, map(operator.sub, x, y), z))
+                rhs.append(o - row.pop())
+                row = tuple(row)
                 rows.append(intern(row, row))
-            rhs.extend(
-                o - (x - y + z)
-                for o, x, y, z in zip(obs.at(m, n).flat(), left_const, mn_const, right_const)
-            )
+    # affine_at and product_rows refer to each other, so their caches
+    # would otherwise live on until the next cyclic collection
+    affine.clear()
+    products.clear()
     return box, IntMatrix(len(rows), width, tuple(rows)), tuple(rhs)
 
 

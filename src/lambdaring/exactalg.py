@@ -201,9 +201,6 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return all(a == 0 for row in self.entries for a in row)
 
-    def is_zero_mod(self, p: int) -> bool:
-        return all(a % p == 0 for row in self.entries for a in row)
-
     def is_divisible_by(self, k: int) -> bool:
         return all(a % k == 0 for row in self.entries for a in row)
 
@@ -699,57 +696,3 @@ def right_multiplication_operator(b: IntMatrix) -> IntMatrix:
             rows.append(row)
     return IntMatrix.from_flat(d * d, d * d, [e for r in rows for e in r])
 
-
-def multiply_vecs(
-    vecs: Sequence[Sequence[int]],
-    *,
-    left: Optional[IntMatrix] = None,
-    right: Optional[IntMatrix] = None,
-) -> list[Vector]:
-    """Read each vector as a row-major square matrix F; return vec(left @ F) or vec(F @ right).
-
-    Gives the columns of ``left_multiplication_operator(left) @ C`` (or
-    of the right operator) for C with the given columns, at d^3 rather
-    than d^4 multiply-adds per column; zero entries are skipped.
-
-    >>> a = IntMatrix.from_rows([[0, 1], [1, 0]])
-    >>> multiply_vecs([(1, 2, 3, 4)], left=a)
-    [(3, 4, 1, 2)]
-    >>> multiply_vecs([(1, 2, 3, 4)], right=a)
-    [(2, 1, 4, 3)]
-    """
-    if (left is None) == (right is None):
-        raise ValueError("give exactly one of left and right")
-    factor = left if left is not None else right
-    d = factor.rows
-    if factor.cols != d:
-        raise ValueError("multiply_vecs needs a square matrix")
-    n = d * d
-    zero = (0,) * n
-    out = []
-    for vec in vecs:
-        if len(vec) != n:
-            raise ValueError(f"vector length {len(vec)} is not {d}x{d}")
-        if not any(vec):
-            out.append(zero)
-            continue
-        acc = [0] * n
-        if left is not None:
-            # (A F)[i][j] = sum_k A[i][k] F[k][j]
-            for i, a_row in enumerate(factor.entries):
-                base = i * d
-                for k, a in enumerate(a_row):
-                    if a:
-                        f_row = k * d
-                        for j in range(d):
-                            acc[base + j] += a * vec[f_row + j]
-        else:
-            # (F B)[i][j] = sum_k F[i][k] B[k][j]
-            for ik, f in enumerate(vec):
-                if f:
-                    base = ik - ik % d
-                    b_row = factor.entries[ik % d]
-                    for j in range(d):
-                        acc[base + j] += f * b_row[j]
-        out.append(tuple(acc))
-    return out

@@ -395,7 +395,7 @@ def verify_adams(family: AdamsFamily) -> list[str]:
                 product_of_images = spec.mul(m.apply(basis[i]), m.apply(basis[j]))
                 if image_of_product != product_of_images:
                     violations.append(f"psi_{p} is not multiplicative on (e{i}, e{j})")
-        if not (m - family.frobenius(p)).is_zero_mod(p):
+        if not (m - family.frobenius(p)).is_divisible_by(p):
             violations.append(f"psi_{p} is not congruent to Frobenius mod {p}")
     for a in range(len(family.generators)):
         for b in range(a + 1, len(family.generators)):
@@ -416,7 +416,7 @@ def frobenius_compatible(f: IntMatrix, family: AdamsFamily) -> bool:
         raise ValueError("endomorphism shape does not match the ring rank")
     for p in family.universe:
         frob = family.frobenius(p)
-        if not (frob @ f - f @ frob).is_zero_mod(p):
+        if not (frob @ f - f @ frob).is_divisible_by(p):
             return False
     return True
 

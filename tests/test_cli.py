@@ -111,10 +111,12 @@ class TestInputContract:
             ("lambda", "from-adams", "--preset", "Z", "--element", "x"),
             ("lambda", "from-adams", "--preset", "Z", "--element", "4", "--max-degree", "0"),
             ("poly", "P", "0"),
+            ("poly", "P", "3", "2"),
             ("poly", "Pij", "0", "1"),
             ("poly", "Pij", "1", "-2"),
             ("complex", "check", "d-squared", "--preset", "Z", "--samples", "0"),
             ("complex", "check", "d-squared", "--preset", "Z", "--samples", "-5"),
+            ("complex", "check", "d-squared", "--preset", "Z", "--dimension", "-1"),
             ("cohomology", "h0", "--preset", "Z", "--primes", "2,2"),
             ("cohomology", "h0", "--preset", "Z", "--primes", "4"),
             ("deform", "normalize", "--deformation", "{order_one}", "--level", "0"),

@@ -16,7 +16,6 @@ from lambdaring.exactalg import (
     IntMatrix,
     kernel_basis,
     left_multiplication_operator,
-    multiply_vecs,
     quotient_presentation,
     quotient_with_generators,
     right_multiplication_operator,
@@ -493,9 +492,8 @@ class TestIntMatrix:
         m = IntMatrix.from_rows([[2, 4], [6, 8]])
         assert m.is_divisible_by(2)
         assert not m.is_divisible_by(4)
+        assert not m.is_divisible_by(3)
         assert m.exact_divide(2).flat() == (1, 2, 3, 4)
-        assert m.is_zero_mod(2)
-        assert not m.is_zero_mod(3)
 
     def test_shape_errors(self):
         a = IntMatrix.from_rows([[1, 2]])
@@ -749,28 +747,6 @@ class TestMultiplicationOperators:
             right = right_multiplication_operator(a)
             assert left.apply(vec) == (a @ m).flat()
             assert right.apply(vec) == (m @ a).flat()
-
-    def test_multiply_vecs_matches_the_operators(self):
-        rng = random.Random(23)
-        for _ in range(40):
-            d = rng.randint(1, 4)
-            a = random_matrix(rng, d, d, bound=5)
-            columns = [random_matrix(rng, d, d, bound=5).flat() for _ in range(3)]
-            columns.append((0,) * (d * d))
-            stacked = IntMatrix.from_columns(columns, d * d)
-            left = left_multiplication_operator(a) @ stacked
-            right = right_multiplication_operator(a) @ stacked
-            assert multiply_vecs(columns, left=a) == [left.column(j) for j in range(4)]
-            assert multiply_vecs(columns, right=a) == [right.column(j) for j in range(4)]
-
-    def test_multiply_vecs_arguments(self):
-        a = IntMatrix.identity(2)
-        with pytest.raises(ValueError):
-            multiply_vecs([(1, 2, 3, 4)])
-        with pytest.raises(ValueError):
-            multiply_vecs([(1, 2, 3, 4)], left=a, right=a)
-        with pytest.raises(ValueError):
-            multiply_vecs([(1, 2, 3)], left=a)
 
     def test_square_required(self):
         with pytest.raises(ValueError):
