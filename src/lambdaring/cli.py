@@ -64,6 +64,13 @@ from .symfun import DEFAULT_COMPOSITION_LIMIT, compute_P, compute_P_ij
 
 SCHEMA_VERSION = 1
 
+# Guardrails, checked before anything is built: deform extend and deform
+# obstruction refuse a box whose pairs carry more than MAX_BOX_ENTRIES =
+# |box|^2 * rank^2 matrix entries, and complex check refuses more than
+# MAX_SAMPLES samples.
+MAX_BOX_ENTRIES = 10**6
+MAX_SAMPLES = 100_000
+
 _INPUT_ERRORS = (
     ConfigParseError,
     UnknownPreset,
@@ -137,6 +144,25 @@ def _load_deformation(path: str) -> Deformation:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read deformation file {path}: {exc}") from exc
     return deformation_from_dict(doc)
+
+
+def _bounded_box(args: argparse.Namespace, default: int) -> tuple[int, Deformation]:
+    """The --bound and the deformation of a box command, refused if the box is too large."""
+    bound = args.bound if args.bound is not None else default
+    if bound < 1:
+        raise ConfigParseError(f"--bound must be at least 1 for {args.action}, got {bound}")
+    deformation = _load_deformation(args.deformation)
+    family = deformation.family
+    # the box holds the exponent vectors over the primes with sum 1..bound
+    primes = len(family.universe.primes)
+    box_size = math.comb(bound + primes, primes) - 1
+    entries = box_size**2 * family.rank**2
+    if entries > MAX_BOX_ENTRIES:
+        raise LimitExceeded(
+            f"--bound {bound} gives |box|^2 * rank^2 = {box_size}^2 * {family.rank}^2 = "
+            f"{entries} matrix entries, above the limit {MAX_BOX_ENTRIES}"
+        )
+    return bound, deformation
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
@@ -280,6 +306,8 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 def _cmd_complex_check(args: argparse.Namespace) -> int:
     if args.dimension is not None and args.dimension < 0:
         raise ConfigParseError(f"--dimension must be at least 0, got {args.dimension}")
+    if args.samples > MAX_SAMPLES:
+        raise LimitExceeded(f"--samples {args.samples} is above the limit {MAX_SAMPLES}")
     family = _load_family(args)
     if args.identity not in IDENTITY_NAMES:
         raise ConfigParseError(
@@ -396,10 +424,7 @@ def _cmd_deform_infinitesimal(args: argparse.Namespace) -> int:
 
 
 def _cmd_deform_obstruction(args: argparse.Namespace) -> int:
-    bound = args.bound if args.bound is not None else 2
-    if bound < 1:
-        raise ConfigParseError(f"--bound must be at least 1 for obstruction, got {bound}")
-    deformation = _load_deformation(args.deformation)
+    bound, deformation = _bounded_box(args, 2)
     obs = obstruction(deformation)
     box = factored_box(deformation.family.universe, bound, include_one=False)
     entries = []
@@ -427,10 +452,7 @@ def _cmd_deform_obstruction(args: argparse.Namespace) -> int:
 
 
 def _cmd_deform_extend(args: argparse.Namespace) -> int:
-    bound = args.bound if args.bound is not None else 3
-    if bound < 1:
-        raise ConfigParseError(f"--bound must be at least 1 for extend, got {bound}")
-    deformation = _load_deformation(args.deformation)
+    bound, deformation = _bounded_box(args, 3)
     outcome = try_extend(deformation, bound)
     results = {
         "succeeded": outcome.succeeded,

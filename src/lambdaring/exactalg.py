@@ -253,7 +253,7 @@ class SmithDecomposition:
 
 
 def _identity_rows(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
 class _Eliminator:
@@ -265,15 +265,13 @@ class _Eliminator:
     same row operations.  Solvers skip the left transform entirely so
     huge systems never materialize an rows-by-rows matrix.
 
-    Only the nonzero rows are copied into lists, and ``live`` holds
-    those lists; every zero row is the one shared tuple ``zero_row``.
-    A zero row stays zero under every column operation, and ``add_row``
-    only changes the pivot row or a row that is nonzero in the pivot
-    column, so the pivot search and the column operations visit the
-    live rows alone.  Row operations change a row list in place and
-    swaps exchange whole rows, so a swap never updates ``live`` and a
-    dense system pays nothing for the bookkeeping.  The pivot search
-    also retires rows that elimination has made zero.
+    Tall systems repeat few rows many times, so the matrix work is done
+    once per distinct row.  Each distinct input row object becomes one
+    list shared by every position holding it, and every zero row is the
+    tuple ``zero_row``; positions sharing a list always hold equal rows.
+    Row operations bind a position to a new list and never change one;
+    column operations change each distinct list once, in place.  ``rhs``
+    and ``u`` are still updated per position.
     """
 
     def __init__(
@@ -287,8 +285,12 @@ class _Eliminator:
         self.nrows = matrix.rows
         self.ncols = matrix.cols
         self.zero_row = (0,) * self.ncols
-        self.d = [list(row) if any(row) else self.zero_row for row in matrix.entries]
-        self.live = [row for row in self.d if row is not self.zero_row]
+        distinct = {id(row): row for row in matrix.entries}
+        lists = {key: list(row) if any(row) else self.zero_row for key, row in distinct.items()}
+        self.d = [lists[id(row)] for row in matrix.entries]
+        self.t = 0  # the step of diagonalize
+        # (id(row), q) -> (row, pivot, row + q * pivot); holding row keeps its id unique
+        self.memo: dict[tuple[int, int], tuple] = {}
         self.u = _identity_rows(self.nrows) if track_u else None
         self.u_inv = _identity_rows(self.nrows) if track_u else None
         self.v = _identity_rows(self.ncols)
@@ -310,10 +312,22 @@ class _Eliminator:
             self.rhs[i], self.rhs[j] = self.rhs[j], self.rhs[i]
 
     def add_row(self, i: int, j: int, q: int) -> None:
-        """row_i += q * row_j."""
+        """row_i += q * row_j, over the columns from t on.
+
+        Every copy of row i gets the same new list while row j is the same
+        list and no column changes; a zero result becomes ``zero_row``.
+        """
         if q == 0:
             return
-        self.d[i][:] = [a + q * b for a, b in zip(self.d[i], self.d[j])]
+        d = self.d
+        row, pivot = d[i], d[j]
+        key = (id(row), q)
+        hit = self.memo.get(key)
+        if hit is None or hit[1] is not pivot:
+            t = self.t
+            new = row[:t] + [a + q * b for a, b in zip(row[t:], pivot[t:])]
+            hit = self.memo[key] = (row, pivot, new if any(new) else self.zero_row)
+        d[i] = hit[2]
         if self.u is not None:
             self.u[i] = [a + q * b for a, b in zip(self.u[i], self.u[j])]
             for row in self.u_inv:
@@ -322,7 +336,7 @@ class _Eliminator:
             self.rhs[i] += q * self.rhs[j]
 
     def negate_row(self, i: int) -> None:
-        self.d[i][:] = [-a for a in self.d[i]]
+        self.d[i] = [-a for a in self.d[i]]
         if self.u is not None:
             self.u[i] = [-a for a in self.u[i]]
             for row in self.u_inv:
@@ -334,21 +348,25 @@ class _Eliminator:
     # working matrix and v get F on the right, v_inv gets F^-1 on the left.
 
     def swap_cols(self, i: int, j: int) -> None:
+        """Exchange columns i, j >= t; the rows above t are zero in both."""
         if i == j:
             return
-        for row in self.live:
-            row[i], row[j] = row[j], row[i]
+        self.memo.clear()
+        for row in {id(row): row for row in self.d[self.t :]}.values():
+            if row is not self.zero_row:
+                row[i], row[j] = row[j], row[i]
         for row in self.v:
             row[i], row[j] = row[j], row[i]
         if self.v_inv is not None:
             self.v_inv[i], self.v_inv[j] = self.v_inv[j], self.v_inv[i]
 
     def add_col(self, j: int, i: int, q: int) -> None:
-        """col_j += q * col_i."""
+        """col_j += q * col_i; column i is zero outside row i, so only row i changes."""
         if q == 0:
             return
-        for row in self.live:
-            row[j] += q * row[i]
+        self.memo.clear()
+        target = self.d[i]
+        target[j] += q * target[i]
         for row in self.v:
             row[j] += q * row[i]
         if self.v_inv is not None:
@@ -370,16 +388,21 @@ class _Eliminator:
         row swap with t or the divisibility step).  Every other
         operation leaves the scanned zeros in place, so the sequence of
         swaps, additions and quotients is the same as that of a scan
-        restarted from t+1 after every step.  A zero row has no entry
-        for any scan to find, so leaving it out of the pivot search and
-        the column operations, while the row scans still walk every
-        position, takes the same path as visiting every row.
+        restarted from t+1 after every step.
+
+        In step t the rows at t and below are zero in the columns before
+        t, and the rows above t are zero from column t on.  So a row
+        operation, which combines two rows at t or below, needs only the
+        columns from t on, and ``add_col``, which runs once column t is
+        zero outside row t, changes row t alone.  The row scans still
+        walk every position.
         """
         d = self.d
         nrows, ncols = self.nrows, self.ncols
-        t = 0
-        limit = min(nrows, ncols)
+        t, limit = 0, min(nrows, ncols)
         while t < limit:
+            self.t = t
+            self.memo.clear()
             pivot = self._find_pivot(t)
             if pivot is None:
                 break
@@ -410,13 +433,7 @@ class _Eliminator:
                 if not divisibility_chain:
                     break
                 stray = next(
-                    (
-                        i
-                        for i in range(t + 1, nrows)
-                        for e in d[i][t + 1 :]
-                        if e % p
-                    ),
-                    None,
+                    (i for i in range(t + 1, nrows) for e in d[i][t + 1 :] if e % p), None
                 )
                 if stray is None:
                     break
@@ -428,29 +445,22 @@ class _Eliminator:
         return t
 
     def _find_pivot(self, t: int) -> Optional[tuple[int, int]]:
-        """First entry of least absolute value in the block below and right of (t, t)."""
-        pivot = None
-        best = 0
-        d = self.d
-        zero_row = self.zero_row
-        retired = False
+        """First entry of least absolute value below and right of (t, t); one least per list."""
+        pivot, best = None, 0
+        least_of: dict[int, int] = {}
+        d, zero_row = self.d, self.zero_row
         for i in range(t, self.nrows):
             row = d[i]
             if row is zero_row:
                 continue
-            segment = row[t:]
-            least = min(map(abs, filter(None, segment)), default=0)
-            if not least:
-                # below row t the columns before t are clear: the row is zero
-                d[i] = zero_row
-                retired = True
-            elif pivot is None or least < best:
-                j = next(j for j, e in enumerate(segment) if abs(e) == least)
-                pivot, best = (i, t + j), least
+            least = least_of.get(id(row))
+            if least is None:
+                least = least_of[id(row)] = min(map(abs, filter(None, row[t:])))
+            if pivot is None or least < best:
+                j = next(j for j in range(t, self.ncols) if abs(row[j]) == least)
+                pivot, best = (i, j), least
                 if best == 1:
                     break
-        if retired:
-            self.live = [row for row in d if row is not zero_row]
         return pivot
 
 
@@ -518,11 +528,10 @@ def solve_linear(matrix: IntMatrix, rhs: Sequence[int]) -> Optional[LinearSoluti
         if c % p:
             return None
         y[i] = c // p
-    for i in range(used, matrix.rows):
-        if work.rhs[i]:
-            return None
+    if any(work.rhs[used:]):
+        return None
     v = work.v
-    particular = tuple(sum(v[i][k] * y[k] for k in range(matrix.cols)) for i in range(matrix.cols))
+    particular = tuple(sum(map(operator.mul, row, y)) for row in v)
     free = [k for k in range(matrix.cols) if k >= used or work.d[k][k] == 0]
     kernel = tuple(tuple(v[i][k] for i in range(matrix.cols)) for k in free)
     return LinearSolution(particular=particular, kernel=kernel)
@@ -672,14 +681,9 @@ def left_multiplication_operator(a: IntMatrix) -> IntMatrix:
     d = a.rows
     if a.cols != d:
         raise ValueError("left multiplication operator needs a square matrix")
-    rows = []
-    for i in range(d):
-        for j in range(d):
-            row = [0] * (d * d)
-            for k in range(d):
-                row[k * d + j] = a[i, k]
-            rows.append(row)
-    return IntMatrix.from_flat(d * d, d * d, [e for r in rows for e in r])
+    r = range(d)  # row (i, j), column (k, l): A[i][k] where l == j
+    flat = [a[i, k] * (l == j) for i in r for j in r for k in r for l in r]
+    return IntMatrix.from_flat(d * d, d * d, flat)
 
 
 def right_multiplication_operator(b: IntMatrix) -> IntMatrix:
@@ -687,12 +691,7 @@ def right_multiplication_operator(b: IntMatrix) -> IntMatrix:
     d = b.rows
     if b.cols != d:
         raise ValueError("right multiplication operator needs a square matrix")
-    rows = []
-    for i in range(d):
-        for j in range(d):
-            row = [0] * (d * d)
-            for k in range(d):
-                row[i * d + k] = b[k, j]
-            rows.append(row)
-    return IntMatrix.from_flat(d * d, d * d, [e for r in rows for e in r])
+    r = range(d)  # row (i, j), column (l, k): B[k][j] where l == i
+    flat = [b[k, j] * (l == i) for i in r for j in r for l in r for k in r]
+    return IntMatrix.from_flat(d * d, d * d, flat)
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from lambdaring import cli
 from lambdaring.cli import entry
 from lambdaring.cochain import random_endomorphism
 from lambdaring.cohomology import inner_derivation
@@ -124,6 +125,10 @@ class TestInputContract:
             ("deform", "obstruction", "--deformation", "{order_one}", "--bound", "0"),
             ("deform", "obstruction", "--deformation", "{order_one}", "--bound", "-3"),
             ("deform", "extend", "--deformation", "{order_one}", "--order", "1"),
+            # above the guardrails: |box|^2 * rank^2 = 1139^2 for Z at bound 17
+            ("deform", "extend", "--deformation", "{order_one}", "--bound", "17"),
+            ("deform", "obstruction", "--deformation", "{order_one}", "--bound", "1000000000"),
+            ("complex", "check", "d-squared", "--preset", "Z", "--samples", "100001"),
         ],
     )
     def test_unusable_input_exits_two(self, tmp_path, argv):
@@ -145,6 +150,17 @@ class TestInputContract:
         assert process.returncode == 2
         assert "Traceback" not in process.stderr
         assert "--bound must be at least 1" in process.stderr
+
+    def test_box_limit_names_the_computed_size(self, tmp_path):
+        z = preset_family("Z", (2, 3, 5))
+        path = write_json(
+            tmp_path / "z.json", deformation_to_dict(trivial_deformation(z, 1))
+        )
+        for action in ("extend", "obstruction"):
+            process = run_module("deform", action, "--deformation", path, "--bound", "17")
+            assert process.returncode == 2
+            assert "1139^2 * 1^2 = 1297321" in process.stderr
+            assert str(cli.MAX_BOX_ENTRIES) in process.stderr
 
     def test_deformation_path_is_a_directory(self, tmp_path):
         process = run_module("deform", "extend", "--deformation", str(tmp_path))

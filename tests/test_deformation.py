@@ -318,10 +318,12 @@ class TestExtensionSystem:
             try_extend(trivial_deformation(z_family, 1), exponent_bound=0)
 
     def test_rc3_extends_at_bound_four(self, rc3_family):
-        result = try_extend(trivial_deformation(rc3_family, 1), exponent_bound=4)
-        assert result.succeeded
-        assert verify_deformation(result.extended).passed
-        assert result.equations == 9 * result.box_size**2
+        # and at bound 5: 55 box elements, 27,225 equations
+        for bound in (4, 5):
+            result = try_extend(trivial_deformation(rc3_family, 1), exponent_bound=bound)
+            assert result.succeeded, bound
+            assert verify_deformation(result.extended).passed, bound
+            assert result.equations == 9 * result.box_size**2, bound
 
 
 class TestExtension:

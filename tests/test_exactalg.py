@@ -1,6 +1,7 @@
 """Exact integer linear algebra: normal forms, solvers, quotient groups."""
 
 import copy
+import itertools
 import math
 import operator
 import pickle
@@ -10,6 +11,8 @@ from dataclasses import FrozenInstanceError, dataclass
 import pytest
 
 from lambdaring import exactalg
+from lambdaring.cohomology import cocycle_space_basis
+from lambdaring.deformation import make_deformation, try_extend
 from lambdaring.errors import InternalInconsistency, NonIntegralDivision
 from lambdaring.exactalg import (
     AbelianGroup,
@@ -23,6 +26,7 @@ from lambdaring.exactalg import (
     smith_normal_form,
     solve_linear,
 )
+from lambdaring.rings import preset_family
 
 
 def random_matrix(rng, rows, cols, bound=9):
@@ -56,9 +60,8 @@ def reference_determinant(m: IntMatrix) -> int:
 class SeedEliminator:
     """The original elimination engine: every row copied, every scan restarted.
 
-    Kept whole as the reference that the resuming scans and the
-    live-row bookkeeping of ``exactalg._Eliminator`` must reproduce
-    step for step.
+    Kept whole as the reference that the resuming scans and the shared
+    row lists of ``exactalg._Eliminator`` must reproduce step for step.
     """
 
     def __init__(self, matrix, *, track_u, track_v_inv, rhs=None):
@@ -236,13 +239,64 @@ def swapped_in_zero_row_matrices():
     yield IntMatrix.from_rows([[1, 2, 0], [2, 4, 0], [0, 0, 0], [0, 3, 3], [0, 0, 7]])
 
 
+def shared_row_matrices():
+    """Repeated row objects on the paths that treat copies of a row differently."""
+    r, o, w = (1, 2, -1, 0), (0, 3, 1, 2), (2, 1, 0, 5)
+    n = tuple(-a for a in r)
+    # copies of the pivot row below it, equal and negated, with the pivot
+    # row itself first as it is and then negated
+    yield IntMatrix(8, 4, (r, o, r, n, (0,) * 4, r, n, w))
+    yield IntMatrix(7, 4, (n, r, o, n, r, w, n))
+    # pivot 2 with copies of a row whose entry is 3: the first copy's
+    # remainder is swapped into the pivot position, so the later copies
+    # get other multipliers than the first
+    a, b, c = (2, 0, 4), (3, 5, 0), (0, 6, 7)
+    yield IntMatrix(7, 3, (a, b, c, b, b, c, b))
+    yield IntMatrix(6, 3, (c, b, a, b, c, b))
+    # the divisibility step pulls a shared row into the pivot row
+    p, s, q = (2, 0, 0), (0, 3, 0), (0, 0, 9)
+    yield IntMatrix(6, 3, (p, s, s, q, s, q))
+    s = (0, 6, 0, 0)
+    yield IntMatrix(5, 4, ((4, 0, 0, 0), s, s, (0, 0, 10, 15), s))
+
+
+def small_shared_row_matrices(rng, count):
+    """Short rows with small entries, some row object repeated.
+
+    A Euclid swap can then change the pivot between two copies of one
+    row, which must not reuse the sum formed with the earlier pivot.
+    """
+    for _ in range(count):
+        cols = rng.randint(2, 4)
+        distinct = [tuple(rng.randint(-6, 6) for _ in range(cols)) for _ in range(rng.randint(2, 4))]
+        rows = tuple(rng.choice(distinct) for _ in range(rng.randint(len(distinct) + 1, 8)))
+        yield IntMatrix(len(rows), cols, rows)
+
+
+def with_fresh_copies(rng, a, share):
+    """The same matrix with some rows replaced by content-equal separate tuples."""
+    entries = tuple(tuple(list(r)) if rng.random() >= share else r for r in a.entries)
+    return IntMatrix(a.rows, a.cols, entries)
+
+
+def seeded_rc3_cocycle_start(seed):
+    """Order-1 RC3 deformation whose t-coefficient is a seeded random cocycle."""
+    family = preset_family("RC3", (2, 3, 5))
+    rng = random.Random(seed)
+    spec = None
+    for b in cocycle_space_basis(family):
+        term = b.scale(rng.randint(-2, 2))
+        spec = term if spec is None else spec + term
+    return make_deformation(family, 1, {p: {1: spec.value(p)} for p in family.universe.primes})
+
+
 def degenerate_matrices():
     for shape in ((3, 4), (5, 1), (1, 5), (0, 3), (3, 0), (0, 0)):
         yield IntMatrix.zeros(*shape)
 
 
 class TestEliminationMatchesSeed:
-    """The resuming scans and the live-row bookkeeping take exactly the seed's path."""
+    """The resuming scans and the shared row lists take exactly the seed's path."""
 
     @staticmethod
     def assert_same_as_seed(monkeypatch, a, right_hand_sides, label):
@@ -294,6 +348,42 @@ class TestEliminationMatchesSeed:
             assert len(fast.kernel) == a.cols, label
             if a.rows:
                 assert solve_linear(a, (1,) + (0,) * (a.rows - 1)) is None, label
+
+    def test_shared_rows_on_every_path(self, monkeypatch):
+        cases = itertools.chain(
+            shared_row_matrices(), small_shared_row_matrices(random.Random(20261021), 80)
+        )
+        for k, a in enumerate(cases):
+            assert len({id(r) for r in a.entries}) < a.rows
+            x = tuple(range(2, a.cols + 2))
+            right_hand_sides = [a.apply(x), tuple(range(a.rows))]
+            fast = self.assert_same_as_seed(monkeypatch, a, right_hand_sides, f"case {k}")
+            assert a.apply(fast[0].particular) == a.apply(x)
+
+    def test_answers_do_not_depend_on_which_rows_are_shared(self, monkeypatch):
+        rng = random.Random(20261020)
+        cases = list(shared_row_matrices())
+        cases += [extend_shaped_matrix(rng, rng.randint(10, 60), rng.randint(2, 7)) for _ in range(15)]
+        for k, shared in enumerate(cases):
+            x = tuple(rng.randint(-3, 3) for _ in range(shared.cols))
+            right_hand_sides = [shared.apply(x), tuple(rng.randint(-1, 1) for _ in range(shared.rows))]
+            answers = []
+            for share in (1.0, 0.5, 0.0):
+                a = with_fresh_copies(rng, shared, share)
+                assert a == shared
+                fast = self.assert_same_as_seed(monkeypatch, a, right_hand_sides, f"case {k}")
+                answers.append((fast, smith_normal_form(a)))
+            assert answers[0] == answers[1] == answers[2], f"case {k}"
+
+    def test_rc3_extension_equals_the_reference(self, monkeypatch):
+        start = seeded_rc3_cocycle_start(1)
+        fast = try_extend(start, 3)
+        with monkeypatch.context() as patch:
+            patch.setattr(exactalg, "_Eliminator", SeedEliminator)
+            slow = try_extend(start, 3)
+        assert fast.succeeded and fast.equations == 3249
+        for p in start.family.universe.primes:
+            assert fast.extended.series(p) == slow.extended.series(p)
 
     def test_interned_rows_build_the_same_matrix(self):
         rng = random.Random(3)

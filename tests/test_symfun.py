@@ -123,6 +123,28 @@ class TestProductPolynomials:
                 )
                 assert polynomial.eval_int(assignment) == direct
 
+    def test_matches_the_sympy_expansion(self):
+        # Oracle outside this library's polynomial arithmetic: sympy expands
+        # e_i of the i^2 products x_a*y_b, and P_i at s_k = e_k(x),
+        # t_k = e_k(y); the two must be the same polynomial in x and y.
+        sympy = pytest.importorskip("sympy")
+
+        def e(k, letters):
+            return sympy.Add(*(sympy.Mul(*c) for c in itertools.combinations(letters, k)))
+
+        for i in (1, 2, 3):
+            x = sympy.symbols(f"x1:{i + 1}")
+            y = sympy.symbols(f"y1:{i + 1}")
+            alphabet = {"s": x, "t": y}
+            evaluated = sympy.Add(
+                *(
+                    c * sympy.Mul(*(e(k, alphabet[letter]) ** n for (letter, k), n in monomial))
+                    for monomial, c in compute_P(i).expression.terms
+                )
+            )
+            direct = e(i, [a * b for a in x for b in y])
+            assert sympy.Poly(evaluated, *x, *y) == sympy.Poly(direct, *x, *y), i
+
     def test_rejects_bad_degree(self):
         with pytest.raises(ValueError):
             compute_P(0)
