@@ -54,6 +54,7 @@ from .rings import (
     AdamsFamily,
     PRESET_NAMES,
     PrimeUniverse,
+    is_prime,
     lambda_from_adams,
     load_ring_file,
     preset_family,
@@ -66,10 +67,11 @@ SCHEMA_VERSION = 1
 
 # Guardrails, checked before anything is built: deform extend and deform
 # obstruction refuse a box whose pairs carry more than MAX_BOX_ENTRIES =
-# |box|^2 * rank^2 matrix entries, and complex check refuses more than
-# MAX_SAMPLES samples.
+# |box|^2 * rank^2 matrix entries, complex check refuses more than
+# MAX_SAMPLES samples, and poly refuses a --bound above MAX_POLY_BOUND.
 MAX_BOX_ENTRIES = 10**6
 MAX_SAMPLES = 100_000
+MAX_POLY_BOUND = 12
 
 _INPUT_ERRORS = (
     ConfigParseError,
@@ -246,8 +248,7 @@ def _cmd_lambda_from_adams(args: argparse.Namespace) -> int:
         (
             n
             for n in range(2, args.max_degree + 1)
-            if n not in family.universe.primes
-            and all(n % q for q in range(2, math.isqrt(n) + 1))
+            if is_prime(n) and n not in family.universe.primes
         ),
         None,
     )
@@ -275,6 +276,8 @@ def _cmd_lambda_from_adams(args: argparse.Namespace) -> int:
 
 def _cmd_poly(args: argparse.Namespace) -> int:
     bound = args.bound if args.bound is not None else DEFAULT_COMPOSITION_LIMIT
+    if bound > MAX_POLY_BOUND:
+        raise LimitExceeded(f"--bound {bound} is above the limit {MAX_POLY_BOUND}")
     if args.which == "P":
         if args.j is not None:
             raise ConfigParseError("poly P takes one index")

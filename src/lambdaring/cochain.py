@@ -306,31 +306,17 @@ def codegeneracy(i: int, f: Cochain) -> Cochain:
 # bounded table to fall off.
 
 
-def _seeded_matrix(
-    seed: str, d: int, entry_bound: int, scale: int = 1
-) -> IntMatrix:
-    rng = random.Random(seed)
-    return IntMatrix._trusted(
-        d,
-        d,
-        tuple(
-            [tuple([scale * rng.randint(-entry_bound, entry_bound) for _ in range(d)]) for _ in range(d)]
-        ),
-    )
-
-
 def random_cochain(
     family: AdamsFamily,
     dimension: int,
     seed: int,
     *,
-    entry_bound: int = 3,
     prime_divisible: bool = False,
 ) -> Cochain:
     """Deterministic pseudo-random cochain of positive dimension.
 
-    With the divisibility flag set (dimension one), values at prime
-    arguments are generated divisible by that prime.
+    Entries lie in -3..3.  With the divisibility flag set (dimension
+    one), values at prime arguments are those entries times the prime.
     """
     if dimension < 1:
         raise ValueError("use random_endomorphism for dimension zero")
@@ -338,18 +324,18 @@ def random_cochain(
 
     def evaluate(args: tuple[FactoredInt, ...]) -> IntMatrix:
         key = f"cochain:{seed}:{dimension}:" + ",".join(str(m.value) for m in args)
+        rng = random.Random(key)
         scale = 1
         if prime_divisible and dimension == 1 and args[0].is_prime:
             scale = args[0].value
-        return _seeded_matrix(key, d, entry_bound, scale)
+        rows = tuple([tuple([scale * rng.randint(-3, 3) for _ in range(d)]) for _ in range(d)])
+        return IntMatrix._trusted(d, d, rows)
 
     return Cochain(family, dimension, evaluate, prime_divisible=prime_divisible)
 
 
-def random_endomorphism(
-    family: AdamsFamily, seed: int, *, coeff_bound: int = 2
-) -> IntMatrix:
-    """Random integer polynomial in the Adams generators.
+def random_endomorphism(family: AdamsFamily, seed: int) -> IntMatrix:
+    """Random integer polynomial in the Adams generators, coefficients in -2..2.
 
     Such matrices commute with every generator exactly, hence with
     Frobenius modulo each prime, so they are always valid
@@ -364,7 +350,7 @@ def random_endomorphism(
             generators.append(a @ b)
     total = IntMatrix.zeros(d, d)
     for g in generators:
-        total = total + rng.randint(-coeff_bound, coeff_bound) * g
+        total = total + rng.randint(-2, 2) * g
     return total
 
 
@@ -468,8 +454,6 @@ def run_identity_check(
     dimension: int,
     samples: int,
     seed: int,
-    *,
-    max_total_exponent: int = 2,
 ) -> IdentityReport:
     """Sample one structural identity on seeded random cochains.
 
@@ -484,9 +468,7 @@ def run_identity_check(
     else:
         f = random_cochain(family, dimension, seed)
     # every identity compares two cochains of dimension + 2
-    tuples = sample_tuples(
-        family.universe, dimension + 2, samples, rng, max_total_exponent=max_total_exponent
-    )
+    tuples = sample_tuples(family.universe, dimension + 2, samples, rng)
     if identity == "d-squared":
         failures = _check_d_squared(f, tuples)
     elif identity == "cosimplicial":

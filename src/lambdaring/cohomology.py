@@ -208,22 +208,16 @@ class DerivationSpec:
         family = self.family
         if not isinstance(m, FactoredInt):
             m = family.universe.factor(int(m))
-        d = family.rank
-
-        def rec(n: FactoredInt) -> IntMatrix:
-            if n.is_one:
-                return IntMatrix.zeros(d, d)
-            if n in self._extension:
-                return self._extension[n]
-            p, rest = n.peel()
+        if m.is_one:
+            return IntMatrix.zeros(family.rank, family.rank)
+        if m not in self._extension:
+            p, rest = m.peel()
             if rest.is_one:
                 value = self.value(p)
             else:
-                value = family.generator(p) @ rec(rest) + self.value(p) @ family.adams_at(rest)
-            self._extension[n] = value
-            return value
-
-        return rec(m)
+                value = family.generator(p) @ self.extend(rest) + self.value(p) @ family.adams_at(rest)
+            self._extension[m] = value
+        return self._extension[m]
 
     def as_cochain(self) -> Cochain:
         """The cocycle as a dimension-one cochain (requires consistency)."""

@@ -219,14 +219,13 @@ class DeformationReport:
         }
 
 
-def verify_deformation(
-    deformation: Deformation, *, max_total_exponent: int = 2
-) -> DeformationReport:
+def verify_deformation(deformation: Deformation) -> DeformationReport:
     """Check commutation, divisibility, and the sampled product law.
 
     Divisibility holds by construction; it is rechecked so the report
-    stands on its own.  The product law over the bounded box follows
-    from pairwise commutation, and is exercised directly anyway.
+    stands on its own.  The product law over the box of exponent sum up
+    to 2 follows from pairwise commutation, and is exercised directly
+    anyway.
     """
     family = deformation.family
     primes = family.universe.primes
@@ -246,7 +245,7 @@ def verify_deformation(
             if left != right:
                 commuting = False
                 failures.append(f"generator series at {p} and {q} do not commute")
-    box = factored_box(family.universe, max_total_exponent, include_one=False)
+    box = factored_box(family.universe, 2, include_one=False)
     samples = 0
     for m in box:
         for n in box:
@@ -312,19 +311,9 @@ def try_extend(deformation: Deformation, exponent_bound: int = 3) -> ExtensionRe
     if solution is None:
         return ExtensionResult(None, exponent_bound, len(box), system.rows)
     family = deformation.family
-    d = family.rank
-    d2 = d * d
-    x = solution.particular
-    new_terms: dict[int, dict[int, IntMatrix]] = {}
-    for idx, p in enumerate(family.universe.primes):
-        block = x[idx * d2 : (idx + 1) * d2]
-        top = p * IntMatrix.from_flat(d, d, block)
-        per_prime = {}
-        for i in range(1, deformation.order + 1):
-            per_prime[i] = deformation.series(p)[i]
-        per_prime[deformation.order + 1] = top
-        new_terms[p] = per_prime
-    extended = make_deformation(family, deformation.order + 1, new_terms)
+    top = DerivationSpec.from_x_coordinates(family, solution.particular)
+    series = {p: deformation.series(p) + (top.value(p),) for p in family.universe.primes}
+    extended = Deformation(family, deformation.order + 1, series)
     return ExtensionResult(extended, exponent_bound, len(box), system.rows)
 
 
@@ -338,6 +327,9 @@ def _extension_system(
     == vec(obstruction(m, n)), with f affine in X.  Every vec f(n) and
     every product with an Adams matrix is held as d*d affine rows of
     width + 1 entries: the coefficients of X, then the constant last.
+    The values f(n) are filled in one ascending pass over the box of
+    twice the bound: it holds every product m*n of two box elements,
+    and each element's peeled cofactor comes before it.
     """
     if exponent_bound < 1:
         raise ValueError("the exponent bound must be at least 1")
@@ -356,25 +348,11 @@ def _extension_system(
                 total = tuple([t + c * e for t, e in zip(total, row)])
         return total
 
-    affine: dict[FactoredInt, list[Vector]] = {FactoredInt.one(): [zero_row] * d2}
+    affine: dict[FactoredInt, list[Vector]] = {}
     for idx, p in enumerate(primes):
         affine[FactoredInt.of_prime(p)] = [
             tuple(p if c == idx * d2 + e else 0 for c in range(width + 1)) for e in range(d2)
         ]
-
-    def affine_at(n: FactoredInt) -> list[Vector]:
-        # peeling: f(p * rest) = A_p f(rest) + f(p) psi(rest) - obs(p, rest)
-        if n not in affine:
-            p, rest = n.peel()
-            lead = product_rows(True, family.generator(p), rest)
-            tail = product_rows(False, family.adams_at(rest), FactoredInt.of_prime(p))
-            rows = []
-            for x, y, o in zip(lead, tail, obs.at(p, rest).flat()):
-                row = list(map(operator.add, x, y))
-                row[-1] -= o
-                rows.append(tuple(row))
-            affine[n] = rows
-        return affine[n]
 
     # vec(A f(n)) and vec(f(n) A) depend on a pair only through one
     # Adams matrix and one box element, and the box has few distinct
@@ -384,7 +362,7 @@ def _extension_system(
     def product_rows(left: bool, adams: IntMatrix, n: FactoredInt) -> list[Vector]:
         key = (left, adams, n)
         if key not in products:
-            f = affine_at(n)
+            f = affine[n]
             a = adams.entries
             if left:  # row (i, j) of vec(A F) is sum_k A[i][k] F[k*d + j]
                 out = [row_sum(zip(a[i], f[j::d])) for i in range(d) for j in range(d)]
@@ -397,6 +375,19 @@ def _extension_system(
             products[key] = out
         return products[key]
 
+    for n in factored_box(family.universe, 2 * exponent_bound, include_one=False):
+        if n not in affine:
+            # peeling: f(p * rest) = A_p f(rest) + f(p) psi(rest) - obs(p, rest)
+            p, rest = n.peel()
+            lead = product_rows(True, family.generator(p), rest)
+            tail = product_rows(False, family.adams_at(rest), FactoredInt.of_prime(p))
+            rows = []
+            for x, y, o in zip(lead, tail, obs.at(p, rest).flat()):
+                row = list(map(operator.add, x, y))
+                row[-1] -= o
+                rows.append(tuple(row))
+            affine[n] = rows
+
     box = factored_box(family.universe, exponent_bound, include_one=False)
     rows: list[Vector] = []
     rhs: list[int] = []
@@ -407,15 +398,11 @@ def _extension_system(
         for n in box:
             left_rows = product_rows(True, am, n)
             right_rows = product_rows(False, family.adams_at(n), m)
-            for x, y, z, o in zip(left_rows, affine_at(m * n), right_rows, obs.at(m, n).flat()):
+            for x, y, z, o in zip(left_rows, affine[m * n], right_rows, obs.at(m, n).flat()):
                 row = list(map(operator.add, map(operator.sub, x, y), z))
                 rhs.append(o - row.pop())
                 row = tuple(row)
                 rows.append(intern(row, row))
-    # affine_at and product_rows refer to each other, so their caches
-    # would otherwise live on until the next cyclic collection
-    affine.clear()
-    products.clear()
     return box, IntMatrix(len(rows), width, tuple(rows)), tuple(rhs)
 
 

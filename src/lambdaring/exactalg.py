@@ -604,10 +604,6 @@ class AbelianGroup:
                 raise ValueError("torsion invariants must form a divisibility chain")
             previous = t
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def render(self) -> str:
         parts = []
         if self.free_rank:
@@ -642,6 +638,8 @@ def quotient_with_generators(
     'Z/6'
     >>> len(gens)
     1
+    >>> quotient_with_generators(1, IntMatrix.from_rows([[1]]))
+    (AbelianGroup(free_rank=0, torsion=()), ())
     """
     if relations.rows != generators_rank:
         raise ValueError(
@@ -660,20 +658,6 @@ def quotient_with_generators(
             torsion.append(invariant)
     free_rank = sum(1 for g in generators if g.order == 0)
     return AbelianGroup(free_rank, tuple(torsion)), tuple(generators)
-
-
-def quotient_presentation(generators_rank: int, relations: IntMatrix) -> AbelianGroup:
-    """Canonical presentation of ``Z^generators_rank / column-span(relations)``.
-
-    >>> quotient_presentation(2, IntMatrix.from_rows([[2, 0], [0, 3]])).render()
-    'Z/6'
-    >>> quotient_presentation(3, IntMatrix.zeros(3, 0)).render()
-    'Z^3'
-    >>> quotient_presentation(1, IntMatrix.from_rows([[1]])).render()
-    '0'
-    """
-    group, _ = quotient_with_generators(generators_rank, relations)
-    return group
 
 
 def left_multiplication_operator(a: IntMatrix) -> IntMatrix:

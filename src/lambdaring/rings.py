@@ -604,8 +604,8 @@ def adams_from_lambda(
     return newton_psi(data.values(element, max_degree), data.spec.mul, vec_add, vec_scale)
 
 
-# Preset rings: the integers, and the group rings of the cyclic groups
-# of order 2 and 3, with the Adams operations sending the generator x
+# Preset rings: the group rings of the cyclic groups of order 1 (the
+# integers), 2 and 3, with the Adams operations sending the generator x
 # to x^p.  These are the standard small examples where every piece of
 # this library can be computed by hand.
 
@@ -630,7 +630,8 @@ def _cyclic_adams_matrix(k: int, p: int) -> IntMatrix:
     return IntMatrix.from_columns(cols, k)
 
 
-PRESET_NAMES = ("Z", "RC2", "RC3")
+_PRESET_ORDERS = {"Z": 1, "RC2": 2, "RC3": 3}
+PRESET_NAMES = tuple(_PRESET_ORDERS)
 
 
 def preset_family(name: str, primes: Iterable[int] = DEFAULT_PRIMES) -> AdamsFamily:
@@ -641,19 +642,11 @@ def preset_family(name: str, primes: Iterable[int] = DEFAULT_PRIMES) -> AdamsFam
     with psi_p(x) = x^p.
     """
     universe = PrimeUniverse(tuple(primes))
-    if name == "Z":
-        spec = RingSpec(rank=1, structure=(((1,),),), unit=(1,), name="Z")
-        gens = tuple((p, IntMatrix.identity(1)) for p in universe)
-        return AdamsFamily(spec, universe, gens)
-    if name == "RC2":
-        spec = _cyclic_group_ring(2, "RC2")
-        gens = tuple((p, _cyclic_adams_matrix(2, p)) for p in universe)
-        return AdamsFamily(spec, universe, gens)
-    if name == "RC3":
-        spec = _cyclic_group_ring(3, "RC3")
-        gens = tuple((p, _cyclic_adams_matrix(3, p)) for p in universe)
-        return AdamsFamily(spec, universe, gens)
-    raise UnknownPreset(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    if name not in _PRESET_ORDERS:
+        raise UnknownPreset(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    k = _PRESET_ORDERS[name]
+    gens = tuple((p, _cyclic_adams_matrix(k, p)) for p in universe)
+    return AdamsFamily(_cyclic_group_ring(k, name), universe, gens)
 
 
 # Ring description files: a JSON document with integer payloads.

@@ -270,8 +270,6 @@ def verify_lambda_axioms(
     data: LambdaData,
     samples: Sequence[Sequence[int]],
     bound: int,
-    *,
-    composition_limit: int = DEFAULT_COMPOSITION_LIMIT,
 ) -> list[str]:
     """Check the lambda-ring axioms on sampled elements up to a degree bound.
 
@@ -281,7 +279,7 @@ def verify_lambda_axioms(
     pairs of samples, the product
     rule through the universal product polynomials, and the composition
     rule through the universal composition polynomials with i*j capped
-    by ``composition_limit``.
+    by ``DEFAULT_COMPOSITION_LIMIT``.
 
     Returns human-readable violation strings; empty means every sampled
     instance of every axiom holds.
@@ -320,9 +318,9 @@ def verify_lambda_axioms(
     for r in elements:
         for j in range(1, bound + 1):
             for i in range(1, bound // j + 1):
-                if i * j > composition_limit or i * j > bound:
+                if i * j > DEFAULT_COMPOSITION_LIMIT or i * j > bound:
                     continue
-                polynomial = compute_P_ij(i, j, composition_limit)
+                polynomial = compute_P_ij(i, j)
                 assignment = {("s", a): lam(r, a) for a in range(1, i * j + 1)}
                 expected = polynomial.expression.eval_in_ring(spec, assignment)
                 if lam(lam(r, j), i) != expected:

@@ -129,6 +129,7 @@ class TestInputContract:
             ("deform", "extend", "--deformation", "{order_one}", "--bound", "17"),
             ("deform", "obstruction", "--deformation", "{order_one}", "--bound", "1000000000"),
             ("complex", "check", "d-squared", "--preset", "Z", "--samples", "100001"),
+            ("poly", "P", "13", "--bound", "13"),
         ],
     )
     def test_unusable_input_exits_two(self, tmp_path, argv):
@@ -161,6 +162,12 @@ class TestInputContract:
             assert process.returncode == 2
             assert "1139^2 * 1^2 = 1297321" in process.stderr
             assert str(cli.MAX_BOX_ENTRIES) in process.stderr
+
+    def test_poly_bound_limit_is_named(self):
+        process = run_module("poly", "Pij", "1", "1", "--bound", str(cli.MAX_POLY_BOUND + 1))
+        assert process.returncode == 2
+        assert process.stdout == ""
+        assert f"above the limit {cli.MAX_POLY_BOUND}" in process.stderr
 
     def test_deformation_path_is_a_directory(self, tmp_path):
         process = run_module("deform", "extend", "--deformation", str(tmp_path))

@@ -1,5 +1,6 @@
 """Deformations of Adams operations: verification, obstruction, extension."""
 
+import gc
 import random
 
 import pytest
@@ -324,6 +325,22 @@ class TestExtensionSystem:
             assert result.succeeded, bound
             assert verify_deformation(result.extended).passed, bound
             assert result.equations == 9 * result.box_size**2, bound
+
+
+def test_builds_leave_no_cyclic_garbage(rc3_family):
+    """The system build and the cocycle extension free everything by refcount."""
+    deformation = trivial_deformation(rc3_family, 1)
+    spec = cocycle_space_basis(rc3_family)[0]
+    gc.collect()
+    gc.disable()
+    try:
+        deformation_module._extension_system(deformation, 3)
+        assert gc.collect() == 0
+        for m in (4, 30, 60, 2**3 * 3**2 * 5):
+            spec.extend(m)
+            assert gc.collect() == 0, m
+    finally:
+        gc.enable()
 
 
 class TestExtension:

@@ -1,16 +1,24 @@
 """The package's public surface: what ``lambdaring`` exports."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import lambdaring
-from lambdaring import cohomology, exactalg, rings
+from lambdaring import cochain, cohomology, deformation, exactalg, rings, symfun
 
 # Removed names, by the module or class that defined them.
 REMOVED = {
     cohomology: ("is_derivation", "extend_derivation", "_commutator_operator"),
-    exactalg: ("determinant", "stack_rows", "stack_cols", "multiply_vecs"),
+    exactalg: (
+        "determinant",
+        "stack_rows",
+        "stack_cols",
+        "multiply_vecs",
+        "quotient_presentation",
+    ),
     exactalg.IntMatrix: ("is_zero_mod",),
+    exactalg.AbelianGroup: ("is_trivial",),
     rings: ("lambda_series", "element_series_mul"),
 }
 
@@ -30,6 +38,22 @@ def test_removed_names_are_not_exported():
             assert name not in lambdaring.__all__
             assert not hasattr(lambdaring, name), name
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+# Removed keyword options, by the function that took them; each is now
+# the constant that was its default.
+REMOVED_OPTIONS = {
+    deformation.verify_deformation: "max_total_exponent",
+    cochain.run_identity_check: "max_total_exponent",
+    cochain.random_cochain: "entry_bound",
+    cochain.random_endomorphism: "coeff_bound",
+    symfun.verify_lambda_axioms: "composition_limit",
+}
+
+
+def test_removed_options_are_not_parameters():
+    for function, option in REMOVED_OPTIONS.items():
+        assert option not in inspect.signature(function).parameters, function.__name__
 
 
 def test_library_modules_use_every_import():
