@@ -68,10 +68,12 @@ SCHEMA_VERSION = 1
 # Guardrails, checked before anything is built: deform extend and deform
 # obstruction refuse a box whose pairs carry more than MAX_BOX_ENTRIES =
 # |box|^2 * rank^2 matrix entries, complex check refuses more than
-# MAX_SAMPLES samples, and poly refuses a --bound above MAX_POLY_BOUND.
+# MAX_SAMPLES samples, poly refuses a --bound above MAX_POLY_BOUND, and
+# lambda from-adams refuses a --max-degree above MAX_LAMBDA_DEGREE.
 MAX_BOX_ENTRIES = 10**6
 MAX_SAMPLES = 100_000
 MAX_POLY_BOUND = 12
+MAX_LAMBDA_DEGREE = 1000
 
 _INPUT_ERRORS = (
     ConfigParseError,
@@ -233,6 +235,10 @@ def _cmd_adams_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_lambda_from_adams(args: argparse.Namespace) -> int:
+    if args.max_degree > MAX_LAMBDA_DEGREE:
+        raise LimitExceeded(
+            f"--max-degree {args.max_degree} is above the limit {MAX_LAMBDA_DEGREE}"
+        )
     family = _load_family(args)
     try:
         element = tuple(int(c) for c in args.element.split(","))

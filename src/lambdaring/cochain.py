@@ -12,8 +12,6 @@ adjacent arguments:
 Dimension-zero cochains are endomorphisms commuting with Frobenius
 modulo each prime; their differentials are commutators with the Adams
 matrices and inherit divisibility by the prime at prime arguments.
-That divisibility is what the ``prime_divisible`` flag records on
-dimension-one cochains.
 
 Identity checkers (square-zero, cosimplicial relations, the Leibniz
 rule for composition) evaluate on seeded pseudo-random cochains, so a
@@ -26,14 +24,9 @@ import operator
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Sequence
 
-from .errors import (
-    ConfigParseError,
-    ContextMismatch,
-    DivisibilityViolation,
-    NotFrobeniusCompatible,
-)
+from .errors import ContextMismatch, NotFrobeniusCompatible
 from .exactalg import IntMatrix
 from .rings import AdamsFamily, FactoredInt, PrimeUniverse, frobenius_compatible
 
@@ -75,18 +68,11 @@ class Cochain:
         family: AdamsFamily,
         dimension: int,
         evaluate: Callable[[tuple[FactoredInt, ...]], IntMatrix],
-        *,
-        prime_divisible: bool = False,
-        table: Optional[dict[tuple[int, ...], IntMatrix]] = None,
     ) -> None:
         if dimension < 0:
             raise ValueError("cochain dimension must be nonnegative")
-        if prime_divisible and dimension != 1:
-            raise ValueError("the prime-divisibility flag applies to dimension one only")
         self.family = family
         self.dimension = dimension
-        self.prime_divisible = prime_divisible
-        self.table = table
         self._evaluate = evaluate
         self._cache: dict[tuple[FactoredInt, ...], IntMatrix] = {}
 
@@ -134,28 +120,20 @@ class Cochain:
             self.family,
             self.dimension,
             lambda args: self.at(*args) + other.at(*args),
-            prime_divisible=self.prime_divisible and other.prime_divisible,
         )
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + (-other)
 
     def __neg__(self) -> "Cochain":
-        return Cochain(
-            self.family,
-            self.dimension,
-            lambda args: -self.at(*args),
-            prime_divisible=self.prime_divisible,
-        )
+        return Cochain(self.family, self.dimension, lambda args: -self.at(*args))
 
     def scale(self, c: int) -> "Cochain":
         def evaluate(args: tuple[FactoredInt, ...]) -> IntMatrix:
             value = self.at(*args)
             return value if c == 1 else c * value
 
-        return Cochain(
-            self.family, self.dimension, evaluate, prime_divisible=self.prime_divisible
-        )
+        return Cochain(self.family, self.dimension, evaluate)
 
     def compose(self, other: "Cochain") -> "Cochain":
         """Juxtaposition product: apply self on the left block of arguments.
@@ -172,17 +150,6 @@ class Cochain:
         return Cochain(self.family, self.dimension + other.dimension, evaluate)
 
 
-def zero_cochain(family: AdamsFamily, dimension: int) -> Cochain:
-    d = family.rank
-    zero = IntMatrix.zeros(d, d)
-    return Cochain(
-        family,
-        dimension,
-        lambda args: zero,
-        prime_divisible=(dimension == 1),
-    )
-
-
 def endo_cochain(family: AdamsFamily, matrix: IntMatrix) -> Cochain:
     """Wrap an endomorphism as a dimension-zero cochain.
 
@@ -196,48 +163,6 @@ def endo_cochain(family: AdamsFamily, matrix: IntMatrix) -> Cochain:
             "endomorphism does not commute with Frobenius modulo every prime"
         )
     return Cochain(family, 0, lambda args: matrix)
-
-
-def make_table_cochain(
-    family: AdamsFamily,
-    dimension: int,
-    table: Mapping[Sequence[int], IntMatrix],
-    *,
-    prime_divisible: bool = False,
-) -> Cochain:
-    """Cochain backed by an explicit finite table keyed by argument values.
-
-    A claimed divisibility flag is verified on every prime argument
-    present in the table; a violating entry raises rather than letting
-    a bad table masquerade as a valid degree-one cochain.
-    """
-    if dimension < 1:
-        raise ValueError("table cochains need dimension at least one")
-    normalized: dict[tuple[int, ...], IntMatrix] = {}
-    for key, matrix in table.items():
-        key = tuple(int(k) for k in key)
-        if len(key) != dimension:
-            raise ValueError(f"table key {key} does not have {dimension} entries")
-        normalized[key] = matrix
-    if prime_divisible:
-        if dimension != 1:
-            raise ValueError("the prime-divisibility flag applies to dimension one only")
-        for p in family.universe.primes:
-            matrix = normalized.get((p,))
-            if matrix is not None and not matrix.is_divisible_by(p):
-                raise DivisibilityViolation(
-                    f"table value at ({p},) is not divisible by {p}"
-                )
-
-    def evaluate(args: tuple[FactoredInt, ...]) -> IntMatrix:
-        key = tuple(m.value for m in args)
-        if key not in normalized:
-            raise KeyError(f"table cochain has no entry for arguments {key}")
-        return normalized[key]
-
-    return Cochain(
-        family, dimension, evaluate, prime_divisible=prime_divisible, table=normalized
-    )
 
 
 def differential(f: Cochain) -> Cochain:
@@ -259,7 +184,7 @@ def differential(f: Cochain) -> Cochain:
             rows = [tuple(map(op, a, b)) for a, b in zip(rows, term.entries)]
         return IntMatrix._trusted(d, d, tuple(rows))
 
-    return Cochain(family, n + 1, evaluate, prime_divisible=(n == 0))
+    return Cochain(family, n + 1, evaluate)
 
 
 def coface(i: int, f: Cochain) -> Cochain:
@@ -306,17 +231,10 @@ def codegeneracy(i: int, f: Cochain) -> Cochain:
 # bounded table to fall off.
 
 
-def random_cochain(
-    family: AdamsFamily,
-    dimension: int,
-    seed: int,
-    *,
-    prime_divisible: bool = False,
-) -> Cochain:
+def random_cochain(family: AdamsFamily, dimension: int, seed: int) -> Cochain:
     """Deterministic pseudo-random cochain of positive dimension.
 
-    Entries lie in -3..3.  With the divisibility flag set (dimension
-    one), values at prime arguments are those entries times the prime.
+    Entries lie in -3..3.
     """
     if dimension < 1:
         raise ValueError("use random_endomorphism for dimension zero")
@@ -325,13 +243,10 @@ def random_cochain(
     def evaluate(args: tuple[FactoredInt, ...]) -> IntMatrix:
         key = f"cochain:{seed}:{dimension}:" + ",".join(str(m.value) for m in args)
         rng = random.Random(key)
-        scale = 1
-        if prime_divisible and dimension == 1 and args[0].is_prime:
-            scale = args[0].value
-        rows = tuple([tuple([scale * rng.randint(-3, 3) for _ in range(d)]) for _ in range(d)])
+        rows = tuple([tuple([rng.randint(-3, 3) for _ in range(d)]) for _ in range(d)])
         return IntMatrix._trusted(d, d, rows)
 
-    return Cochain(family, dimension, evaluate, prime_divisible=prime_divisible)
+    return Cochain(family, dimension, evaluate)
 
 
 def random_endomorphism(family: AdamsFamily, seed: int) -> IntMatrix:
@@ -477,42 +392,3 @@ def run_identity_check(
         g = random_cochain(family, 1, seed + 1)
         failures = _check_leibniz(f, g, tuples)
     return IdentityReport(identity, dimension, len(tuples), tuple(failures))
-
-
-def table_cochain_to_dict(cochain: Cochain) -> dict:
-    """Serialize a table-backed cochain; derived cochains have no table."""
-    if cochain.table is None:
-        raise ValueError("only table-backed cochains can be serialized")
-    entries = [
-        {"args": list(key), "matrix": list(matrix.flat())}
-        for key, matrix in sorted(cochain.table.items())
-    ]
-    return {
-        "dimension": cochain.dimension,
-        "prime_divisible": cochain.prime_divisible,
-        "entries": entries,
-    }
-
-
-def table_cochain_from_dict(family: AdamsFamily, data: Mapping) -> Cochain:
-    """Inverse of table_cochain_to_dict; validates shape and divisibility."""
-    try:
-        dimension = int(data["dimension"])
-        prime_divisible = bool(data.get("prime_divisible", False))
-        d = family.rank
-        table = {}
-        for entry in data["entries"]:
-            args = tuple(int(a) for a in entry["args"])
-            flat = [int(x) for x in entry["matrix"]]
-            if len(flat) != d * d:
-                raise ConfigParseError(
-                    f"matrix for arguments {args} must have {d * d} entries"
-                )
-            table[args] = IntMatrix.from_flat(d, d, flat)
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigParseError):
-            raise
-        raise ConfigParseError(f"malformed cochain table: {exc}") from exc
-    return make_table_cochain(
-        family, dimension, table, prime_divisible=prime_divisible
-    )

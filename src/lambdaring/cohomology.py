@@ -225,12 +225,7 @@ class DerivationSpec:
             raise InconsistentDerivation(
                 "prime values do not satisfy the pairwise cocycle relations"
             )
-        return Cochain(
-            self.family,
-            1,
-            lambda args: self.extend(args[0]),
-            prime_divisible=True,
-        )
+        return Cochain(self.family, 1, lambda args: self.extend(args[0]))
 
 
 def inner_derivation(family: AdamsFamily, g: IntMatrix) -> DerivationSpec:

@@ -151,12 +151,7 @@ class Deformation:
 
 
 def trivial_deformation(family: AdamsFamily, order: int) -> Deformation:
-    d = family.rank
-    zero = IntMatrix.zeros(d, d)
-    series = {
-        p: (family.generator(p),) + (zero,) * order for p in family.universe.primes
-    }
-    return Deformation(family, order, series)
+    return make_deformation(family, order, {})
 
 
 def make_deformation(
@@ -167,10 +162,14 @@ def make_deformation(
     ``terms[p][i]`` is the coefficient of t^i at the prime p, for
     i >= 1; omitted coefficients are zero.
     """
+    primes = family.universe.primes
+    stray = sorted(set(terms) - set(primes))
+    if stray:
+        raise ValueError(f"terms at primes {stray} outside the universe {primes}")
     d = family.rank
     zero = IntMatrix.zeros(d, d)
     series = {}
-    for p in family.universe.primes:
+    for p in primes:
         given = terms.get(p, {})
         for i in given:
             if not 1 <= i <= order:
@@ -429,16 +428,13 @@ class FormalAutomorphism:
         self.family = family
         self.coefficients = coefficients
 
-    def inverse_to(self, order: int) -> Series:
-        return series_inverse(self.coefficients, order)
-
 
 def apply_automorphism(auto: FormalAutomorphism, deformation: Deformation) -> Deformation:
     """Conjugate every generator series, truncating at the same order."""
     if auto.family != deformation.family:
         raise ValueError("automorphism and deformation use different families")
     order = deformation.order
-    inverse = auto.inverse_to(order)
+    inverse = series_inverse(auto.coefficients, order)
     series = {}
     for p in deformation.family.universe.primes:
         conjugated = series_mul(
@@ -548,8 +544,8 @@ def deformation_from_dict(data: Mapping) -> Deformation:
                     )
                 parsed[int(i_text)] = IntMatrix.from_flat(d, d, flat)
             terms[p] = parsed
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigParseError):
-            raise
+        return make_deformation(family, order, terms)
+    except (ConfigParseError, DivisibilityViolation):
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigParseError(f"malformed deformation data: {exc}") from exc
-    return make_deformation(family, order, terms)

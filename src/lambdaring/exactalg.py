@@ -26,12 +26,6 @@ def vec_add(x: Sequence[int], y: Sequence[int]) -> Vector:
     return tuple(map(operator.add, x, y))
 
 
-def vec_sub(x: Sequence[int], y: Sequence[int]) -> Vector:
-    if len(x) != len(y):
-        raise ValueError("vector lengths differ")
-    return tuple(map(operator.sub, x, y))
-
-
 def vec_scale(k: int, x: Sequence[int]) -> Vector:
     return tuple(k * a for a in x)
 

@@ -17,7 +17,7 @@ rounded.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import (
     ConfigParseError,
@@ -184,12 +184,6 @@ class FactoredInt:
     def total_exponent(self) -> int:
         return sum(e for _, e in self.factors)
 
-    def exponent_of(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
     def __mul__(self, other: "FactoredInt") -> "FactoredInt":
         if not other.factors:
             return self
@@ -273,11 +267,6 @@ class RingSpec:
         for _ in range(n):
             result = self.mul(result, x)
         return result
-
-    def multiplication_matrix(self, x: Sequence[int]) -> IntMatrix:
-        """Matrix of multiplication by x in the chosen basis."""
-        cols = [self.mul(x, self.basis_vector(j)) for j in range(self.rank)]
-        return IntMatrix.from_columns(cols, self.rank)
 
 
 def verify_ring(spec: RingSpec) -> list[str]:
@@ -524,44 +513,21 @@ def lambda_from_adams(
 class LambdaData:
     """Lambda-operation values for elements of a ring.
 
-    Either derived on demand from an Adams family through the Newton
-    recursion, or backed by an explicit table (useful for checking
-    hand-supplied data against the axioms).
+    Derived on demand from an Adams family through the Newton recursion.
     """
 
-    def __init__(
-        self,
-        spec: RingSpec,
-        max_degree: int,
-        *,
-        family: Optional[AdamsFamily] = None,
-        table: Optional[Mapping[Vector, Sequence[Vector]]] = None,
-    ) -> None:
-        if (family is None) == (table is None):
-            raise ValueError("provide exactly one of family or table")
+    def __init__(self, family: AdamsFamily, max_degree: int) -> None:
         if max_degree < 1:
             raise ValueError("max_degree must be at least 1")
-        self.spec = spec
+        self.spec = family.ring
         self.max_degree = max_degree
         self.family = family
         # [lambda_1, ..., lambda_k] of each element, k as far as asked
         self._values: dict[Vector, list[Vector]] = {}
-        if table is not None:
-            for r, values in table.items():
-                r = tuple(r)
-                if values and tuple(values[0]) != r:
-                    raise ValueError("a lambda table must start with lambda_1(r) == r")
-                self._values[r] = [tuple(v) for v in values]
 
     @staticmethod
     def from_adams(family: AdamsFamily, max_degree: int) -> "LambdaData":
-        return LambdaData(family.ring, max_degree, family=family)
-
-    @staticmethod
-    def from_table(
-        spec: RingSpec, table: Mapping[Vector, Sequence[Vector]], max_degree: int
-    ) -> "LambdaData":
-        return LambdaData(spec, max_degree, table=table)
+        return LambdaData(family, max_degree)
 
     def value(self, element: Sequence[int], degree: int) -> Vector:
         """lambda_degree(element); degree 0 is the unit, degree 1 the element."""
@@ -574,16 +540,14 @@ class LambdaData:
     def values(self, element: Sequence[int], degree: int) -> list[Vector]:
         """``[lambda_1(element), ..., lambda_degree(element)]``.
 
-        Adams-backed data resumes the recursion after the values already
-        stored, so each value is computed once.
+        The recursion resumes after the values already stored, so each
+        value is computed once.
         """
         element = tuple(element)
         if degree < 2:
             return [element] if degree == 1 else []
         known = self._values.get(element, [])
         if len(known) < degree:
-            if self.family is None:
-                raise KeyError(f"no stored value for lambda_{degree} at {element}")
             known = lambda_from_adams(self.family, element, degree, known)
             self._values[element] = known
         return known[:degree]
@@ -673,36 +637,39 @@ def family_to_dict(family: AdamsFamily) -> dict:
 
 
 def family_from_dict(doc: Mapping) -> AdamsFamily:
+    """Inverse of family_to_dict; malformed input raises ConfigParseError."""
     try:
         d = int(doc["rank"])
         flat = [int(c) for c in doc["structure_constants"]]
         unit = tuple(int(c) for c in doc["unit"])
         primes = tuple(int(p) for p in doc["primes"])
         adams_doc = doc["adams"]
+        if len(flat) != d * d * d:
+            raise ConfigParseError(
+                f"structure_constants must hold {d * d * d} integers, got {len(flat)}"
+            )
+        structure = tuple(
+            tuple(
+                tuple(flat[i * d * d + j * d + k] for k in range(d)) for j in range(d)
+            )
+            for i in range(d)
+        )
+        spec = RingSpec(rank=d, structure=structure, unit=unit, name=str(doc.get("name", "")))
+        universe = PrimeUniverse(primes)
+        generators = []
+        for p in primes:
+            key = str(p)
+            if key not in adams_doc:
+                raise ConfigParseError(f"missing Adams matrix for prime {p}")
+            entries = [int(c) for c in adams_doc[key]]
+            if len(entries) != d * d:
+                raise ConfigParseError(f"Adams matrix for {p} must hold {d * d} integers")
+            generators.append((p, IntMatrix.from_flat(d, d, entries)))
+        return AdamsFamily(spec, universe, tuple(generators))
+    except ConfigParseError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigParseError(f"bad ring description: {exc}") from exc
-    if len(flat) != d * d * d:
-        raise ConfigParseError(
-            f"structure_constants must hold {d * d * d} integers, got {len(flat)}"
-        )
-    structure = tuple(
-        tuple(
-            tuple(flat[i * d * d + j * d + k] for k in range(d)) for j in range(d)
-        )
-        for i in range(d)
-    )
-    spec = RingSpec(rank=d, structure=structure, unit=unit, name=str(doc.get("name", "")))
-    universe = PrimeUniverse(primes)
-    generators = []
-    for p in primes:
-        key = str(p)
-        if key not in adams_doc:
-            raise ConfigParseError(f"missing Adams matrix for prime {p}")
-        entries = [int(c) for c in adams_doc[key]]
-        if len(entries) != d * d:
-            raise ConfigParseError(f"Adams matrix for {p} must hold {d * d} integers")
-        generators.append((p, IntMatrix.from_flat(d, d, entries)))
-    return AdamsFamily(spec, universe, tuple(generators))
 
 
 def load_ring_file(path: str) -> AdamsFamily:

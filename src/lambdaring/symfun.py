@@ -63,10 +63,6 @@ class MultiPoly:
         return MultiPoly(tuple(sorted(cleaned.items(), key=MultiPoly._term_key)))
 
     @staticmethod
-    def zero() -> "MultiPoly":
-        return MultiPoly(())
-
-    @staticmethod
     def constant(c: int) -> "MultiPoly":
         return MultiPoly.from_dict({(): int(c)})
 
@@ -115,17 +111,6 @@ class MultiPoly:
         result = MultiPoly.constant(1)
         for _ in range(n):
             result = result * self
-        return result
-
-    def substitute(self, mapping: Mapping[Variable, "MultiPoly"]) -> "MultiPoly":
-        """Replace variables by polynomials; unmapped variables stay."""
-        result = MultiPoly.zero()
-        for monomial, coeff in self.terms:
-            term = MultiPoly.constant(coeff)
-            for var, exp in monomial:
-                base = mapping.get(var, MultiPoly.variable(*var))
-                term = term * base**exp
-            result = result + term
         return result
 
     def eval_int(self, assignment: Mapping[Variable, int]) -> int:

@@ -26,6 +26,7 @@ from lambdaring.rings import (
     _cyclic_adams_matrix,
     _cyclic_group_ring,
     family_to_dict,
+    is_prime,
     preset_family,
 )
 
@@ -47,6 +48,26 @@ def run_module(*argv):
         capture_output=True,
         text=True,
     )
+
+
+def malformed_documents():
+    """Ring and deformation documents that are unusable input, by name."""
+    z = family_to_dict(preset_family("Z", (2,)))
+    rc2 = family_to_dict(preset_family("RC2", (2,)))
+    order_one = deformation_to_dict(trivial_deformation(preset_family("Z", (2,)), 1))
+    return {
+        "rank_zero": {**z, "rank": 0, "structure_constants": [], "unit": []},
+        "prime_four": {**z, "primes": [4], "adams": {"4": [1]}},
+        "primes_descending": {**z, "primes": [3, 2], "adams": {"2": [1], "3": [1]}},
+        "no_primes": {**z, "primes": [], "adams": {}},
+        "short_unit": {**rc2, "unit": [1]},
+        "adams_not_a_list": {**z, "adams": {"2": 5}},
+        "negative_order": {**order_one, "order": -1},
+        "term_above_order": {**order_one, "terms": {"2": {"5": [2]}}},
+        "terms_a_list": {**order_one, "terms": []},
+        "term_entries_a_list": {**order_one, "terms": {"2": [1]}},
+        "terms_outside_universe": {**order_one, "terms": {"7": {"1": [7]}}},
+    }
 
 
 def int_digit_limit():
@@ -130,6 +151,17 @@ class TestInputContract:
             ("deform", "obstruction", "--deformation", "{order_one}", "--bound", "1000000000"),
             ("complex", "check", "d-squared", "--preset", "Z", "--samples", "100001"),
             ("poly", "P", "13", "--bound", "13"),
+            ("ring", "verify", "--ring", "{rank_zero}"),
+            ("ring", "verify", "--ring", "{prime_four}"),
+            ("ring", "verify", "--ring", "{primes_descending}"),
+            ("ring", "verify", "--ring", "{no_primes}"),
+            ("ring", "verify", "--ring", "{short_unit}"),
+            ("ring", "verify", "--ring", "{adams_not_a_list}"),
+            ("deform", "verify", "--deformation", "{negative_order}"),
+            ("deform", "verify", "--deformation", "{term_above_order}"),
+            ("deform", "verify", "--deformation", "{terms_a_list}"),
+            ("deform", "verify", "--deformation", "{term_entries_a_list}"),
+            ("deform", "verify", "--deformation", "{terms_outside_universe}"),
         ],
     )
     def test_unusable_input_exits_two(self, tmp_path, argv):
@@ -137,7 +169,11 @@ class TestInputContract:
         path = write_json(
             tmp_path / "z.json", deformation_to_dict(trivial_deformation(z, 1))
         )
-        process = run_module(*(arg.format(order_one=path) for arg in argv))
+        paths = {
+            name: write_json(tmp_path / f"{name}.json", doc)
+            for name, doc in malformed_documents().items()
+        }
+        process = run_module(*(arg.format(order_one=path, **paths) for arg in argv))
         assert process.returncode == 2, process.stderr
         assert "Traceback" not in process.stderr
 
@@ -168,6 +204,16 @@ class TestInputContract:
         assert process.returncode == 2
         assert process.stdout == ""
         assert f"above the limit {cli.MAX_POLY_BOUND}" in process.stderr
+
+    def test_lambda_degree_limit_is_named(self):
+        primes = ",".join(str(p) for p in range(2, 1010) if is_prime(p))
+        process = run_module(
+            "lambda", "from-adams", "--preset", "Z", "--primes", primes,
+            "--element", "4", "--max-degree", str(cli.MAX_LAMBDA_DEGREE + 1),
+        )
+        assert process.returncode == 2
+        assert process.stdout == ""
+        assert f"above the limit {cli.MAX_LAMBDA_DEGREE}" in process.stderr
 
     def test_deformation_path_is_a_directory(self, tmp_path):
         process = run_module("deform", "extend", "--deformation", str(tmp_path))
@@ -559,7 +605,7 @@ FUZZ_VALUES = {
     "--bound": (("1", "2"), ("0", "-1", "1.5")),
     "--format": (("text", "json"), ("xml",)),
     "--element": (("1", "-3", "0", "1,2", "1,2,3"), ("x", "", "1,,2")),
-    "--max-degree": (("1", "2", "3", "7"), ("0", "-2")),
+    "--max-degree": (("1", "2", "3", "7"), ("0", "-2", "1001")),
     "--dimension": (("0", "1", "2", "3"), ("-1", "z")),
     "--level": (("1", "2"), ("0", "-1", "q")),
     "index": (("1", "2", "3"), ("0", "-1", "x")),
@@ -585,10 +631,17 @@ def fuzz_files(tmp_path_factory):
         write_json(root / "z-scaling.json", deformation_to_dict(scaling)),
         write_json(root / "rc2-trivial.json", deformation_to_dict(trivial_deformation(rc2, 1))),
     )
+    malformed = malformed_documents()
+    for name in ("rank_zero", "adams_not_a_list", "terms_a_list", "terms_outside_universe"):
+        write_json(root / f"{name}.json", malformed[name])
     # the last one names the directory itself
     unusable = tuple(
         str(root / name)
-        for name in ("not-json.json", "binary.json", "empty.json", "missing.json", "")
+        for name in (
+            "not-json.json", "binary.json", "empty.json", "rank_zero.json",
+            "adams_not_a_list.json", "terms_a_list.json", "terms_outside_universe.json",
+            "missing.json", "",
+        )
     )
     return {
         "--ring": ((ring,), deformations[:1] + unusable),

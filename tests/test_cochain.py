@@ -1,4 +1,4 @@
-"""The cochain complex: differentials, cofaces, identities, tables."""
+"""The cochain complex: differentials, cofaces, identities."""
 
 import pickle
 import random
@@ -15,20 +15,12 @@ from lambdaring.cochain import (
     differential,
     endo_cochain,
     factored_box,
-    make_table_cochain,
     random_cochain,
     random_endomorphism,
     run_identity_check,
     sample_tuples,
-    table_cochain_from_dict,
-    table_cochain_to_dict,
-    zero_cochain,
 )
-from lambdaring.errors import (
-    ContextMismatch,
-    DivisibilityViolation,
-    NotFrobeniusCompatible,
-)
+from lambdaring.errors import ContextMismatch, NotFrobeniusCompatible
 from lambdaring.exactalg import IntMatrix
 from lambdaring.rings import FactoredInt, PrimeUniverse, preset_family
 
@@ -90,11 +82,6 @@ class TestCochainBasics:
         g = random_cochain(b, 1, seed=1)
         assert (f + g).at(2) == 2 * f.at(2)
 
-    def test_zero_cochain(self, rc3_family):
-        z = zero_cochain(rc3_family, 1)
-        assert z.at(6).is_zero
-        assert z.prime_divisible
-
     def test_seeded_determinism(self, rc3_family):
         f = random_cochain(rc3_family, 2, seed=77)
         g = random_cochain(rc3_family, 2, seed=77)
@@ -103,11 +90,6 @@ class TestCochainBasics:
         assert any(
             f.at(*args) != h.at(*args) for args in box_tuples(rc3_family, 2, 20, 0)
         )
-
-    def test_divisible_random_cochain(self, rc3_family):
-        f = random_cochain(rc3_family, 1, seed=5, prime_divisible=True)
-        for p in (2, 3, 5):
-            assert f.at(p).is_divisible_by(p)
 
 
 class TestEndomorphisms:
@@ -158,7 +140,6 @@ class TestDifferential:
         for seed in range(5):
             f = endo_cochain(each_preset, random_endomorphism(each_preset, seed))
             df = differential(f)
-            assert df.prime_divisible
             for p in each_preset.universe:
                 assert df.at(p).is_divisible_by(p)
 
@@ -187,7 +168,7 @@ def seed_differential(f: Cochain) -> Cochain:
             sign = -sign
         return total + sign * (f.at(*args[:-1]) @ family.adams_at(args[-1]))
 
-    return Cochain(family, n + 1, evaluate, prime_divisible=(n == 0))
+    return Cochain(family, n + 1, evaluate)
 
 
 def merged_factors(m: FactoredInt, n: FactoredInt) -> tuple:
@@ -209,7 +190,6 @@ class TestEvaluationMatchesSeed:
                     f = random_cochain(family, dim, seed=seed)
                 df, ref = differential(f), seed_differential(f)
                 ddf, ref2 = differential(df), seed_differential(ref)
-                assert df.prime_divisible == ref.prime_divisible
                 for args in box_tuples(family, dim + 1, 25, seed=seed, exponent=3):
                     assert df.at(*args) == ref.at(*args), (name, dim, args)
                 for args in box_tuples(family, dim + 2, 25, seed=seed):
@@ -343,39 +323,3 @@ class TestIdentities:
         )
         assert mismatches > 0
 
-
-class TestTables:
-    def test_roundtrip(self, rc2_family):
-        table = {
-            (2,): IntMatrix.from_rows([[2, 0], [0, 4]]),
-            (3,): IntMatrix.from_rows([[3, 3], [0, 0]]),
-            (6,): IntMatrix.from_rows([[1, 2], [3, 4]]),
-        }
-        cochain = make_table_cochain(rc2_family, 1, table, prime_divisible=True)
-        doc = table_cochain_to_dict(cochain)
-        restored = table_cochain_from_dict(rc2_family, doc)
-        for key in table:
-            assert restored.at(*key) == cochain.at(*key)
-        assert restored.prime_divisible
-
-    def test_divisibility_enforced(self, rc2_family):
-        table = {(2,): IntMatrix.from_rows([[1, 0], [0, 0]])}
-        with pytest.raises(DivisibilityViolation):
-            make_table_cochain(rc2_family, 1, table, prime_divisible=True)
-
-    def test_missing_entry(self, rc2_family):
-        cochain = make_table_cochain(
-            rc2_family, 1, {(2,): IntMatrix.identity(2)}
-        )
-        with pytest.raises(KeyError):
-            cochain.at(3)
-
-    def test_malformed_document(self, rc2_family):
-        with pytest.raises(Exception) as info:
-            table_cochain_from_dict(rc2_family, {"dimension": 1, "entries": [{}]})
-        assert "malformed" in str(info.value) or "matrix" in str(info.value)
-
-    def test_derived_cochains_not_serializable(self, rc2_family):
-        f = random_cochain(rc2_family, 1, seed=1)
-        with pytest.raises(ValueError):
-            table_cochain_to_dict(f)

@@ -44,7 +44,6 @@ from lambdaring.exactalg import (
     left_multiplication_operator,
     right_multiplication_operator,
     vec_add,
-    vec_sub,
 )
 from lambdaring.rings import AdamsFamily, FactoredInt, PrimeUniverse, preset_family
 
@@ -205,6 +204,10 @@ def stack_rows(blocks):
             raise ValueError("column counts differ")
         rows.extend(b.entries)
     return IntMatrix(sum(b.rows for b in blocks), cols, tuple(rows))
+
+
+def vec_sub(x, y):
+    return tuple(a - b for a, b in zip(x, y, strict=True))
 
 
 def stack_cols(blocks):

@@ -9,17 +9,29 @@ from lambdaring import cochain, cohomology, deformation, exactalg, rings, symfun
 
 # Removed names, by the module or class that defined them.
 REMOVED = {
+    cochain: (
+        "make_table_cochain",
+        "table_cochain_to_dict",
+        "table_cochain_from_dict",
+        "zero_cochain",
+    ),
     cohomology: ("is_derivation", "extend_derivation", "_commutator_operator"),
+    deformation.FormalAutomorphism: ("inverse_to",),
     exactalg: (
         "determinant",
         "stack_rows",
         "stack_cols",
         "multiply_vecs",
         "quotient_presentation",
+        "vec_sub",
     ),
     exactalg.IntMatrix: ("is_zero_mod",),
     exactalg.AbelianGroup: ("is_trivial",),
     rings: ("lambda_series", "element_series_mul"),
+    rings.FactoredInt: ("exponent_of",),
+    rings.LambdaData: ("from_table",),
+    rings.RingSpec: ("multiplication_matrix",),
+    symfun.MultiPoly: ("substitute", "zero"),
 }
 
 
@@ -40,20 +52,23 @@ def test_removed_names_are_not_exported():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
-# Removed keyword options, by the function that took them; each is now
-# the constant that was its default.
+# Removed keyword options, by the function or class that took them.
 REMOVED_OPTIONS = {
-    deformation.verify_deformation: "max_total_exponent",
-    cochain.run_identity_check: "max_total_exponent",
-    cochain.random_cochain: "entry_bound",
-    cochain.random_endomorphism: "coeff_bound",
-    symfun.verify_lambda_axioms: "composition_limit",
+    deformation.verify_deformation: ("max_total_exponent",),
+    cochain.run_identity_check: ("max_total_exponent",),
+    cochain.random_cochain: ("entry_bound", "prime_divisible"),
+    cochain.random_endomorphism: ("coeff_bound",),
+    cochain.Cochain: ("prime_divisible", "table"),
+    rings.LambdaData: ("table",),
+    symfun.verify_lambda_axioms: ("composition_limit",),
 }
 
 
 def test_removed_options_are_not_parameters():
-    for function, option in REMOVED_OPTIONS.items():
-        assert option not in inspect.signature(function).parameters, function.__name__
+    for function, options in REMOVED_OPTIONS.items():
+        parameters = inspect.signature(function).parameters
+        for option in options:
+            assert option not in parameters, (function.__name__, option)
 
 
 def test_library_modules_use_every_import():

@@ -44,7 +44,7 @@ class TestMultiPoly:
         s1 = MultiPoly.variable("s", 1)
         s2 = MultiPoly.variable("s", 2)
         assert (s1 * s1 - 2 * s2 + 1).text() == "s1^2 - 2*s2 + 1"
-        assert MultiPoly.zero().text() == "0"
+        assert (s1 - s1).text() == "0"
         assert MultiPoly.constant(-3).text() == "-3"
         assert (s2 - s2).is_zero
 
@@ -55,12 +55,6 @@ class TestMultiPoly:
         right = s1 * s1 - t1 * t1
         assert left == right
         assert left.text() == right.text()
-
-    def test_substitute(self):
-        s1 = MultiPoly.variable("s", 1)
-        t1 = MultiPoly.variable("t", 1)
-        replaced = (s1 * s1).substitute({("s", 1): t1 + 1})
-        assert replaced == t1 * t1 + 2 * t1 + 1
 
     def test_eval_int(self):
         s1 = MultiPoly.variable("s", 1)
@@ -225,25 +219,10 @@ class TestAxiomChecker:
         assert verify_lambda_axioms(data, samples, 6) == []
 
     def test_corrupted_table_flagged(self):
-        family = preset_family("Z", (2, 3, 5))
-        # Binomial values for every element the checker can reach from
-        # the samples (unit, pairwise sums, pairwise products) with one
-        # corrupted entry: lambda_2(3) = 4 instead of 3.
-        table = {
-            (m,): [(binomial(m, i),) for i in range(1, 4)]
-            for m in (1, 2, 3, 4, 5, 6, 9)
-        }
-        table[(3,)] = [(3,), (4,), (1,)]
-        data = LambdaData.from_table(family.ring, table, 3)
+        # Adams-derived values on Z with one corrupted stored entry:
+        # lambda_2(3) = 4 instead of 3.
+        data = LambdaData.from_adams(preset_family("Z", (2, 3, 5)), 3)
+        data._values[(3,)] = [(3,), (4,), (1,)]
         problems = verify_lambda_axioms(data, [(2,), (3,)], 3)
         assert problems
         assert any("product rule" in p or "additivity" in p for p in problems)
-
-    def test_clean_table_passes(self):
-        family = preset_family("Z", (2, 3, 5))
-        table = {
-            (m,): [(binomial(m, i),) for i in range(1, 4)]
-            for m in (1, 2, 3, 4, 5, 6, 9)
-        }
-        data = LambdaData.from_table(family.ring, table, 3)
-        assert verify_lambda_axioms(data, [(2,), (3,)], 3) == []
