@@ -540,83 +540,6 @@ def _cmd_deform_equiv(args: argparse.Namespace) -> int:
     return 0 if witness is not None else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lambdaring",
-        description="Exact cohomology and deformation calculus for rings "
-        "with Adams operations.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--preset", choices=PRESET_NAMES, help="built-in ring")
-    common.add_argument("--ring", help="path to a ring definition file")
-    common.add_argument("--primes", help="comma-separated prime universe override")
-    common.add_argument("--samples", type=_positive_int, default=100, help="sample count")
-    common.add_argument("--seed", type=int, default=0, help="random seed")
-    common.add_argument("--bound", type=int, help="exponent or index bound")
-    common.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    ring = sub.add_parser("ring", parents=[common], help="ring-level checks")
-    ring.add_argument("action", choices=("verify",))
-    ring.set_defaults(handler=_cmd_ring_verify)
-
-    adams = sub.add_parser("adams", parents=[common], help="Adams-family checks")
-    adams.add_argument("action", choices=("verify",))
-    adams.set_defaults(handler=_cmd_adams_verify)
-
-    lam = sub.add_parser(
-        "lambda", parents=[common], help="lambda-operation values"
-    )
-    lam.add_argument("action", choices=("from-adams",))
-    lam.add_argument("--element", required=True, help="comma-separated coordinates")
-    lam.add_argument("--max-degree", type=_positive_int, default=6)
-    lam.set_defaults(handler=_cmd_lambda_from_adams)
-
-    poly = sub.add_parser("poly", parents=[common], help="universal polynomials")
-    poly.add_argument("which", choices=("P", "Pij"))
-    poly.add_argument("i", type=_positive_int)
-    poly.add_argument("j", type=_positive_int, nargs="?")
-    poly.set_defaults(handler=_cmd_poly)
-
-    complex_parser = sub.add_parser(
-        "complex", parents=[common], help="structural identities of the complex"
-    )
-    complex_parser.add_argument("action", choices=("check",))
-    complex_parser.add_argument("identity", choices=IDENTITY_NAMES)
-    complex_parser.add_argument(
-        "--dimension", type=int, help="restrict to one cochain dimension"
-    )
-    complex_parser.set_defaults(handler=_cmd_complex_check)
-
-    cohomology_parser = sub.add_parser(
-        "cohomology", parents=[common], help="cohomology groups"
-    )
-    cohomology_parser.add_argument("degree", choices=("h0", "h1"))
-    cohomology_parser.set_defaults(handler=_cmd_cohomology)
-
-    deform = sub.add_parser("deform", parents=[common], help="deformation calculus")
-    deform.add_argument(
-        "action",
-        choices=(
-            "verify",
-            "infinitesimal",
-            "obstruction",
-            "extend",
-            "normalize",
-            "equiv",
-        ),
-    )
-    deform.add_argument(
-        "--deformation", required=True, help="path to a deformation file"
-    )
-    deform.add_argument("--other", help="second deformation file (equiv)")
-    deform.add_argument("--level", type=_positive_int, default=1, help="coefficient to remove")
-    deform.set_defaults(handler=_cmd_deform_dispatch)
-    return parser
-
-
 def _cmd_deform_dispatch(args: argparse.Namespace) -> int:
     handlers = {
         "verify": _cmd_deform_verify,
@@ -631,9 +554,102 @@ def _cmd_deform_dispatch(args: argparse.Namespace) -> int:
     return handlers[args.action](args)
 
 
+# parsers: the options every command takes, then each command's own arguments
+
+
+def _add_common_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--preset", choices=PRESET_NAMES, help="built-in ring")
+    parser.add_argument("--ring", help="path to a ring definition file")
+    parser.add_argument("--primes", help="comma-separated prime universe override")
+    parser.add_argument("--samples", type=_positive_int, default=100, help="sample count")
+    parser.add_argument("--seed", type=int, default=0, help="random seed")
+    parser.add_argument("--bound", type=int, help="exponent or index bound")
+    parser.add_argument(
+        "--format", choices=("text", "json"), default="text", help="output format"
+    )
+
+
+def _verify_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("action", choices=("verify",))
+
+
+def _lambda_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("action", choices=("from-adams",))
+    parser.add_argument("--element", required=True, help="comma-separated coordinates")
+    parser.add_argument("--max-degree", type=_positive_int, default=6)
+
+
+def _poly_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("which", choices=("P", "Pij"))
+    parser.add_argument("i", type=_positive_int)
+    parser.add_argument("j", type=_positive_int, nargs="?")
+
+
+def _complex_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("action", choices=("check",))
+    parser.add_argument("identity", choices=IDENTITY_NAMES)
+    parser.add_argument("--dimension", type=int, help="restrict to one cochain dimension")
+
+
+def _cohomology_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("degree", choices=("h0", "h1"))
+
+
+def _deform_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "action",
+        choices=("verify", "infinitesimal", "obstruction", "extend", "normalize", "equiv"),
+    )
+    parser.add_argument("--deformation", required=True, help="path to a deformation file")
+    parser.add_argument("--other", help="second deformation file (equiv)")
+    parser.add_argument("--level", type=_positive_int, default=1, help="coefficient to remove")
+
+
+# (name, help line, adder of the command's own arguments, handler)
+_COMMANDS = (
+    ("ring", "ring-level checks", _verify_arguments, _cmd_ring_verify),
+    ("adams", "Adams-family checks", _verify_arguments, _cmd_adams_verify),
+    ("lambda", "lambda-operation values", _lambda_arguments, _cmd_lambda_from_adams),
+    ("poly", "universal polynomials", _poly_arguments, _cmd_poly),
+    ("complex", "structural identities of the complex", _complex_arguments, _cmd_complex_check),
+    ("cohomology", "cohomology groups", _cohomology_arguments, _cmd_cohomology),
+    ("deform", "deformation calculus", _deform_arguments, _cmd_deform_dispatch),
+)
+_COMMAND_NAMES = tuple(name for name, *_ in _COMMANDS)
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The top-level parser with every command's parser, or with ``command``'s alone.
+
+    Building one command's parser skips most of the set-up cost.  Its
+    usage line still lists every command, so the help, usage and error
+    text of an invocation of that command are those of the full parser.
+    """
+    parser = argparse.ArgumentParser(
+        prog="lambdaring",
+        description="Exact cohomology and deformation calculus for rings "
+        "with Adams operations.",
+    )
+    # Without a metavar the usage lists the commands built; an explicit
+    # one would rename the command in "the following arguments are
+    # required", so it is given only when one command is built.
+    metavar = "{" + ",".join(_COMMAND_NAMES) + "}" if command is not None else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_line, add_arguments, handler in _COMMANDS:
+        if command in (None, name):
+            command_parser = sub.add_parser(name, help=help_line)
+            _add_common_options(command_parser)
+            add_arguments(command_parser)
+            command_parser.set_defaults(handler=handler)
+    return parser
+
+
 def entry(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # An option before the command, --help or an unknown command needs
+    # the whole parser tree; otherwise only the named command's parser.
+    command = argv[0] if argv and argv[0] in _COMMAND_NAMES else None
+    args = build_parser(command).parse_args(argv)
     # Exact results can run to tens of thousands of digits; lift the
     # int-to-str limit (Python 3.11+) for rendering and JSON, then restore it.
     set_digits = getattr(sys, "set_int_max_str_digits", None)

@@ -17,7 +17,7 @@ rounded.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, ClassVar, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import (
     ConfigParseError,
@@ -61,11 +61,17 @@ class PrimeUniverse:
 
     primes: tuple[int, ...]
 
+    # is_prime divides by every d with d * d <= p, so a prime up to
+    # MAX_PRIME is checked in at most 1000 divisions.
+    MAX_PRIME: ClassVar[int] = 10**6
+
     def __post_init__(self) -> None:
         if not self.primes:
             raise ValueError("a prime universe must contain at least one prime")
         previous = 1
         for p in self.primes:
+            if p > self.MAX_PRIME:
+                raise ValueError(f"the prime {p} is above the limit {self.MAX_PRIME}")
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             if p <= previous:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report formats, determinism."""
 
+import argparse
 import ast
 import contextlib
 import io
@@ -12,7 +13,7 @@ import pytest
 
 from lambdaring import cli
 from lambdaring.cli import entry
-from lambdaring.cochain import random_endomorphism
+from lambdaring.cochain import IDENTITY_NAMES, random_endomorphism
 from lambdaring.cohomology import inner_derivation
 from lambdaring.deformation import (
     deformation_to_dict,
@@ -25,6 +26,7 @@ from lambdaring.rings import (
     PrimeUniverse,
     _cyclic_adams_matrix,
     _cyclic_group_ring,
+    PRESET_NAMES,
     family_to_dict,
     is_prime,
     preset_family,
@@ -50,6 +52,10 @@ def run_module(*argv):
     )
 
 
+# a prime far above PrimeUniverse.MAX_PRIME: trial division would take minutes
+HUGE_PRIME = 1000000000000000003
+
+
 def malformed_documents():
     """Ring and deformation documents that are unusable input, by name."""
     z = family_to_dict(preset_family("Z", (2,)))
@@ -62,6 +68,7 @@ def malformed_documents():
         "no_primes": {**z, "primes": [], "adams": {}},
         "short_unit": {**rc2, "unit": [1]},
         "adams_not_a_list": {**z, "adams": {"2": 5}},
+        "prime_above_limit": {**z, "primes": [HUGE_PRIME], "adams": {str(HUGE_PRIME): [1]}},
         "negative_order": {**order_one, "order": -1},
         "term_above_order": {**order_one, "terms": {"2": {"5": [2]}}},
         "terms_a_list": {**order_one, "terms": []},
@@ -126,54 +133,65 @@ class TestExitCodes:
         assert "mathematical violation" in err
 
 
-class TestInputContract:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("lambda", "from-adams", "--preset", "Z", "--element", "x"),
-            ("lambda", "from-adams", "--preset", "Z", "--element", "4", "--max-degree", "0"),
-            ("poly", "P", "0"),
-            ("poly", "P", "3", "2"),
-            ("poly", "Pij", "0", "1"),
-            ("poly", "Pij", "1", "-2"),
-            ("complex", "check", "d-squared", "--preset", "Z", "--samples", "0"),
-            ("complex", "check", "d-squared", "--preset", "Z", "--samples", "-5"),
-            ("complex", "check", "d-squared", "--preset", "Z", "--dimension", "-1"),
-            ("cohomology", "h0", "--preset", "Z", "--primes", "2,2"),
-            ("cohomology", "h0", "--preset", "Z", "--primes", "4"),
-            ("deform", "normalize", "--deformation", "{order_one}", "--level", "0"),
-            ("deform", "normalize", "--deformation", "{order_one}", "--level", "5"),
-            ("deform", "obstruction", "--deformation", "{order_one}", "--bound", "0"),
-            ("deform", "obstruction", "--deformation", "{order_one}", "--bound", "-3"),
-            ("deform", "extend", "--deformation", "{order_one}", "--order", "1"),
-            # above the guardrails: |box|^2 * rank^2 = 1139^2 for Z at bound 17
-            ("deform", "extend", "--deformation", "{order_one}", "--bound", "17"),
-            ("deform", "obstruction", "--deformation", "{order_one}", "--bound", "1000000000"),
-            ("complex", "check", "d-squared", "--preset", "Z", "--samples", "100001"),
-            ("poly", "P", "13", "--bound", "13"),
-            ("ring", "verify", "--ring", "{rank_zero}"),
-            ("ring", "verify", "--ring", "{prime_four}"),
-            ("ring", "verify", "--ring", "{primes_descending}"),
-            ("ring", "verify", "--ring", "{no_primes}"),
-            ("ring", "verify", "--ring", "{short_unit}"),
-            ("ring", "verify", "--ring", "{adams_not_a_list}"),
-            ("deform", "verify", "--deformation", "{negative_order}"),
-            ("deform", "verify", "--deformation", "{term_above_order}"),
-            ("deform", "verify", "--deformation", "{terms_a_list}"),
-            ("deform", "verify", "--deformation", "{term_entries_a_list}"),
-            ("deform", "verify", "--deformation", "{terms_outside_universe}"),
-        ],
+# Argument lists that are unusable input; "{name}" stands for the path of
+# the file that contract_paths names so.
+UNUSABLE_ARGV = (
+    ("lambda", "from-adams", "--preset", "Z", "--element", "x"),
+    ("lambda", "from-adams", "--preset", "Z", "--element", "4", "--max-degree", "0"),
+    ("poly", "P", "0"),
+    ("poly", "P", "3", "2"),
+    ("poly", "Pij", "0", "1"),
+    ("poly", "Pij", "1", "-2"),
+    ("complex", "check", "d-squared", "--preset", "Z", "--samples", "0"),
+    ("complex", "check", "d-squared", "--preset", "Z", "--samples", "-5"),
+    ("complex", "check", "d-squared", "--preset", "Z", "--dimension", "-1"),
+    ("cohomology", "h0", "--preset", "Z", "--primes", "2,2"),
+    ("cohomology", "h0", "--preset", "Z", "--primes", "4"),
+    ("deform", "normalize", "--deformation", "{order_one}", "--level", "0"),
+    ("deform", "normalize", "--deformation", "{order_one}", "--level", "5"),
+    ("deform", "obstruction", "--deformation", "{order_one}", "--bound", "0"),
+    ("deform", "obstruction", "--deformation", "{order_one}", "--bound", "-3"),
+    ("deform", "extend", "--deformation", "{order_one}", "--order", "1"),
+    # above the guardrails: |box|^2 * rank^2 = 1139^2 for Z at bound 17
+    ("deform", "extend", "--deformation", "{order_one}", "--bound", "17"),
+    ("deform", "obstruction", "--deformation", "{order_one}", "--bound", "1000000000"),
+    ("complex", "check", "d-squared", "--preset", "Z", "--samples", "100001"),
+    ("poly", "P", "13", "--bound", "13"),
+    ("ring", "verify", "--ring", "{rank_zero}"),
+    ("ring", "verify", "--ring", "{prime_four}"),
+    ("ring", "verify", "--ring", "{primes_descending}"),
+    ("ring", "verify", "--ring", "{no_primes}"),
+    ("ring", "verify", "--ring", "{short_unit}"),
+    ("ring", "verify", "--ring", "{adams_not_a_list}"),
+    ("deform", "verify", "--deformation", "{negative_order}"),
+    ("deform", "verify", "--deformation", "{term_above_order}"),
+    ("deform", "verify", "--deformation", "{terms_a_list}"),
+    ("deform", "verify", "--deformation", "{term_entries_a_list}"),
+    ("deform", "verify", "--deformation", "{terms_outside_universe}"),
+    # above the prime limit, from --primes and from a ring file
+    ("cohomology", "h0", "--preset", "Z", "--primes", str(HUGE_PRIME)),
+    ("ring", "verify", "--ring", "{prime_above_limit}"),
+)
+
+
+def contract_paths(tmp_path):
+    """Paths of an order-one Z deformation and of every malformed document."""
+    z = preset_family("Z", (2, 3, 5))
+    paths = {
+        name: write_json(tmp_path / f"{name}.json", doc)
+        for name, doc in malformed_documents().items()
+    }
+    paths["order_one"] = write_json(
+        tmp_path / "z.json", deformation_to_dict(trivial_deformation(z, 1))
     )
+    return paths
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("argv", UNUSABLE_ARGV)
     def test_unusable_input_exits_two(self, tmp_path, argv):
-        z = preset_family("Z", (2, 3, 5))
-        path = write_json(
-            tmp_path / "z.json", deformation_to_dict(trivial_deformation(z, 1))
-        )
-        paths = {
-            name: write_json(tmp_path / f"{name}.json", doc)
-            for name, doc in malformed_documents().items()
-        }
-        process = run_module(*(arg.format(order_one=path, **paths) for arg in argv))
+        paths = contract_paths(tmp_path)
+        process = run_module(*(arg.format(**paths) for arg in argv))
         assert process.returncode == 2, process.stderr
         assert "Traceback" not in process.stderr
 
@@ -214,6 +232,17 @@ class TestInputContract:
         assert process.returncode == 2
         assert process.stdout == ""
         assert f"above the limit {cli.MAX_LAMBDA_DEGREE}" in process.stderr
+
+    def test_prime_limit_is_named(self, capsys, tmp_path):
+        ring = contract_paths(tmp_path)["prime_above_limit"]
+        for argv in (
+            ["cohomology", "h0", "--preset", "Z", "--primes", str(HUGE_PRIME)],
+            ["ring", "verify", "--ring", ring],
+        ):
+            code, out, err = run_cli(capsys, argv)
+            assert code == 2, argv
+            assert out == ""
+            assert f"{HUGE_PRIME} is above the limit {PrimeUniverse.MAX_PRIME}" in err
 
     def test_deformation_path_is_a_directory(self, tmp_path):
         process = run_module("deform", "extend", "--deformation", str(tmp_path))
@@ -569,6 +598,143 @@ class TestModuleEntryPoint:
         assert process.returncode == 0
         assert process.stdout.strip() == "s1*t1"
 
+    def test_reads_sys_argv(self, capsys):
+        argv = ["cohomology", "h0", "--preset", "Z", "--format", "json"]
+        process = run_module(*argv)
+        assert (process.returncode, process.stdout, process.stderr) == run_cli(capsys, argv)
+
+
+# --- parser parity: one command's parser behaves as the whole tree ----------
+
+
+def reference_parser():
+    """The parser tree built whole: every command, common options from a parent."""
+    parser = argparse.ArgumentParser(
+        prog="lambdaring",
+        description="Exact cohomology and deformation calculus for rings "
+        "with Adams operations.",
+    )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--preset", choices=PRESET_NAMES, help="built-in ring")
+    common.add_argument("--ring", help="path to a ring definition file")
+    common.add_argument("--primes", help="comma-separated prime universe override")
+    common.add_argument("--samples", type=cli._positive_int, default=100, help="sample count")
+    common.add_argument("--seed", type=int, default=0, help="random seed")
+    common.add_argument("--bound", type=int, help="exponent or index bound")
+    common.add_argument(
+        "--format", choices=("text", "json"), default="text", help="output format"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    ring = sub.add_parser("ring", parents=[common], help="ring-level checks")
+    ring.add_argument("action", choices=("verify",))
+    ring.set_defaults(handler=cli._cmd_ring_verify)
+
+    adams = sub.add_parser("adams", parents=[common], help="Adams-family checks")
+    adams.add_argument("action", choices=("verify",))
+    adams.set_defaults(handler=cli._cmd_adams_verify)
+
+    lam = sub.add_parser("lambda", parents=[common], help="lambda-operation values")
+    lam.add_argument("action", choices=("from-adams",))
+    lam.add_argument("--element", required=True, help="comma-separated coordinates")
+    lam.add_argument("--max-degree", type=cli._positive_int, default=6)
+    lam.set_defaults(handler=cli._cmd_lambda_from_adams)
+
+    poly = sub.add_parser("poly", parents=[common], help="universal polynomials")
+    poly.add_argument("which", choices=("P", "Pij"))
+    poly.add_argument("i", type=cli._positive_int)
+    poly.add_argument("j", type=cli._positive_int, nargs="?")
+    poly.set_defaults(handler=cli._cmd_poly)
+
+    complex_parser = sub.add_parser(
+        "complex", parents=[common], help="structural identities of the complex"
+    )
+    complex_parser.add_argument("action", choices=("check",))
+    complex_parser.add_argument("identity", choices=IDENTITY_NAMES)
+    complex_parser.add_argument(
+        "--dimension", type=int, help="restrict to one cochain dimension"
+    )
+    complex_parser.set_defaults(handler=cli._cmd_complex_check)
+
+    cohomology_parser = sub.add_parser("cohomology", parents=[common], help="cohomology groups")
+    cohomology_parser.add_argument("degree", choices=("h0", "h1"))
+    cohomology_parser.set_defaults(handler=cli._cmd_cohomology)
+
+    deform = sub.add_parser("deform", parents=[common], help="deformation calculus")
+    deform.add_argument(
+        "action",
+        choices=("verify", "infinitesimal", "obstruction", "extend", "normalize", "equiv"),
+    )
+    deform.add_argument("--deformation", required=True, help="path to a deformation file")
+    deform.add_argument("--other", help="second deformation file (equiv)")
+    deform.add_argument("--level", type=cli._positive_int, default=1, help="coefficient to remove")
+    deform.set_defaults(handler=cli._cmd_deform_dispatch)
+    return parser
+
+
+COMMAND_NAMES = ("ring", "adams", "lambda", "poly", "complex", "cohomology", "deform")
+# What argparse itself answers, then the argv of TestInputContract; its
+# H1 of Z[C6] is left out, the one slow run among them.
+PARITY_ARGV = (
+    ("--help",),
+    *((name, "--help") for name in COMMAND_NAMES),
+    (),
+    ("bogus",),
+    ("--preset", "Z", "cohomology", "h0"),
+    ("cohomology", "h0", "--preset", "Z", "--bogus"),
+    ("cohomology", "h2", "--preset", "Z"),
+    ("cohomology", "h0", "--preset", "Z", "--prim", "2"),
+    *UNUSABLE_ARGV,
+    ("deform", "extend", "--deformation", "{order_one}", "--bound", "0"),
+    ("deform", "extend", "--deformation", "{order_one}", "--bound", "-1"),
+    ("deform", "obstruction", "--deformation", "{order_one}", "--bound", "17"),
+    ("poly", "Pij", "1", "1", "--bound", "13"),
+    ("lambda", "from-adams", "--preset", "Z", "--primes", "{primes_to_1009}",
+     "--element", "4", "--max-degree", "1001"),
+    ("deform", "extend", "--deformation", "{directory}"),
+    ("deform", "verify", "--deformation", "{binary}"),
+    ("ring", "verify", "--ring", "{binary}"),
+    ("lambda", "from-adams", "--preset", "Z", "--element", "4", "--max-degree", "7"),
+    ("lambda", "from-adams", "--preset", "Z", "--primes", "2,3,5,7",
+     "--element", "9", "--max-degree", "7", "--format", "json"),
+    ("lambda", "from-adams", "--preset", "Z", "--element", "1" + "0" * 5000, "--max-degree", "2"),
+)
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of entry(argv), argparse's exits included."""
+    try:
+        code = entry(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserParity:
+    @pytest.mark.parametrize("argv", PARITY_ARGV)
+    def test_same_outcome_as_the_whole_tree(self, capsys, monkeypatch, tmp_path, argv):
+        paths = contract_paths(tmp_path)
+        paths["primes_to_1009"] = ",".join(str(p) for p in range(2, 1010) if is_prime(p))
+        paths["directory"] = str(tmp_path)
+        paths["binary"] = str(tmp_path / "binary.json")
+        (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00binary")
+        argv = [arg.format(**paths) for arg in argv]
+
+        built = []
+        build_parser = cli.build_parser
+
+        def spy(command=None):
+            built.append(command)
+            return build_parser(command)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        got = outcome(capsys, argv)
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: reference_parser())
+        want = outcome(capsys, argv)
+        assert got == want
+        assert built == [argv[0] if argv and argv[0] in COMMAND_NAMES else None]
+
 
 # --- argv fuzz: the exit-code contract for any argument list ---------------
 
@@ -631,22 +797,21 @@ def fuzz_files(tmp_path_factory):
         write_json(root / "z-scaling.json", deformation_to_dict(scaling)),
         write_json(root / "rc2-trivial.json", deformation_to_dict(trivial_deformation(rc2, 1))),
     )
-    malformed = malformed_documents()
-    for name in ("rank_zero", "adams_not_a_list", "terms_a_list", "terms_outside_universe"):
-        write_json(root / f"{name}.json", malformed[name])
+    documents = malformed_documents()
+    malformed = tuple(
+        write_json(root / f"{name}.json", documents[name])
+        for name in ("rank_zero", "adams_not_a_list", "terms_a_list", "terms_outside_universe")
+    )
     # the last one names the directory itself
     unusable = tuple(
         str(root / name)
-        for name in (
-            "not-json.json", "binary.json", "empty.json", "rank_zero.json",
-            "adams_not_a_list.json", "terms_a_list.json", "terms_outside_universe.json",
-            "missing.json", "",
-        )
+        for name in ("not-json.json", "binary.json", "empty.json", "missing.json", "")
     )
+    # each file option: (usable files, malformed documents, other unusable paths)
     return {
-        "--ring": ((ring,), deformations[:1] + unusable),
-        "--deformation": (deformations, (ring,) + unusable),
-        "--other": (deformations, (ring,) + unusable),
+        "--ring": ((ring,), malformed, deformations[:1] + unusable),
+        "--deformation": (deformations, malformed, (ring,) + unusable),
+        "--other": (deformations, malformed, (ring,) + unusable),
     }
 
 
@@ -655,7 +820,11 @@ def fuzz_argv(data, files):
     from hypothesis import strategies as st
 
     def value(name):
-        good, bad = files[name] if name in files else FUZZ_VALUES[name]
+        if name in files:
+            # a file draws from its own pools, so that the malformed
+            # documents come up about as often as the usable files
+            return data.draw(st.one_of(*(st.sampled_from(pool) for pool in files[name])))
+        good, bad = FUZZ_VALUES[name]
         return data.draw(st.sampled_from(bad if data.draw(st.integers(0, 5)) == 5 else good))
 
     words, own = data.draw(st.sampled_from(FUZZ_COMMANDS))
@@ -695,14 +864,23 @@ class TestArgvFuzz:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 try:
-                    code = entry(argv)
+                    code = spy(argv)
                 except SystemExit as exc:
                     assert exc.code == 2, (argv, err.getvalue())
                     code = 2
             assert code in (0, 1, 2), argv
             assert "Traceback" not in err.getvalue(), argv
 
+        called = []
+
+        def spy(argv):
+            called.append(argv)
+            return entry(argv)
+
         check()
+        _, malformed, _ = fuzz_files["--deformation"]
+        named = {arg for argv in called for arg in argv}
+        assert set(malformed) <= named, set(malformed) - named
 
 
 # --- python -O: no assert statements, the same reports ---------------------

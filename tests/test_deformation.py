@@ -43,9 +43,18 @@ from lambdaring.exactalg import (
     IntMatrix,
     left_multiplication_operator,
     right_multiplication_operator,
+    solve_linear,
     vec_add,
 )
-from lambdaring.rings import AdamsFamily, FactoredInt, PrimeUniverse, preset_family
+from lambdaring.rings import (
+    AdamsFamily,
+    FactoredInt,
+    PrimeUniverse,
+    _cyclic_adams_matrix,
+    _cyclic_group_ring,
+    preset_family,
+    verify_adams,
+)
 
 from conftest import nilpotent_family
 
@@ -328,6 +337,65 @@ class TestExtensionSystem:
             assert result.succeeded, bound
             assert verify_deformation(result.extended).passed, bound
             assert result.equations == 9 * result.box_size**2, bound
+
+
+def oracle_starts():
+    """Trivial and seeded cocycle starts of order one, over families with commuting generators."""
+    primes = (2, 3, 5)
+    families = [preset_family(name, primes) for name in ("Z", "RC2", "RC3")]
+    families.append(
+        AdamsFamily(
+            _cyclic_group_ring(4, "ZC4"),
+            PrimeUniverse(primes),
+            tuple((p, _cyclic_adams_matrix(4, p)) for p in primes),
+        )
+    )
+    for family in families:
+        name = family.ring.name
+        yield name, "trivial", trivial_deformation(family, 1)
+        rng = random.Random(f"oracle:{name}")
+        spec = None
+        for b in cocycle_space_basis(family):
+            term = b.scale(rng.randint(-3, 3))
+            spec = term if spec is None else spec + term
+        terms = {p: {1: spec.value(p)} for p in primes}
+        yield name, "cocycle", make_deformation(family, 1, terms)
+
+
+def test_prime_pair_rows_decide_the_box_system():
+    """The rows of the pairs of primes impose every condition of the box.
+
+    A deformation is valid exactly when its generator series commute
+    pairwise, so when the Adams generators commute the pairs (p, q) of
+    primes carry all of the box system.  It fails without commuting
+    generators: noncommuting_family's prime-pair rows are solvable and
+    its box is not.
+    """
+    for name, start, deformation in oracle_starts():
+        family = deformation.family
+        assert not verify_adams(family), name
+        d2 = family.rank**2
+        for bound in (2, 3):
+            box, system, rhs = deformation_module._extension_system(deformation, bound)
+            keep = [
+                (i * len(box) + j) * d2 + e
+                for i, m in enumerate(box)
+                if m.is_prime
+                for j, n in enumerate(box)
+                if n.is_prime
+                for e in range(d2)
+            ]
+            pairs = IntMatrix(len(keep), system.cols, tuple(system.entries[r] for r in keep))
+            pairs_rhs = tuple(rhs[r] for r in keep)
+            full = solve_linear(system, rhs)
+            small = solve_linear(pairs, pairs_rhs)
+            case = (name, start, bound)
+            assert (full is None) == (small is None), case
+            for solution, matrix, target in ((full, pairs, pairs_rhs), (small, system, rhs)):
+                if solution is not None:
+                    assert matrix.apply(solution.particular) == target, case
+                    zero = (0,) * matrix.rows
+                    assert all(matrix.apply(k) == zero for k in solution.kernel), case
 
 
 def test_builds_leave_no_cyclic_garbage(rc3_family):
