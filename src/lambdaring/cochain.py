@@ -234,17 +234,31 @@ def codegeneracy(i: int, f: Cochain) -> Cochain:
 def random_cochain(family: AdamsFamily, dimension: int, seed: int) -> Cochain:
     """Deterministic pseudo-random cochain of positive dimension.
 
-    Entries lie in -3..3.
+    Entries lie in -3..3.  Each value is the one that ``randint(-3, 3)``
+    draws entry by entry from ``random.Random(key)``, for the key
+    ``"cochain:{seed}:{dimension}:"`` followed by the comma-joined
+    argument values; one generator per cochain is reseeded with that key.
     """
     if dimension < 1:
         raise ValueError("use random_endomorphism for dimension zero")
     d = family.rank
+    prefix = f"cochain:{seed}:{dimension}:"
+    rng = random.Random()
+    getrandbits = rng.getrandbits
 
     def evaluate(args: tuple[FactoredInt, ...]) -> IntMatrix:
-        key = f"cochain:{seed}:{dimension}:" + ",".join(str(m.value) for m in args)
-        rng = random.Random(key)
-        rows = tuple([tuple([rng.randint(-3, 3) for _ in range(d)]) for _ in range(d)])
-        return IntMatrix._trusted(d, d, rows)
+        rng.seed(prefix + ",".join(str(m.value) for m in args))
+        rows = []
+        for _ in range(d):
+            row = []
+            for _ in range(d):
+                # randint(-3, 3) draws 3 bits until they fall below 7
+                r = getrandbits(3)
+                while r == 7:
+                    r = getrandbits(3)
+                row.append(r - 3)
+            rows.append(tuple(row))
+        return IntMatrix._trusted(d, d, tuple(rows))
 
     return Cochain(family, dimension, evaluate)
 
@@ -323,10 +337,12 @@ def _check_cosimplicial(
 ) -> list[str]:
     n = f.dimension
     failures = []
+    # shared, so each inner coface value is computed once for all pairs
+    inner = [coface(i, f) for i in range(n + 2)]
     for i in range(0, n + 2):
         for j in range(i + 1, n + 3):
-            left = coface(j, coface(i, f))
-            right = coface(i, coface(j - 1, f))
+            left = coface(j, inner[i])
+            right = coface(i, inner[j - 1])
             for args in tuples:
                 if left.at(*args) != right.at(*args):
                     failures.append(
@@ -337,8 +353,8 @@ def _check_cosimplicial(
     if n >= 1:
         short = tuples[0][:n] if tuples else ()
         for i in range(0, n + 1):
-            section = codegeneracy(i, coface(i, f))
-            section2 = codegeneracy(i, coface(i + 1, f))
+            section = codegeneracy(i, inner[i])
+            section2 = codegeneracy(i, inner[i + 1])
             for args in {short, tuple(reversed(short))}:
                 if not args:
                     continue

@@ -42,6 +42,12 @@ class IntMatrix:
     the arithmetic builds its results with ``_trusted``, which skips the
     checks because each result's shape is known.
 
+    A product with a factor whose every column is a unit vector, such
+    as an Adams matrix of a monoid ring, is formed without arithmetic:
+    on the right such a factor gathers entries of each row, on the left
+    it sums rows of the other factor.  The factor's pattern is read off
+    it on first use and kept in a private slot.
+
     >>> m = IntMatrix.from_rows([[1, 2], [3, 4]])
     >>> m @ IntMatrix.identity(2) == m
     True
@@ -53,7 +59,7 @@ class IntMatrix:
     IntMatrix(rows=2, cols=2, entries=((1, 2), (3, 4)))
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_unit_rows")
 
     rows: int
     cols: int
@@ -176,13 +182,43 @@ class IntMatrix:
             self.rows, self.cols, tuple(tuple(k * a for a in r) for r in self.entries)
         )
 
+    def _unit_pattern(self) -> Optional[tuple[int, ...]]:
+        """The row of the 1 in each column, or None unless every column is a unit vector."""
+        try:
+            return self._unit_rows
+        except AttributeError:
+            pass
+        pattern = None
+        others = self.rows - 1
+        found = []
+        for column in zip(*self.entries) if self.rows else ((),) * self.cols:
+            if column.count(0) != others or 1 not in column:
+                break
+            found.append(column.index(1))
+        else:
+            pattern = tuple(found)
+        _set_unit_rows(self, pattern)
+        return pattern
+
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        columns = tuple(zip(*other.entries)) if other.rows else ((),) * other.cols
-        data = tuple(
-            [tuple([sum(map(operator.mul, row, col)) for col in columns]) for row in self.entries]
-        )
+        pattern = other._unit_pattern()
+        if pattern is not None:
+            # column j of the product is column pattern[j] of self
+            data = tuple([tuple([row[k] for k in pattern]) for row in self.entries])
+        elif (pattern := self._unit_pattern()) is not None:
+            # row i of the product sums the rows k of other with pattern[k] == i
+            zero = (0,) * other.cols
+            rows = [zero] * self.rows
+            for i, row in zip(pattern, other.entries):
+                rows[i] = row if rows[i] is zero else tuple(map(operator.add, rows[i], row))
+            data = tuple(rows)
+        else:
+            columns = tuple(zip(*other.entries)) if other.rows else ((),) * other.cols
+            data = tuple(
+                [tuple([sum(map(operator.mul, row, col)) for col in columns]) for row in self.entries]
+            )
         return IntMatrix._trusted(self.rows, other.cols, data)
 
     def apply(self, vector: Sequence[int]) -> Vector:
@@ -219,6 +255,7 @@ class IntMatrix:
 _set_rows = IntMatrix.rows.__set__
 _set_cols = IntMatrix.cols.__set__
 _set_entries = IntMatrix.entries.__set__
+_set_unit_rows = IntMatrix._unit_rows.__set__
 
 
 @dataclass(frozen=True)

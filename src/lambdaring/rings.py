@@ -16,6 +16,7 @@ rounded.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Callable, ClassVar, Iterable, Mapping, Sequence, TypeVar
 
@@ -195,10 +196,7 @@ class FactoredInt:
             return self
         if not self.factors:
             return other
-        exponents = dict(self.factors)
-        for p, e in other.factors:
-            exponents[p] = exponents.get(p, 0) + e
-        return FactoredInt._trusted(tuple(sorted(exponents.items())))
+        return _product(self.factors, other.factors)
 
     def peel(self) -> tuple[int, "FactoredInt"]:
         """Split off one power of the smallest prime: n == p * rest."""
@@ -217,6 +215,19 @@ class FactoredInt:
 
 _set_factors = FactoredInt.factors.__set__
 _set_hash = FactoredInt._hash.__set__
+
+
+# Memoized: the merged arguments of a cochain's differential and cofaces
+# repeat the same few products of box elements.  Keyed on the factor
+# tuples, which hash and compare without a Python-level call.
+@functools.lru_cache(maxsize=4096)
+def _product(
+    left: tuple[tuple[int, int], ...], right: tuple[tuple[int, int], ...]
+) -> FactoredInt:
+    exponents = dict(left)
+    for p, e in right:
+        exponents[p] = exponents.get(p, 0) + e
+    return FactoredInt._trusted(tuple(sorted(exponents.items())))
 
 
 @dataclass(frozen=True)
@@ -356,8 +367,7 @@ class AdamsFamily:
         """Adams matrix at n, the product of prime generators per factorization."""
         if isinstance(n, int):
             n = self.universe.factor(n)
-        key = ("adams", n.factors)
-        cached = self._cache.get(key)
+        cached = self._cache.get(n)
         if cached is not None:
             return cached
         result = IntMatrix.identity(self.ring.rank)
@@ -365,7 +375,7 @@ class AdamsFamily:
             g = self.generator(p)
             for _ in range(e):
                 result = g @ result
-        self._cache[key] = result
+        self._cache[n] = result
         return result
 
 
@@ -526,7 +536,6 @@ class LambdaData:
         if max_degree < 1:
             raise ValueError("max_degree must be at least 1")
         self.spec = family.ring
-        self.max_degree = max_degree
         self.family = family
         # [lambda_1, ..., lambda_k] of each element, k as far as asked
         self._values: dict[Vector, list[Vector]] = {}

@@ -904,12 +904,20 @@ class TestOptimizedMode:
     def test_extend_report_is_identical_under_dash_o(self, tmp_path):
         rc2 = preset_family("RC2", (2, 3))
         path = write_json(tmp_path / "rc2.json", deformation_to_dict(trivial_deformation(rc2, 1)))
-        argv = [
-            "-m", "lambdaring.cli", "deform", "extend",
-            "--deformation", path, "--bound", "2", "--format", "json",
+        runs = [
+            (
+                ["deform", "extend", "--deformation", path, "--bound", "2"],
+                b'"succeeded": true',
+            ),
+            (
+                ["complex", "check", "cosimplicial", "--preset", "RC3"],
+                b'"passed": true',
+            ),
         ]
-        plain = subprocess.run([sys.executable, *argv], capture_output=True)
-        optimized = subprocess.run([sys.executable, "-O", *argv], capture_output=True)
-        assert plain.returncode == optimized.returncode == 0, optimized.stderr
-        assert b'"succeeded": true' in plain.stdout
-        assert optimized.stdout == plain.stdout
+        for command, marker in runs:
+            argv = ["-m", "lambdaring.cli", *command, "--format", "json"]
+            plain = subprocess.run([sys.executable, *argv], capture_output=True)
+            optimized = subprocess.run([sys.executable, "-O", *argv], capture_output=True)
+            assert plain.returncode == optimized.returncode == 0, optimized.stderr
+            assert marker in plain.stdout
+            assert optimized.stdout == plain.stdout

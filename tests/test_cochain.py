@@ -22,7 +22,14 @@ from lambdaring.cochain import (
 )
 from lambdaring.errors import ContextMismatch, NotFrobeniusCompatible
 from lambdaring.exactalg import IntMatrix
-from lambdaring.rings import FactoredInt, PrimeUniverse, preset_family
+from lambdaring.rings import (
+    AdamsFamily,
+    FactoredInt,
+    PrimeUniverse,
+    _cyclic_adams_matrix,
+    _cyclic_group_ring,
+    preset_family,
+)
 
 
 def box_tuples(family, dimension, count, seed, exponent=2):
@@ -171,6 +178,35 @@ def seed_differential(f: Cochain) -> Cochain:
     return Cochain(family, n + 1, evaluate)
 
 
+def seed_random_value(dimension: int, seed: int, args: tuple, rank: int) -> IntMatrix:
+    """A fresh generator per value and ``randint(-3, 3)`` per entry.
+
+    Kept as the reference that the reseeded generator of
+    ``random_cochain`` must reproduce value for value.
+    """
+    key = f"cochain:{seed}:{dimension}:" + ",".join(str(m.value) for m in args)
+    rng = random.Random(key)
+    return IntMatrix(
+        rank, rank, tuple(tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(rank))
+    )
+
+
+SIX_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def seeded_value_families():
+    families = [preset_family(name, SIX_PRIMES) for name in ("Z", "RC2", "RC3")]
+    families.append(
+        AdamsFamily(
+            _cyclic_group_ring(4, "ZC4"),
+            PrimeUniverse(SIX_PRIMES),
+            tuple((p, _cyclic_adams_matrix(4, p)) for p in SIX_PRIMES),
+        )
+    )
+    families.append(nilpotent_family(SIX_PRIMES))
+    return families
+
+
 def merged_factors(m: FactoredInt, n: FactoredInt) -> tuple:
     exponents = dict(m.factors)
     for p, e in n.factors:
@@ -196,6 +232,23 @@ class TestEvaluationMatchesSeed:
                     value = ddf.at(*args)
                     assert value == ref2.at(*args), (name, dim, args)
                     assert value.is_zero
+
+    @pytest.mark.parametrize("family", seeded_value_families(), ids=lambda f: f.ring.name)
+    def test_random_values_equal_the_per_value_generator(self, family):
+        one = FactoredInt.one()
+        primes = [FactoredInt.of_prime(p) for p in SIX_PRIMES]
+        for dimension in (1, 2, 3):
+            seed = 7 * dimension + family.rank
+            tuples = [(one,) * dimension, tuple(primes[-dimension:])]
+            tuples += [(one,) * (dimension - 1) + (p,) for p in primes]
+            tuples += box_tuples(family, dimension, 12, seed=seed)
+            f = random_cochain(family, dimension, seed)
+            for args in tuples:
+                assert f.at(*args) == seed_random_value(dimension, seed, args, family.rank), args
+            # one generator serves every value, so the order of evaluation must not matter
+            g = random_cochain(family, dimension, seed)
+            for args in reversed(tuples):
+                assert g.at(*args) == f.at(*args), args
 
     def test_factored_products_equal_a_dict_merge(self):
         universe = PrimeUniverse((2, 3, 5))

@@ -546,6 +546,104 @@ class TestLeanCoreMatchesSeed:
         assert a == IntMatrix.identity(2)
 
 
+def unit_column_pair(rng, rows, cols):
+    """A random matrix whose every column is a unit vector, lean and reference.
+
+    The 1s may share rows, so the pattern need not be a permutation.
+    """
+    ones = [rng.randrange(rows) for _ in range(cols)] if rows else []
+    data = tuple(tuple(int(ones[j] == i) for j in range(cols)) for i in range(rows))
+    return IntMatrix(rows, cols, data), SeedIntMatrix(rows, cols, data)
+
+
+def near_miss(matrix, rng, kind):
+    """The matrix with one column one entry away from a unit vector."""
+    rows = [list(row) for row in matrix.entries]
+    j = rng.randrange(matrix.cols)
+    i = next(i for i in range(matrix.rows) if rows[i][j] == 1)
+    if kind == "second 1":
+        i = rng.choice([k for k in range(matrix.rows) if k != i])
+    rows[i][j] = {"0": 0, "-1": -1, "2": 2, "second 1": 1}[kind]
+    data = tuple(tuple(row) for row in rows)
+    return IntMatrix(matrix.rows, matrix.cols, data), SeedIntMatrix(matrix.rows, matrix.cols, data)
+
+
+class TestUnitColumnProducts:
+    """Products with a unit-column factor take no arithmetic and equal the reference."""
+
+    SHAPES = [(1, 1, 1), (2, 2, 2), (3, 3, 3), (3, 4, 2), (4, 3, 5), (5, 5, 5), (2, 1, 3)]
+
+    def test_a_unit_column_factor_on_either_side(self):
+        rng = random.Random(20261019)
+        for trial in range(60):
+            rows, inner, cols = self.SHAPES[trial % len(self.SHAPES)]
+            left, ref_left = unit_column_pair(rng, rows, inner)
+            right, ref_right = unit_column_pair(rng, inner, cols)
+            a, ra = matrix_pair(rng, rows, inner)
+            b, rb = matrix_pair(rng, inner, cols)
+            assert same(left @ b, ref_left @ rb), trial
+            assert same(a @ right, ra @ ref_right), trial
+            assert same(left @ right, ref_left @ ref_right), trial
+            # the pattern is kept, so a second product takes it from the slot
+            assert same(left @ b, ref_left @ rb), trial
+            assert same(a @ right, ra @ ref_right), trial
+
+    @pytest.mark.parametrize("kind", ["0", "-1", "2", "second 1"])
+    def test_columns_one_entry_from_a_unit_vector(self, kind):
+        rng = random.Random(f"near-miss:{kind}")
+        for trial in range(40):
+            rows, inner, cols = self.SHAPES[trial % len(self.SHAPES)]
+            if kind == "second 1" and inner < 2:
+                continue
+            unit, _ = unit_column_pair(rng, inner, inner)
+            left, ref_left = near_miss(unit, rng, kind)
+            a, ra = matrix_pair(rng, rows, inner)
+            b, rb = matrix_pair(rng, inner, cols)
+            assert same(left @ b, ref_left @ rb), trial
+            assert same(a @ left, ra @ ref_left), trial
+            assert same(left @ left, ref_left @ ref_left), trial
+
+    def test_empty_and_one_by_one_shapes(self):
+        rng = random.Random(7)
+        for rows, inner, cols in [(0, 3, 2), (2, 3, 0), (3, 0, 2), (0, 0, 0), (2, 0, 0), (0, 2, 0)]:
+            a, ra = matrix_pair(rng, rows, inner)
+            b, rb = matrix_pair(rng, inner, cols)
+            assert same(a @ b, ra @ rb), (rows, inner, cols)
+            assert same(b.transpose() @ a.transpose(), rb.transpose() @ ra.transpose())
+        for entry in (-2, -1, 0, 1, 2):
+            one, ref_one = IntMatrix(1, 1, ((entry,),)), SeedIntMatrix(1, 1, ((entry,),))
+            for other in (-3, 0, 1, 5):
+                b, rb = IntMatrix(1, 1, ((other,),)), SeedIntMatrix(1, 1, ((other,),))
+                assert same(one @ b, ref_one @ rb), (entry, other)
+                assert same(b @ one, rb @ ref_one), (entry, other)
+
+    def test_a_kept_pattern_leaves_the_value_semantics_alone(self):
+        rng = random.Random(11)
+        unit, _ = unit_column_pair(rng, 3, 3)
+        plain = random_matrix(rng, 3, 3)
+        fresh_unit = IntMatrix(3, 3, unit.entries)
+        fresh_plain = IntMatrix(3, 3, plain.entries)
+        unit @ plain
+        plain @ unit
+        assert unit._unit_rows is not None and plain._unit_rows is None
+        for kept, fresh in ((unit, fresh_unit), (plain, fresh_plain)):
+            assert kept == fresh and hash(kept) == hash(fresh)
+            assert repr(kept) == repr(fresh)
+            assert pickle.dumps(kept) == pickle.dumps(fresh)
+            copied = pickle.loads(pickle.dumps(kept))
+            assert copied == kept and repr(copied) == repr(kept)
+            deep = copy.deepcopy(kept)
+            assert deep == kept and hash(deep) == hash(kept)
+            assert deep @ fresh_plain == fresh @ fresh_plain
+            with pytest.raises(FrozenInstanceError):
+                kept.rows = 4
+            with pytest.raises(FrozenInstanceError):
+                kept._unit_rows = None
+            with pytest.raises(FrozenInstanceError):
+                del kept._unit_rows
+            assert kept == fresh
+
+
 class TestInternalChecks:
     def test_smith_check_raises_on_a_broken_transform(self, monkeypatch):
         original = exactalg._Eliminator.diagonalize

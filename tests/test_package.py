@@ -4,6 +4,8 @@ import ast
 import inspect
 from pathlib import Path
 
+import pytest
+
 import lambdaring
 from lambdaring import cochain, cohomology, deformation, exactalg, rings, symfun
 
@@ -50,6 +52,16 @@ def test_removed_names_are_not_exported():
             assert name not in lambdaring.__all__
             assert not hasattr(lambdaring, name), name
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_lambda_data_stores_no_max_degree():
+    """The attribute is gone; the argument and its check stay."""
+    family = rings.preset_family("Z")
+    assert not hasattr(rings.LambdaData(family, 3), "max_degree")
+    assert not hasattr(rings.LambdaData.from_adams(family, 3), "max_degree")
+    assert "max_degree" in inspect.signature(rings.LambdaData).parameters
+    with pytest.raises(ValueError, match="at least 1"):
+        rings.LambdaData(family, 0)
 
 
 # Removed keyword options, by the function or class that took them.
