@@ -68,12 +68,15 @@ SCHEMA_VERSION = 1
 # Guardrails, checked before anything is built: deform extend and deform
 # obstruction refuse a box whose pairs carry more than MAX_BOX_ENTRIES =
 # |box|^2 * rank^2 matrix entries, complex check refuses more than
-# MAX_SAMPLES samples, poly refuses a --bound above MAX_POLY_BOUND, and
-# lambda from-adams refuses a --max-degree above MAX_LAMBDA_DEGREE.
+# MAX_SAMPLES samples, poly refuses a --bound above MAX_POLY_BOUND,
+# lambda from-adams refuses a --max-degree above MAX_LAMBDA_DEGREE, and
+# deform refuses a deformation document whose order is above
+# MAX_DEFORMATION_ORDER.
 MAX_BOX_ENTRIES = 10**6
 MAX_SAMPLES = 100_000
 MAX_POLY_BOUND = 12
 MAX_LAMBDA_DEGREE = 1000
+MAX_DEFORMATION_ORDER = 50
 
 _INPUT_ERRORS = (
     ConfigParseError,
@@ -147,6 +150,14 @@ def _load_deformation(path: str) -> Deformation:
             doc = json.load(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read deformation file {path}: {exc}") from exc
+    try:
+        order = int(doc["order"])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        order = 0  # deformation_from_dict names what is malformed
+    if order > MAX_DEFORMATION_ORDER:
+        raise LimitExceeded(
+            f"deformation order {order} in {path} is above the limit {MAX_DEFORMATION_ORDER}"
+        )
     return deformation_from_dict(doc)
 
 

@@ -339,8 +339,7 @@ def compute_H1(family: AdamsFamily) -> H1Result:
     images = [
         inner_derivation(family, g).x_coordinates() for g in frobenius_compatible_basis(family)
     ]
-    if rank == 0:
-        return H1Result(AbelianGroup(0, ()), (), ())
+    # rank >= |universe|: X_p = I at one prime and 0 at the others is always a cocycle
     basis_matrix = IntMatrix.from_columns(cocycles, len(cocycles[0]))
     columns: list[Vector] = []
     for v in images:
@@ -348,11 +347,8 @@ def compute_H1(family: AdamsFamily) -> H1Result:
         if solution is None:
             raise InternalInconsistency("coboundary image escapes the cocycle lattice")
         columns.append(solution.particular)
-    if columns:
-        relations = IntMatrix.from_columns(columns, rank)
-    else:
-        relations = IntMatrix.zeros(rank, 1)
-    group, generators = quotient_with_generators(rank, relations)
+    # columns is never empty: the identity is always Frobenius-compatible
+    group, generators = quotient_with_generators(IntMatrix.from_columns(columns, rank))
     classes = []
     for gen in generators:
         coords = basis_matrix.apply(gen.vector)

@@ -547,5 +547,5 @@ def deformation_from_dict(data: Mapping) -> Deformation:
         return make_deformation(family, order, terms)
     except (ConfigParseError, DivisibilityViolation):
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigParseError(f"malformed deformation data: {exc}") from exc

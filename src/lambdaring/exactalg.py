@@ -287,32 +287,33 @@ def _identity_rows(n: int) -> list[list[int]]:
     return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
-class _Eliminator:
-    """Shared row/column elimination engine.
+def _add_multiple(lists: list[list[int]], i: int, j: int, q: int) -> None:
+    """lists[i] += q * lists[j]; with i == j and q == -2 it negates lists[i]."""
+    lists[i] = [a + q * b for a, b in zip(lists[i], lists[j])]
 
-    Mutates a working copy of the matrix toward diagonal form while
-    optionally tracking the left transform (with inverse), the right
-    transform (with inverse), and a right-hand side that receives the
-    same row operations.  Solvers skip the left transform entirely so
-    huge systems never materialize an rows-by-rows matrix.
+
+class _Eliminator:
+    """Shared row/column elimination engine; its mode comes from its input.
+
+    Given a right-hand side it solves: the side gets the row operations
+    and the right transform ``v`` the column operations.  Without one it
+    computes a Smith normal form, tracking ``u``, ``u_inv``, ``v`` and
+    ``v_inv`` and making the diagonal a divisibility chain.  Each
+    transform is held in the orientation its operations act on: ``u``
+    (row operations E) and ``v_inv`` (column operations F, as F^-1 on the
+    left) as rows, ``u_inv`` (E^-1 on the right) and ``v`` (F) as
+    columns, so every update swaps two lists or adds a multiple of one
+    list to another.
 
     Tall systems repeat few rows many times, so the matrix work is done
     once per distinct row.  Each distinct input row object becomes one
     list shared by every position holding it, and every zero row is the
     tuple ``zero_row``; positions sharing a list always hold equal rows.
     Row operations bind a position to a new list and never change one;
-    column operations change each distinct list once, in place.  ``rhs``
-    and ``u`` are still updated per position.
+    column operations change each distinct list once, in place.
     """
 
-    def __init__(
-        self,
-        matrix: IntMatrix,
-        *,
-        track_u: bool,
-        track_v_inv: bool,
-        rhs: Optional[Sequence[int]] = None,
-    ) -> None:
+    def __init__(self, matrix: IntMatrix, rhs: Optional[Sequence[int]] = None) -> None:
         self.nrows = matrix.rows
         self.ncols = matrix.cols
         self.zero_row = (0,) * self.ncols
@@ -322,25 +323,24 @@ class _Eliminator:
         self.t = 0  # the step of diagonalize
         # (id(row), q) -> (row, pivot, row + q * pivot); holding row keeps its id unique
         self.memo: dict[tuple[int, int], tuple] = {}
-        self.u = _identity_rows(self.nrows) if track_u else None
-        self.u_inv = _identity_rows(self.nrows) if track_u else None
+        self.rhs = None if rhs is None else list(rhs)
         self.v = _identity_rows(self.ncols)
-        self.v_inv = _identity_rows(self.ncols) if track_v_inv else None
-        self.rhs = list(rhs) if rhs is not None else None
-
-    # Row operations act as left multiplication by an elementary matrix E:
-    # the working matrix and u get E applied, u_inv gets E^-1 on the right.
+        # row_swapped and col_swapped: the lists whose entries i and j a swap exchanges
+        if rhs is None:
+            self.u = _identity_rows(self.nrows)
+            self.u_inv = _identity_rows(self.nrows)
+            self.v_inv = _identity_rows(self.ncols)
+            self.row_swapped = (self.d, self.u, self.u_inv)
+            self.col_swapped = (self.v, self.v_inv)
+        else:
+            self.row_swapped = (self.d, self.rhs)
+            self.col_swapped = (self.v,)
 
     def swap_rows(self, i: int, j: int) -> None:
         if i == j:
             return
-        self.d[i], self.d[j] = self.d[j], self.d[i]
-        if self.u is not None:
-            self.u[i], self.u[j] = self.u[j], self.u[i]
-            for row in self.u_inv:
-                row[i], row[j] = row[j], row[i]
-        if self.rhs is not None:
-            self.rhs[i], self.rhs[j] = self.rhs[j], self.rhs[i]
+        for lists in self.row_swapped:
+            lists[i], lists[j] = lists[j], lists[i]
 
     def add_row(self, i: int, j: int, q: int) -> None:
         """row_i += q * row_j, over the columns from t on.
@@ -359,24 +359,19 @@ class _Eliminator:
             new = row[:t] + [a + q * b for a, b in zip(row[t:], pivot[t:])]
             hit = self.memo[key] = (row, pivot, new if any(new) else self.zero_row)
         d[i] = hit[2]
-        if self.u is not None:
-            self.u[i] = [a + q * b for a, b in zip(self.u[i], self.u[j])]
-            for row in self.u_inv:
-                row[j] -= q * row[i]
         if self.rhs is not None:
             self.rhs[i] += q * self.rhs[j]
+        else:
+            _add_multiple(self.u, i, j, q)
+            _add_multiple(self.u_inv, j, i, -q)
 
     def negate_row(self, i: int) -> None:
         self.d[i] = [-a for a in self.d[i]]
-        if self.u is not None:
-            self.u[i] = [-a for a in self.u[i]]
-            for row in self.u_inv:
-                row[i] = -row[i]
         if self.rhs is not None:
             self.rhs[i] = -self.rhs[i]
-
-    # Column operations are right multiplication by elementary F: the
-    # working matrix and v get F on the right, v_inv gets F^-1 on the left.
+        else:
+            _add_multiple(self.u, i, i, -2)
+            _add_multiple(self.u_inv, i, i, -2)
 
     def swap_cols(self, i: int, j: int) -> None:
         """Exchange columns i, j >= t; the rows above t are zero in both."""
@@ -386,10 +381,8 @@ class _Eliminator:
         for row in {id(row): row for row in self.d[self.t :]}.values():
             if row is not self.zero_row:
                 row[i], row[j] = row[j], row[i]
-        for row in self.v:
-            row[i], row[j] = row[j], row[i]
-        if self.v_inv is not None:
-            self.v_inv[i], self.v_inv[j] = self.v_inv[j], self.v_inv[i]
+        for lists in self.col_swapped:
+            lists[i], lists[j] = lists[j], lists[i]
 
     def add_col(self, j: int, i: int, q: int) -> None:
         """col_j += q * col_i; column i is zero outside row i, so only row i changes."""
@@ -398,15 +391,15 @@ class _Eliminator:
         self.memo.clear()
         target = self.d[i]
         target[j] += q * target[i]
-        for row in self.v:
-            row[j] += q * row[i]
-        if self.v_inv is not None:
-            vi, vj = self.v_inv[i], self.v_inv[j]
-            for k in range(self.ncols):
-                vi[k] -= q * vj[k]
+        _add_multiple(self.v, j, i, q)
+        if self.rhs is None:
+            _add_multiple(self.v_inv, i, j, -q)
 
-    def diagonalize(self, *, divisibility_chain: bool) -> int:
+    def diagonalize(self) -> int:
         """Clear the matrix to diagonal form; returns the diagonal length used.
+
+        Without a right-hand side, a last step per pivot makes it divide
+        the rest of the block.
 
         The pivot is the first entry of least absolute value in row-major
         order; the search stops at the first unit, which is the entry it
@@ -430,6 +423,7 @@ class _Eliminator:
         """
         d = self.d
         nrows, ncols = self.nrows, self.ncols
+        divisibility_step = self.rhs is None
         t, limit = 0, min(nrows, ncols)
         while t < limit:
             self.t = t
@@ -461,7 +455,7 @@ class _Eliminator:
                         self.swap_cols(t, j)
                         row_from = t + 1
                     continue
-                if not divisibility_chain:
+                if not divisibility_step:
                     break
                 stray = next(
                     (i for i in range(t + 1, nrows) for e in d[i][t + 1 :] if e % p), None
@@ -507,14 +501,14 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     >>> s.u @ s.u_inv == IntMatrix.identity(2)
     True
     """
-    work = _Eliminator(matrix, track_u=True, track_v_inv=True)
-    work.diagonalize(divisibility_chain=True)
+    work = _Eliminator(matrix)
+    work.diagonalize()
     n, m = work.nrows, work.ncols
     decomposition = SmithDecomposition(
         u=IntMatrix.from_flat(n, n, [e for r in work.u for e in r]),
         d=IntMatrix(n, m, tuple(tuple(r) for r in work.d)),
-        v=IntMatrix.from_flat(m, m, [e for r in work.v for e in r]),
-        u_inv=IntMatrix.from_flat(n, n, [e for r in work.u_inv for e in r]),
+        v=IntMatrix.from_columns(work.v, m),
+        u_inv=IntMatrix.from_columns(work.u_inv, n),
         v_inv=IntMatrix.from_flat(m, m, [e for r in work.v_inv for e in r]),
     )
     if decomposition.u @ matrix @ decomposition.v != decomposition.d:
@@ -546,25 +540,20 @@ def solve_linear(matrix: IntMatrix, rhs: Sequence[int]) -> Optional[LinearSoluti
     """
     if len(rhs) != matrix.rows:
         raise ValueError("right-hand side length does not match row count")
-    work = _Eliminator(matrix, track_u=False, track_v_inv=False, rhs=rhs)
-    used = work.diagonalize(divisibility_chain=False)
-    y = [0] * matrix.cols
-    for i in range(used):
-        p = work.d[i][i]
-        c = work.rhs[i]
-        if p == 0:
-            if c:
-                return None
-            continue
-        if c % p:
-            return None
-        y[i] = c // p
+    work = _Eliminator(matrix, rhs)
+    used = work.diagonalize()
     if any(work.rhs[used:]):
         return None
-    v = work.v
-    particular = tuple(sum(map(operator.mul, row, y)) for row in v)
-    free = [k for k in range(matrix.cols) if k >= used or work.d[k][k] == 0]
-    kernel = tuple(tuple(v[i][k] for i in range(matrix.cols)) for k in free)
+    # x = v y with d y = u rhs, where each pivot d[k][k] of the used
+    # length is positive; the columns of v past the pivots span the kernel
+    y = []
+    for k in range(used):
+        quotient, remainder = divmod(work.rhs[k], work.d[k][k])
+        if remainder:
+            return None
+        y.append(quotient)
+    particular = tuple(sum(map(operator.mul, row, y)) for row in zip(*work.v))
+    kernel = tuple(tuple(column) for column in work.v[used:])
     return LinearSolution(particular=particular, kernel=kernel)
 
 
@@ -656,31 +645,27 @@ class QuotientGenerator:
 
 
 def quotient_with_generators(
-    generators_rank: int, relations: IntMatrix
+    relations: IntMatrix,
 ) -> tuple[AbelianGroup, tuple[QuotientGenerator, ...]]:
-    """Present ``Z^generators_rank / column-span(relations)``.
+    """Present ``Z^n / column-span(relations)`` for ``n = relations.rows``.
 
-    Relations enter as the columns of a matrix with ``generators_rank``
-    rows.  Returns the canonical group together with vectors whose
-    classes generate it (torsion generators first, in invariant order).
+    Relations enter as the columns of the matrix.  Returns the canonical
+    group together with vectors whose classes generate it (torsion
+    generators first, in invariant order).
 
-    >>> g, gens = quotient_with_generators(2, IntMatrix.from_rows([[2, 0], [0, 3]]))
+    >>> g, gens = quotient_with_generators(IntMatrix.from_rows([[2, 0], [0, 3]]))
     >>> g.render()
     'Z/6'
     >>> len(gens)
     1
-    >>> quotient_with_generators(1, IntMatrix.from_rows([[1]]))
+    >>> quotient_with_generators(IntMatrix.from_rows([[1]]))
     (AbelianGroup(free_rank=0, torsion=()), ())
     """
-    if relations.rows != generators_rank:
-        raise ValueError(
-            f"relations live in Z^{relations.rows} but the group has rank {generators_rank}"
-        )
     decomposition = smith_normal_form(relations)
     diagonal = decomposition.diagonal
     torsion = []
     generators = []
-    for i in range(generators_rank):
+    for i in range(relations.rows):
         invariant = diagonal[i] if i < len(diagonal) else 0
         if invariant == 1:
             continue

@@ -683,7 +683,7 @@ def family_from_dict(doc: Mapping) -> AdamsFamily:
         return AdamsFamily(spec, universe, tuple(generators))
     except ConfigParseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigParseError(f"bad ring description: {exc}") from exc
 
 

@@ -69,7 +69,10 @@ def malformed_documents():
         "short_unit": {**rc2, "unit": [1]},
         "adams_not_a_list": {**z, "adams": {"2": 5}},
         "prime_above_limit": {**z, "primes": [HUGE_PRIME], "adams": {str(HUGE_PRIME): [1]}},
+        "rank_infinite": {**z, "rank": float("inf")},
         "negative_order": {**order_one, "order": -1},
+        "order_infinite": {**order_one, "order": float("inf")},
+        "order_above_limit": {**order_one, "order": cli.MAX_DEFORMATION_ORDER + 1},
         "term_above_order": {**order_one, "terms": {"2": {"5": [2]}}},
         "terms_a_list": {**order_one, "terms": []},
         "term_entries_a_list": {**order_one, "terms": {"2": [1]}},
@@ -163,7 +166,11 @@ UNUSABLE_ARGV = (
     ("ring", "verify", "--ring", "{no_primes}"),
     ("ring", "verify", "--ring", "{short_unit}"),
     ("ring", "verify", "--ring", "{adams_not_a_list}"),
+    ("ring", "verify", "--ring", "{rank_infinite}"),
     ("deform", "verify", "--deformation", "{negative_order}"),
+    ("deform", "verify", "--deformation", "{order_infinite}"),
+    ("deform", "verify", "--deformation", "{order_above_limit}"),
+    ("deform", "extend", "--deformation", "{order_above_limit}", "--bound", "1"),
     ("deform", "verify", "--deformation", "{term_above_order}"),
     ("deform", "verify", "--deformation", "{terms_a_list}"),
     ("deform", "verify", "--deformation", "{term_entries_a_list}"),
@@ -232,6 +239,16 @@ class TestInputContract:
         assert process.returncode == 2
         assert process.stdout == ""
         assert f"above the limit {cli.MAX_LAMBDA_DEGREE}" in process.stderr
+
+    def test_deformation_order_limit_is_named(self, capsys, tmp_path):
+        # built at this order, the series alone would not fit in memory
+        z = deformation_to_dict(trivial_deformation(preset_family("Z", (2, 3, 5)), 1))
+        path = write_json(tmp_path / "huge.json", {**z, "order": 10**12})
+        for action in ("verify", "extend", "normalize"):
+            code, out, err = run_cli(capsys, ["deform", action, "--deformation", path])
+            assert code == 2, action
+            assert out == ""
+            assert f"order {10**12} in {path} is above the limit {cli.MAX_DEFORMATION_ORDER}" in err
 
     def test_prime_limit_is_named(self, capsys, tmp_path):
         ring = contract_paths(tmp_path)["prime_above_limit"]
@@ -912,6 +929,10 @@ class TestOptimizedMode:
             (
                 ["complex", "check", "cosimplicial", "--preset", "RC3"],
                 b'"passed": true',
+            ),
+            (
+                ["cohomology", "h1", "--preset", "RC3"],
+                b'"rendered": "Z^9"',
             ),
         ]
         for command, marker in runs:

@@ -71,6 +71,9 @@ REMOVED_OPTIONS = {
     cochain.random_cochain: ("entry_bound", "prime_divisible"),
     cochain.random_endomorphism: ("coeff_bound",),
     cochain.Cochain: ("prime_divisible", "table"),
+    exactalg._Eliminator: ("track_u", "track_v_inv"),
+    exactalg._Eliminator.diagonalize: ("divisibility_chain",),
+    exactalg.quotient_with_generators: ("generators_rank",),
     rings.LambdaData: ("table",),
     symfun.verify_lambda_axioms: ("composition_limit",),
 }
