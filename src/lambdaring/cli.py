@@ -68,12 +68,13 @@ SCHEMA_VERSION = 1
 # Guardrails, checked before anything is built: deform extend and deform
 # obstruction refuse a box whose pairs carry more than MAX_BOX_ENTRIES =
 # |box|^2 * rank^2 matrix entries, complex check refuses more than
-# MAX_SAMPLES samples, poly refuses a --bound above MAX_POLY_BOUND,
-# lambda from-adams refuses a --max-degree above MAX_LAMBDA_DEGREE, and
-# deform refuses a deformation document whose order is above
-# MAX_DEFORMATION_ORDER.
+# MAX_SAMPLES samples or a --dimension above MAX_DIMENSION, poly refuses
+# a --bound above MAX_POLY_BOUND, lambda from-adams refuses a
+# --max-degree above MAX_LAMBDA_DEGREE, and deform refuses a deformation
+# document whose order is above MAX_DEFORMATION_ORDER.
 MAX_BOX_ENTRIES = 10**6
 MAX_SAMPLES = 100_000
+MAX_DIMENSION = 10
 MAX_POLY_BOUND = 12
 MAX_LAMBDA_DEGREE = 1000
 MAX_DEFORMATION_ORDER = 50
@@ -150,11 +151,9 @@ def _load_deformation(path: str) -> Deformation:
             doc = json.load(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read deformation file {path}: {exc}") from exc
-    try:
-        order = int(doc["order"])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        order = 0  # deformation_from_dict names what is malformed
-    if order > MAX_DEFORMATION_ORDER:
+    order = doc.get("order") if isinstance(doc, dict) else None
+    # any other order is malformed, and deformation_from_dict says so
+    if type(order) is int and order > MAX_DEFORMATION_ORDER:
         raise LimitExceeded(
             f"deformation order {order} in {path} is above the limit {MAX_DEFORMATION_ORDER}"
         )
@@ -326,6 +325,8 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 def _cmd_complex_check(args: argparse.Namespace) -> int:
     if args.dimension is not None and args.dimension < 0:
         raise ConfigParseError(f"--dimension must be at least 0, got {args.dimension}")
+    if args.dimension is not None and args.dimension > MAX_DIMENSION:
+        raise LimitExceeded(f"--dimension {args.dimension} is above the limit {MAX_DIMENSION}")
     if args.samples > MAX_SAMPLES:
         raise LimitExceeded(f"--samples {args.samples} is above the limit {MAX_SAMPLES}")
     family = _load_family(args)
@@ -452,8 +453,8 @@ def _cmd_deform_obstruction(args: argparse.Namespace) -> int:
         for n in box:
             entries.append(
                 {
-                    "m": m.value,
-                    "n": n.value,
+                    "m": m,
+                    "n": n,
                     "matrix": list(obs.at(m, n).flat()),
                 }
             )

@@ -1,7 +1,7 @@
 """Cochain complex attached to a ring with Adams operations.
 
-Arguments of an n-cochain are n factored integers from the prime
-universe; the value is an integer matrix acting on the ring.  The
+Arguments of an n-cochain are n positive integers that factor over the
+prime universe; the value is an integer matrix acting on the ring.  The
 differential alternates the Adams action on the outside with merges of
 adjacent arguments:
 
@@ -23,41 +23,34 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Sequence
 
 from .errors import ContextMismatch, NotFrobeniusCompatible
 from .exactalg import IntMatrix
-from .rings import AdamsFamily, FactoredInt, PrimeUniverse, frobenius_compatible
+from .rings import AdamsFamily, PrimeUniverse, frobenius_compatible
 
 IDENTITY_NAMES = ("d-squared", "cosimplicial", "leibniz")
 
 
 def factored_box(
     universe: PrimeUniverse, max_total_exponent: int, *, include_one: bool = True
-) -> tuple[FactoredInt, ...]:
-    """All factored integers with exponent sum up to the bound, ascending.
+) -> tuple[int, ...]:
+    """All integers over the universe with exponent sum up to the bound, ascending.
 
     >>> from .rings import PrimeUniverse
-    >>> [m.value for m in factored_box(PrimeUniverse((2, 3)), 2)]
-    [1, 2, 3, 4, 6, 9]
+    >>> factored_box(PrimeUniverse((2, 3)), 2)
+    (1, 2, 3, 4, 6, 9)
     """
-    primes = universe.primes
-    ranges = [range(max_total_exponent + 1)] * len(primes)
-    out = []
-    for exps in product(*ranges):
-        total = sum(exps)
-        if total > max_total_exponent or (total == 0 and not include_one):
-            continue
-        out.append(
-            FactoredInt(tuple((p, e) for p, e in zip(primes, exps) if e))
-        )
-    out.sort(key=lambda m: m.value)
-    return tuple(out)
+    box = level = {1}
+    for _ in range(max_total_exponent):
+        # the integers of exponent sum one more than those of level
+        level = {n * p for n in level for p in universe.primes}
+        box = box | level
+    return tuple(sorted(box if include_one else box - {1}))
 
 
 class Cochain:
-    """A map from tuples of factored integers to integer matrices.
+    """A map from tuples of positive integers to integer matrices.
 
     Values are cached per argument tuple, so repeated evaluation of
     derived cochains (differentials, compositions) stays cheap.
@@ -67,43 +60,31 @@ class Cochain:
         self,
         family: AdamsFamily,
         dimension: int,
-        evaluate: Callable[[tuple[FactoredInt, ...]], IntMatrix],
+        evaluate: Callable[[tuple[int, ...]], IntMatrix],
     ) -> None:
         if dimension < 0:
             raise ValueError("cochain dimension must be nonnegative")
         self.family = family
         self.dimension = dimension
         self._evaluate = evaluate
-        self._cache: dict[tuple[FactoredInt, ...], IntMatrix] = {}
+        self._cache: dict[tuple[int, ...], IntMatrix] = {}
 
-    def _coerce_args(self, args: tuple) -> tuple[FactoredInt, ...]:
+    def at(self, *args: int) -> IntMatrix:
+        """Value on positive integers that factor over the universe."""
+        value = self._cache.get(args)
+        if value is not None:
+            return value
         if len(args) != self.dimension:
             raise ValueError(
                 f"a dimension-{self.dimension} cochain takes {self.dimension} "
                 f"arguments, got {len(args)}"
             )
-        for a in args:
-            if not isinstance(a, FactoredInt):
-                break
-        else:
-            return args
-        factor = self.family.universe.factor
-        return tuple(a if isinstance(a, FactoredInt) else factor(int(a)) for a in args)
-
-    def at(self, *args) -> IntMatrix:
-        """Value on the given arguments (factored integers or plain ints)."""
-        value = self._cache.get(args)
-        if value is not None:
-            return value
-        key = self._coerce_args(args)
-        if key is not args:
-            value = self._cache.get(key)
-        if value is None:
-            value = self._evaluate(key)
-            d = self.family.rank
-            if value.rows != d or value.cols != d:
-                raise ValueError("cochain values must be square of the ring rank")
-            self._cache[key] = value
+        self.family.universe.check(args)
+        value = self._evaluate(args)
+        d = self.family.rank
+        if value.rows != d or value.cols != d:
+            raise ValueError("cochain values must be square of the ring rank")
+        self._cache[args] = value
         return value
 
     def _check_context(self, other: "Cochain", same_dimension: bool) -> None:
@@ -129,7 +110,7 @@ class Cochain:
         return Cochain(self.family, self.dimension, lambda args: -self.at(*args))
 
     def scale(self, c: int) -> "Cochain":
-        def evaluate(args: tuple[FactoredInt, ...]) -> IntMatrix:
+        def evaluate(args: tuple[int, ...]) -> IntMatrix:
             value = self.at(*args)
             return value if c == 1 else c * value
 
@@ -144,7 +125,7 @@ class Cochain:
         self._check_context(other, same_dimension=False)
         split = self.dimension
 
-        def evaluate(args: tuple[FactoredInt, ...]) -> IntMatrix:
+        def evaluate(args: tuple[int, ...]) -> IntMatrix:
             return self.at(*args[:split]) @ other.at(*args[split:])
 
         return Cochain(self.family, self.dimension + other.dimension, evaluate)
@@ -171,7 +152,7 @@ def differential(f: Cochain) -> Cochain:
     n = f.dimension
     d = family.rank
 
-    def evaluate(args: tuple[FactoredInt, ...]) -> IntMatrix:
+    def evaluate(args: tuple[int, ...]) -> IntMatrix:
         # The terms are summed row by row into one buffer, the i-th
         # with the sign (-1)^i of the formula in the module docstring.
         rows = (family.adams_at(args[0]) @ f.at(*args[1:])).entries
@@ -194,7 +175,7 @@ def coface(i: int, f: Cochain) -> Cochain:
     if not 0 <= i <= n + 1:
         raise IndexError(f"coface index {i} out of range 0..{n + 1}")
 
-    def evaluate(args: tuple[FactoredInt, ...]) -> IntMatrix:
+    def evaluate(args: tuple[int, ...]) -> IntMatrix:
         if i == 0:
             return family.adams_at(args[0]) @ f.at(*args[1:])
         if i == n + 1:
@@ -217,10 +198,9 @@ def codegeneracy(i: int, f: Cochain) -> Cochain:
         raise ValueError("codegeneracies are defined for dimension two and up here")
     if not 0 <= i <= n - 1:
         raise IndexError(f"codegeneracy index {i} out of range 0..{n - 1}")
-    one = FactoredInt.one()
 
-    def evaluate(args: tuple[FactoredInt, ...]) -> IntMatrix:
-        return f.at(*(args[:i] + (one,) + args[i:]))
+    def evaluate(args: tuple[int, ...]) -> IntMatrix:
+        return f.at(*args[:i], 1, *args[i:])
 
     return Cochain(f.family, n - 1, evaluate)
 
@@ -246,8 +226,8 @@ def random_cochain(family: AdamsFamily, dimension: int, seed: int) -> Cochain:
     rng = random.Random()
     getrandbits = rng.getrandbits
 
-    def evaluate(args: tuple[FactoredInt, ...]) -> IntMatrix:
-        rng.seed(prefix + ",".join(str(m.value) for m in args))
+    def evaluate(args: tuple[int, ...]) -> IntMatrix:
+        rng.seed(prefix + ",".join(map(str, args)))
         rows = []
         for _ in range(d):
             row = []
@@ -290,7 +270,7 @@ def sample_tuples(
     rng: random.Random,
     *,
     max_total_exponent: int = 2,
-) -> list[tuple[FactoredInt, ...]]:
+) -> list[tuple[int, ...]]:
     """Seeded sample of argument tuples from the bounded factored box."""
     box = factored_box(universe, max_total_exponent)
     return [
@@ -321,19 +301,21 @@ class IdentityReport:
         }
 
 
-def _check_d_squared(f: Cochain, tuples: Sequence[tuple[FactoredInt, ...]]) -> list[str]:
+def _render_args(f: Cochain, args: tuple[int, ...]) -> str:
+    return "(" + ", ".join(map(f.family.universe.render, args)) + ")"
+
+
+def _check_d_squared(f: Cochain, tuples: Sequence[tuple[int, ...]]) -> list[str]:
     ddf = differential(differential(f))
     failures = []
     for args in tuples:
         if not ddf.at(*args).is_zero:
-            failures.append(
-                "d(d(f)) nonzero at (" + ", ".join(str(m) for m in args) + ")"
-            )
+            failures.append("d(d(f)) nonzero at " + _render_args(f, args))
     return failures
 
 
 def _check_cosimplicial(
-    f: Cochain, tuples: Sequence[tuple[FactoredInt, ...]]
+    f: Cochain, tuples: Sequence[tuple[int, ...]]
 ) -> list[str]:
     n = f.dimension
     failures = []
@@ -347,7 +329,7 @@ def _check_cosimplicial(
                 if left.at(*args) != right.at(*args):
                     failures.append(
                         f"coface relation fails for (i, j) = ({i}, {j}) at "
-                        + "(" + ", ".join(str(m) for m in args) + ")"
+                        + _render_args(f, args)
                     )
                     break
     if n >= 1:
@@ -365,7 +347,7 @@ def _check_cosimplicial(
 
 
 def _check_leibniz(
-    f: Cochain, g: Cochain, tuples: Sequence[tuple[FactoredInt, ...]]
+    f: Cochain, g: Cochain, tuples: Sequence[tuple[int, ...]]
 ) -> list[str]:
     sign = -1 if f.dimension % 2 else 1
     lhs = differential(f.compose(g))
@@ -373,9 +355,7 @@ def _check_leibniz(
     failures = []
     for args in tuples:
         if lhs.at(*args) != rhs.at(*args):
-            failures.append(
-                "Leibniz rule fails at (" + ", ".join(str(m) for m in args) + ")"
-            )
+            failures.append("Leibniz rule fails at " + _render_args(f, args))
     return failures
 
 

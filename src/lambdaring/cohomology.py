@@ -43,7 +43,7 @@ from .exactalg import (
     solve_linear,
     vec_scale,
 )
-from .rings import AdamsFamily, FactoredInt, frobenius_compatible
+from .rings import AdamsFamily, frobenius_compatible
 
 
 def _commutator_rows(a: IntMatrix) -> list[list[int]]:
@@ -103,7 +103,7 @@ class DerivationSpec:
     The matrix at p is the value of the would-be cocycle there; the
     constructor enforces the divisibility that membership in the
     degree-one group demands.  Whether the data extends to an honest
-    cocycle on all factored integers is a separate, pairwise check.
+    cocycle on all integers over the universe is a separate, pairwise check.
     """
 
     def __init__(self, family: AdamsFamily, values: Mapping[int, IntMatrix]) -> None:
@@ -126,7 +126,7 @@ class DerivationSpec:
         self.family = family
         self.values = tuple(stored)
         self._cocycle: Optional[bool] = None
-        self._extension: dict[FactoredInt, IntMatrix] = {}
+        self._extension: dict[int, IntMatrix] = {}
 
     def value(self, p: int) -> IntMatrix:
         primes = self.family.universe.primes
@@ -195,8 +195,8 @@ class DerivationSpec:
             self._cocycle = ok
         return self._cocycle
 
-    def extend(self, m) -> IntMatrix:
-        """Value at any factored integer, by peeling off smallest primes.
+    def extend(self, m: int) -> IntMatrix:
+        """Value at any integer over the universe, by peeling off smallest primes.
 
         Uses f(p * rest) = psi(p) f(rest) + f(p) psi(rest); the result
         is order-independent precisely because the data is a cocycle.
@@ -206,13 +206,11 @@ class DerivationSpec:
                 "prime values do not satisfy the pairwise cocycle relations"
             )
         family = self.family
-        if not isinstance(m, FactoredInt):
-            m = family.universe.factor(int(m))
-        if m.is_one:
+        if m == 1:
             return IntMatrix.zeros(family.rank, family.rank)
         if m not in self._extension:
-            p, rest = m.peel()
-            if rest.is_one:
+            p, rest = family.universe.peel(m)
+            if rest == 1:
                 value = self.value(p)
             else:
                 value = family.generator(p) @ self.extend(rest) + self.value(p) @ family.adams_at(rest)

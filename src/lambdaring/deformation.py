@@ -15,10 +15,10 @@ a coboundary of degree-one data with the right divisibility.  The
 solver works in divided coordinates (the value at p is p times the
 unknown), accumulates the affine dependence of peeled values on the
 prime unknowns, and imposes the coboundary equation on every pair from
-a bounded box of factored integers.  A returned extension is verified
-by construction; a returned None certifies that no top term with the
-required divisibility satisfies those equations, and hence none exists
-at all.
+a bounded box of integers over the universe.  A returned extension is
+verified by construction; a returned None certifies that no top term
+with the required divisibility satisfies those equations, and hence
+none exists at all.
 
 Equivalences are conjugations by formal automorphisms: invertible
 series with identity constant term and Frobenius-compatible
@@ -44,7 +44,13 @@ from .errors import (
 )
 from .exactalg import IntMatrix, Vector, solve_linear
 from .cohomology import DerivationSpec, solve_coboundary_1
-from .rings import AdamsFamily, FactoredInt, family_from_dict, family_to_dict, frobenius_compatible
+from .rings import (
+    AdamsFamily,
+    family_from_dict,
+    family_to_dict,
+    frobenius_compatible,
+    json_int,
+)
 
 Series = tuple[IntMatrix, ...]
 
@@ -124,7 +130,7 @@ class Deformation:
         self.family = family
         self.order = order
         self._series = tuple(stored)
-        self._at_cache: dict[FactoredInt, Series] = {}
+        self._at_cache: dict[int, Series] = {}
 
     def series(self, p: int) -> Series:
         return self._series[self.family.universe.primes.index(p)]
@@ -138,14 +144,12 @@ class Deformation:
             and self._series == other._series
         )
 
-    def at(self, m) -> Series:
-        """Series at any factored integer, by multiplying peeled factors."""
-        if not isinstance(m, FactoredInt):
-            m = self.family.universe.factor(int(m))
-        if m.is_one:
+    def at(self, m: int) -> Series:
+        """Series at any integer over the universe, by multiplying peeled factors."""
+        if m == 1:
             return series_identity(self.family.rank, self.order)
         if m not in self._at_cache:
-            p, rest = m.peel()
+            p, rest = self.family.universe.peel(m)
             self._at_cache[m] = series_mul(self.series(p), self.at(rest), self.order)
         return self._at_cache[m]
 
@@ -245,13 +249,14 @@ def verify_deformation(deformation: Deformation) -> DeformationReport:
                 commuting = False
                 failures.append(f"generator series at {p} and {q} do not commute")
     box = factored_box(family.universe, 2, include_one=False)
+    render = family.universe.render
     samples = 0
     for m in box:
         for n in box:
             samples += 1
             product = series_mul(deformation.at(m), deformation.at(n), deformation.order)
             if product != deformation.at(m * n):
-                failures.append(f"product law fails at ({m}, {n})")
+                failures.append(f"product law fails at ({render(m)}, {render(n)})")
     return DeformationReport(
         deformation.order, commuting, divisible, samples, tuple(failures)
     )
@@ -268,7 +273,7 @@ def obstruction(deformation: Deformation) -> Cochain:
     order = deformation.order
     d = family.rank
 
-    def evaluate(args: tuple[FactoredInt, ...]) -> IntMatrix:
+    def evaluate(args: tuple[int, ...]) -> IntMatrix:
         m, n = args
         left = deformation.at(m)
         right = deformation.at(n)
@@ -299,8 +304,8 @@ def try_extend(deformation: Deformation, exponent_bound: int = 3) -> ExtensionRe
 
     The unknown top coefficient is determined on composites by peeling
     against the obstruction, so the only free unknowns are the divided
-    values at the primes.  Every pair from the box of factored integers
-    with exponent sum up to the bound contributes one matrix equation;
+    values at the primes.  Every pair from the box of integers with
+    exponent sum up to the bound contributes one matrix equation;
     a solution yields a deformation whose validity is independent of
     the box, while unsolvability of this necessary subset proves
     unsolvability outright.
@@ -318,7 +323,7 @@ def try_extend(deformation: Deformation, exponent_bound: int = 3) -> ExtensionRe
 
 def _extension_system(
     deformation: Deformation, exponent_bound: int
-) -> tuple[tuple[FactoredInt, ...], IntMatrix, Vector]:
+) -> tuple[tuple[int, ...], IntMatrix, Vector]:
     """The box and the stacked linear system ``system @ X == rhs`` of try_extend.
 
     X stacks the divided top values at the primes.  Each pair (m, n)
@@ -347,18 +352,18 @@ def _extension_system(
                 total = tuple([t + c * e for t, e in zip(total, row)])
         return total
 
-    affine: dict[FactoredInt, list[Vector]] = {}
+    affine: dict[int, list[Vector]] = {}
     for idx, p in enumerate(primes):
-        affine[FactoredInt.of_prime(p)] = [
+        affine[p] = [
             tuple(p if c == idx * d2 + e else 0 for c in range(width + 1)) for e in range(d2)
         ]
 
     # vec(A f(n)) and vec(f(n) A) depend on a pair only through one
     # Adams matrix and one box element, and the box has few distinct
     # Adams matrices: each product is formed once.
-    products: dict[tuple[bool, IntMatrix, FactoredInt], list[Vector]] = {}
+    products: dict[tuple[bool, IntMatrix, int], list[Vector]] = {}
 
-    def product_rows(left: bool, adams: IntMatrix, n: FactoredInt) -> list[Vector]:
+    def product_rows(left: bool, adams: IntMatrix, n: int) -> list[Vector]:
         key = (left, adams, n)
         if key not in products:
             f = affine[n]
@@ -377,9 +382,9 @@ def _extension_system(
     for n in factored_box(family.universe, 2 * exponent_bound, include_one=False):
         if n not in affine:
             # peeling: f(p * rest) = A_p f(rest) + f(p) psi(rest) - obs(p, rest)
-            p, rest = n.peel()
+            p, rest = family.universe.peel(n)
             lead = product_rows(True, family.generator(p), rest)
-            tail = product_rows(False, family.adams_at(rest), FactoredInt.of_prime(p))
+            tail = product_rows(False, family.adams_at(rest), p)
             rows = []
             for x, y, o in zip(lead, tail, obs.at(p, rest).flat()):
                 row = list(map(operator.add, x, y))
@@ -530,14 +535,14 @@ def deformation_from_dict(data: Mapping) -> Deformation:
     """Inverse of deformation_to_dict."""
     try:
         family = family_from_dict(data["family"])
-        order = int(data["order"])
+        order = json_int(data["order"], "order")
         d = family.rank
         terms: dict[int, dict[int, IntMatrix]] = {}
         for p_text, per_prime in data.get("terms", {}).items():
             p = int(p_text)
             parsed = {}
             for i_text, flat in per_prime.items():
-                flat = [int(x) for x in flat]
+                flat = [json_int(x, f"an entry of term {i_text} at {p}") for x in flat]
                 if len(flat) != d * d:
                     raise ConfigParseError(
                         f"term {i_text} at {p} must have {d * d} entries"

@@ -16,8 +16,7 @@ rounded.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import (
@@ -51,9 +50,12 @@ def is_prime(n: int) -> bool:
 class PrimeUniverse:
     """Finite, strictly increasing tuple of primes.
 
+    Cochain arguments are plain positive integers; the universe alone
+    knows how one factors, and rejects any with a prime outside it.
+
     >>> u = PrimeUniverse((2, 3))
-    >>> str(u.factor(12))
-    '2^2 * 3'
+    >>> u.factor(12), u.peel(12), u.render(12)
+    (((2, 2), (3, 1)), (2, 6), '2^2 * 3')
     >>> u.factor(10)
     Traceback (most recent call last):
     ...
@@ -61,6 +63,8 @@ class PrimeUniverse:
     """
 
     primes: tuple[int, ...]
+    # integers that have already factored over the primes
+    _known: set = field(default_factory=set, compare=False, repr=False)
 
     # is_prime divides by every d with d * d <= p, so a prime up to
     # MAX_PRIME is checked in at most 1000 divisions.
@@ -88,7 +92,8 @@ class PrimeUniverse:
     def __contains__(self, p: int) -> bool:
         return p in self.primes
 
-    def factor(self, n: int) -> "FactoredInt":
+    def factor(self, n: int) -> tuple[tuple[int, int], ...]:
+        """The (prime, exponent) pairs of n, primes ascending."""
         if n < 1:
             raise ValueError("only positive integers factor over a universe")
         factors = []
@@ -103,131 +108,32 @@ class PrimeUniverse:
         if remaining != 1:
             stray = next(q for q in range(2, remaining + 1) if remaining % q == 0)
             raise UnknownPrime(f"{n} has the factor {stray} outside the universe {self.primes}")
-        return FactoredInt._trusted(tuple(factors))
+        return tuple(factors)
 
+    def check(self, args: tuple[int, ...]) -> None:
+        """Raise unless every argument is a positive integer over the universe.
 
-class FactoredInt:
-    """A positive integer stored as its prime factorization.
+        Each integer is factored once; later checks are one set lookup.
+        """
+        if not self._known.issuperset(args):
+            for n in args:
+                self.factor(n)
+            self._known.update(args)
 
-    Instances are immutable and hash by their factors; the hash is
-    computed once, since factored integers key every cochain cache.
+    def peel(self, n: int) -> tuple[int, int]:
+        """Split off the least prime of n: ``n == p * rest``."""
+        self.check((n,))
+        for p in self.primes:
+            if n % p == 0:
+                return p, n // p
+        raise ValueError("cannot peel 1")
 
-    >>> n = FactoredInt(((2, 2), (3, 1)))
-    >>> n.value
-    12
-    >>> (n * n).total_exponent
-    6
-    >>> n.peel()
-    (2, FactoredInt(factors=((2, 1), (3, 1))))
-    """
-
-    __slots__ = ("factors", "_hash")
-
-    factors: tuple[tuple[int, int], ...]
-
-    def __init__(self, factors: tuple[tuple[int, int], ...]) -> None:
-        previous = 1
-        for p, e in factors:
-            if e < 1:
-                raise ValueError("exponents must be positive")
-            if p <= previous:
-                raise ValueError("factor primes must be strictly increasing")
-            previous = p
-        _set_factors(self, factors)
-        _set_hash(self, hash((factors,)))
-
-    @classmethod
-    def _trusted(cls, factors: tuple[tuple[int, int], ...]) -> "FactoredInt":
-        """Build without validation; the caller guarantees sorted positive factors."""
-        n = object.__new__(cls)
-        _set_factors(n, factors)
-        _set_hash(n, hash((factors,)))
-        return n
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (FactoredInt, (self.factors,))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.factors == other.factors
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"FactoredInt(factors={self.factors!r})"
-
-    @staticmethod
-    def one() -> "FactoredInt":
-        return FactoredInt(())
-
-    @staticmethod
-    def of_prime(p: int) -> "FactoredInt":
-        return FactoredInt(((p, 1),))
-
-    @property
-    def value(self) -> int:
-        n = 1
-        for p, e in self.factors:
-            n *= p**e
-        return n
-
-    @property
-    def is_one(self) -> bool:
-        return not self.factors
-
-    @property
-    def is_prime(self) -> bool:
-        return len(self.factors) == 1 and self.factors[0][1] == 1
-
-    @property
-    def total_exponent(self) -> int:
-        return sum(e for _, e in self.factors)
-
-    def __mul__(self, other: "FactoredInt") -> "FactoredInt":
-        if not other.factors:
-            return self
-        if not self.factors:
-            return other
-        return _product(self.factors, other.factors)
-
-    def peel(self) -> tuple[int, "FactoredInt"]:
-        """Split off one power of the smallest prime: n == p * rest."""
-        if self.is_one:
-            raise ValueError("cannot peel 1")
-        (p, e), *rest = self.factors
-        if e == 1:
-            return p, FactoredInt._trusted(tuple(rest))
-        return p, FactoredInt._trusted(((p, e - 1), *rest))
-
-    def __str__(self) -> str:
-        if self.is_one:
+    def render(self, n: int) -> str:
+        """n as its factorization, such as ``2^2 * 3``; 1 is ``1``."""
+        factors = self.factor(n)
+        if not factors:
             return "1"
-        return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in self.factors)
-
-
-_set_factors = FactoredInt.factors.__set__
-_set_hash = FactoredInt._hash.__set__
-
-
-# Memoized: the merged arguments of a cochain's differential and cofaces
-# repeat the same few products of box elements.  Keyed on the factor
-# tuples, which hash and compare without a Python-level call.
-@functools.lru_cache(maxsize=4096)
-def _product(
-    left: tuple[tuple[int, int], ...], right: tuple[tuple[int, int], ...]
-) -> FactoredInt:
-    exponents = dict(left)
-    for p, e in right:
-        exponents[p] = exponents.get(p, 0) + e
-    return FactoredInt._trusted(tuple(sorted(exponents.items())))
+        return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in factors)
 
 
 @dataclass(frozen=True)
@@ -363,15 +269,13 @@ class AdamsFamily:
             self._cache[key] = frobenius_map(self.ring, p)
         return self._cache[key]
 
-    def adams_at(self, n: "FactoredInt | int") -> IntMatrix:
+    def adams_at(self, n: int) -> IntMatrix:
         """Adams matrix at n, the product of prime generators per factorization."""
-        if isinstance(n, int):
-            n = self.universe.factor(n)
         cached = self._cache.get(n)
         if cached is not None:
             return cached
         result = IntMatrix.identity(self.ring.rank)
-        for p, e in n.factors:
+        for p, e in self.universe.factor(n):
             g = self.generator(p)
             for _ in range(e):
                 result = g @ result
@@ -518,7 +422,7 @@ def lambda_from_adams(
     if len(element) != spec.rank:
         raise ValueError("element length does not match the ring rank")
     adams_values = [
-        family.adams_at(family.universe.factor(k)).apply(element)
+        family.adams_at(k).apply(element)
         for k in range(1, max_degree + 1)
     ]
     return newton_lambda(
@@ -651,13 +555,20 @@ def family_to_dict(family: AdamsFamily) -> dict:
     }
 
 
+def json_int(value, name: str) -> int:
+    """A JSON integer as is; a float, a bool or a string is malformed."""
+    if type(value) is not int:
+        raise ConfigParseError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def family_from_dict(doc: Mapping) -> AdamsFamily:
     """Inverse of family_to_dict; malformed input raises ConfigParseError."""
     try:
-        d = int(doc["rank"])
-        flat = [int(c) for c in doc["structure_constants"]]
-        unit = tuple(int(c) for c in doc["unit"])
-        primes = tuple(int(p) for p in doc["primes"])
+        d = json_int(doc["rank"], "rank")
+        flat = [json_int(c, "a structure constant") for c in doc["structure_constants"]]
+        unit = tuple(json_int(c, "a unit entry") for c in doc["unit"])
+        primes = tuple(json_int(p, "a prime") for p in doc["primes"])
         adams_doc = doc["adams"]
         if len(flat) != d * d * d:
             raise ConfigParseError(
@@ -676,7 +587,7 @@ def family_from_dict(doc: Mapping) -> AdamsFamily:
             key = str(p)
             if key not in adams_doc:
                 raise ConfigParseError(f"missing Adams matrix for prime {p}")
-            entries = [int(c) for c in adams_doc[key]]
+            entries = [json_int(c, f"an Adams entry at {p}") for c in adams_doc[key]]
             if len(entries) != d * d:
                 raise ConfigParseError(f"Adams matrix for {p} must hold {d * d} integers")
             generators.append((p, IntMatrix.from_flat(d, d, entries)))

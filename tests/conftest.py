@@ -29,6 +29,24 @@ def nilpotent_family(primes=(2, 3, 5)) -> AdamsFamily:
     return AdamsFamily(spec, PrimeUniverse(tuple(primes)), tuple(generators))
 
 
+def noncommuting_family() -> AdamsFamily:
+    """Synthetic data violating generator commutation.
+
+    Not a valid Adams family (verification reports the failure); used
+    to exercise the no-extension certificate, which only needs the
+    solver-side structure.
+    """
+    spec = preset_family("RC2", (2, 3)).ring
+    return AdamsFamily(
+        spec,
+        PrimeUniverse((2, 3)),
+        (
+            (2, IntMatrix.from_rows([[1, 1], [0, 0]])),
+            (3, IntMatrix.from_rows([[0, 1], [1, 0]])),
+        ),
+    )
+
+
 @pytest.fixture
 def z_family() -> AdamsFamily:
     return preset_family("Z", (2, 3, 5))

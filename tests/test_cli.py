@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import noncommuting_family
 from lambdaring import cli
 from lambdaring.cli import entry
 from lambdaring.cochain import IDENTITY_NAMES, random_endomorphism
@@ -77,6 +78,14 @@ def malformed_documents():
         "terms_a_list": {**order_one, "terms": []},
         "term_entries_a_list": {**order_one, "terms": {"2": [1]}},
         "terms_outside_universe": {**order_one, "terms": {"7": {"1": [7]}}},
+        # JSON numbers that are not integers, once truncated or read as 1
+        "rank_float": {**z, "rank": 1.0},
+        "adams_entry_fractional": {**z, "adams": {"2": [2.5]}},
+        "order_fractional": {**order_one, "order": 3.7},
+        "order_true": {**order_one, "order": True},
+        "family_rank_float": {**order_one, "family": {**z, "rank": 1.0}},
+        "family_adams_entry_fractional": {**order_one, "family": {**z, "adams": {"2": [2.5]}}},
+        "term_entry_float": {**order_one, "terms": {"2": {"1": [2.0]}}},
     }
 
 
@@ -148,6 +157,7 @@ UNUSABLE_ARGV = (
     ("complex", "check", "d-squared", "--preset", "Z", "--samples", "0"),
     ("complex", "check", "d-squared", "--preset", "Z", "--samples", "-5"),
     ("complex", "check", "d-squared", "--preset", "Z", "--dimension", "-1"),
+    ("complex", "check", "d-squared", "--preset", "Z", "--dimension", str(cli.MAX_DIMENSION + 1)),
     ("cohomology", "h0", "--preset", "Z", "--primes", "2,2"),
     ("cohomology", "h0", "--preset", "Z", "--primes", "4"),
     ("deform", "normalize", "--deformation", "{order_one}", "--level", "0"),
@@ -175,6 +185,13 @@ UNUSABLE_ARGV = (
     ("deform", "verify", "--deformation", "{terms_a_list}"),
     ("deform", "verify", "--deformation", "{term_entries_a_list}"),
     ("deform", "verify", "--deformation", "{terms_outside_universe}"),
+    ("ring", "verify", "--ring", "{rank_float}"),
+    ("ring", "verify", "--ring", "{adams_entry_fractional}"),
+    ("deform", "verify", "--deformation", "{order_fractional}"),
+    ("deform", "verify", "--deformation", "{order_true}"),
+    ("deform", "verify", "--deformation", "{family_rank_float}"),
+    ("deform", "verify", "--deformation", "{family_adams_entry_fractional}"),
+    ("deform", "verify", "--deformation", "{term_entry_float}"),
     # above the prime limit, from --primes and from a ring file
     ("cohomology", "h0", "--preset", "Z", "--primes", str(HUGE_PRIME)),
     ("ring", "verify", "--ring", "{prime_above_limit}"),
@@ -229,6 +246,18 @@ class TestInputContract:
         assert process.returncode == 2
         assert process.stdout == ""
         assert f"above the limit {cli.MAX_POLY_BOUND}" in process.stderr
+
+    def test_dimension_limit_is_named(self, capsys):
+        # refused before the ring is read: the file does not exist
+        for dimension in (cli.MAX_DIMENSION + 1, 1000):
+            code, out, err = run_cli(
+                capsys,
+                ["complex", "check", "d-squared", "--ring", "/no/such.json",
+                 "--dimension", str(dimension), "--samples", "1"],
+            )
+            assert code == 2
+            assert out == ""
+            assert f"--dimension {dimension} is above the limit {cli.MAX_DIMENSION}" in err
 
     def test_lambda_degree_limit_is_named(self):
         primes = ",".join(str(p) for p in range(2, 1010) if is_prime(p))
@@ -391,6 +420,22 @@ class TestReports:
         assert code == 0
         assert "d-squared: 0 mismatches" in out
         assert "dimensions [0, 1, 2]" in out
+
+    def test_complex_check_failure_text(self, capsys, tmp_path):
+        # recorded when cochain arguments were a factored-integer class
+        ring = write_json(tmp_path / "noncommuting.json", family_to_dict(noncommuting_family()))
+        code, out, _ = run_cli(
+            capsys,
+            ["complex", "check", "d-squared", "--ring", ring, "--samples", "4", "--seed", "2"],
+        )
+        assert code == 1
+        assert out.splitlines() == [
+            "d-squared: 4 mismatches (dimensions [0, 1, 2], samples 4, seed 2)",
+            "  dim 0: d(d(f)) nonzero at (2, 2 * 3)",
+            "  dim 0: d(d(f)) nonzero at (2, 2 * 3)",
+            "  dim 1: d(d(f)) nonzero at (2, 2 * 3, 2^2)",
+            "  dim 2: d(d(f)) nonzero at (2, 2 * 3, 2, 3^2)",
+        ]
 
     def test_complex_check_single_dimension(self, capsys):
         code, out, _ = run_cli(
@@ -789,7 +834,7 @@ FUZZ_VALUES = {
     "--format": (("text", "json"), ("xml",)),
     "--element": (("1", "-3", "0", "1,2", "1,2,3"), ("x", "", "1,,2")),
     "--max-degree": (("1", "2", "3", "7"), ("0", "-2", "1001")),
-    "--dimension": (("0", "1", "2", "3"), ("-1", "z")),
+    "--dimension": (("0", "1", "2", "3"), ("-1", "z", str(cli.MAX_DIMENSION + 1))),
     "--level": (("1", "2"), ("0", "-1", "q")),
     "index": (("1", "2", "3"), ("0", "-1", "x")),
 }
@@ -817,7 +862,14 @@ def fuzz_files(tmp_path_factory):
     documents = malformed_documents()
     malformed = tuple(
         write_json(root / f"{name}.json", documents[name])
-        for name in ("rank_zero", "adams_not_a_list", "terms_a_list", "terms_outside_universe")
+        for name in (
+            "rank_zero",
+            "adams_not_a_list",
+            "terms_a_list",
+            "terms_outside_universe",
+            "order_fractional",
+            "family_rank_float",
+        )
     )
     # the last one names the directory itself
     unusable = tuple(

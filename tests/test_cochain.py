@@ -1,8 +1,10 @@
 """The cochain complex: differentials, cofaces, identities."""
 
-import pickle
+import os
 import random
-from dataclasses import FrozenInstanceError
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,11 +22,12 @@ from lambdaring.cochain import (
     run_identity_check,
     sample_tuples,
 )
-from lambdaring.errors import ContextMismatch, NotFrobeniusCompatible
+from lambdaring.cohomology import cocycle_space_basis
+from lambdaring.deformation import trivial_deformation
+from lambdaring.errors import ContextMismatch, NotFrobeniusCompatible, UnknownPrime
 from lambdaring.exactalg import IntMatrix
 from lambdaring.rings import (
     AdamsFamily,
-    FactoredInt,
     PrimeUniverse,
     _cyclic_adams_matrix,
     _cyclic_group_ring,
@@ -42,16 +45,17 @@ def box_tuples(family, dimension, count, seed, exponent=2):
 class TestFactoredBox:
     def test_contents(self):
         u = PrimeUniverse((2, 3))
-        values = [m.value for m in factored_box(u, 2)]
-        assert values == [1, 2, 3, 4, 6, 9]
-        assert [m.value for m in factored_box(u, 1, include_one=False)] == [2, 3]
+        assert factored_box(u, 2) == (1, 2, 3, 4, 6, 9)
+        assert factored_box(u, 1, include_one=False) == (2, 3)
+        assert factored_box(u, 0) == (1,)
 
 
 class TestCochainBasics:
     def test_argument_coercion(self, rc2_family):
+        # arguments are the integers themselves: one cache entry per value
         f = random_cochain(rc2_family, 1, seed=4)
-        twelve = rc2_family.universe.factor(12)
-        assert f.at(12) == f.at(twelve)
+        assert f.at(12) is f.at(2 * 2 * 3)
+        assert f.at(12) == seed_random_value(1, 4, (12,), rc2_family.rank)
 
     def test_wrong_arity(self, rc2_family):
         f = random_cochain(rc2_family, 2, seed=4)
@@ -184,7 +188,7 @@ def seed_random_value(dimension: int, seed: int, args: tuple, rank: int) -> IntM
     Kept as the reference that the reseeded generator of
     ``random_cochain`` must reproduce value for value.
     """
-    key = f"cochain:{seed}:{dimension}:" + ",".join(str(m.value) for m in args)
+    key = f"cochain:{seed}:{dimension}:" + ",".join(str(m) for m in args)
     rng = random.Random(key)
     return IntMatrix(
         rank, rank, tuple(tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(rank))
@@ -207,9 +211,9 @@ def seeded_value_families():
     return families
 
 
-def merged_factors(m: FactoredInt, n: FactoredInt) -> tuple:
-    exponents = dict(m.factors)
-    for p, e in n.factors:
+def merged_factors(m: tuple, n: tuple) -> tuple:
+    exponents = dict(m)
+    for p, e in n:
         exponents[p] = exponents.get(p, 0) + e
     return tuple(sorted(exponents.items()))
 
@@ -235,12 +239,10 @@ class TestEvaluationMatchesSeed:
 
     @pytest.mark.parametrize("family", seeded_value_families(), ids=lambda f: f.ring.name)
     def test_random_values_equal_the_per_value_generator(self, family):
-        one = FactoredInt.one()
-        primes = [FactoredInt.of_prime(p) for p in SIX_PRIMES]
         for dimension in (1, 2, 3):
             seed = 7 * dimension + family.rank
-            tuples = [(one,) * dimension, tuple(primes[-dimension:])]
-            tuples += [(one,) * (dimension - 1) + (p,) for p in primes]
+            tuples = [(1,) * dimension, SIX_PRIMES[-dimension:]]
+            tuples += [(1,) * (dimension - 1) + (p,) for p in SIX_PRIMES]
             tuples += box_tuples(family, dimension, 12, seed=seed)
             f = random_cochain(family, dimension, seed)
             for args in tuples:
@@ -252,48 +254,73 @@ class TestEvaluationMatchesSeed:
 
     def test_factored_products_equal_a_dict_merge(self):
         universe = PrimeUniverse((2, 3, 5))
+        factor = universe.factor
         box = factored_box(universe, 4)
         assert len(box) == 35
         for m in box:
+            assert sum(e for _, e in factor(m)) <= 4
             for n in box:
-                product = m * n
-                rebuilt = FactoredInt(merged_factors(m, n))
-                assert product.factors == rebuilt.factors
-                assert product == rebuilt
-                assert hash(product) == hash(rebuilt) == hash((rebuilt.factors,))
-                assert product.value == m.value * n.value
-                assert (product == m) == (n.is_one)
-        one = FactoredInt.one()
-        for m in box:
-            assert m * one is m
-            assert one * m is (one if m.is_one else m)
-            assert universe.factor(m.value) == m
-            assert hash(universe.factor(m.value)) == hash(m)
-
-    def test_factored_ints_validate_and_stay_frozen(self):
-        with pytest.raises(ValueError, match="positive"):
-            FactoredInt(((2, 0),))
-        with pytest.raises(ValueError, match="increasing"):
-            FactoredInt(((3, 1), (2, 1)))
-        n = FactoredInt(((2, 1), (3, 2)))
-        assert repr(n) == "FactoredInt(factors=((2, 1), (3, 2)))"
-        assert n != (((2, 1), (3, 2)),) and n != 18
-        with pytest.raises(FrozenInstanceError):
-            n.factors = ()
-        assert {n: 1}[FactoredInt(((2, 1), (3, 2)))] == 1
-        copied = pickle.loads(pickle.dumps(n))
-        assert copied == n and hash(copied) == hash(n)
+                assert factor(m * n) == merged_factors(factor(m), factor(n))
+                if n > 1:
+                    p, rest = universe.peel(m * n)
+                    assert p == factor(m * n)[0][0] and p * rest == m * n
 
     def test_cache_hit_skips_coercion_but_keeps_the_arity_check(self, rc2_family):
         f = random_cochain(rc2_family, 2, seed=4)
-        six = rc2_family.universe.factor(6)
-        value = f.at(six, six)
+        value = f.at(6, 6)
         assert f.at(6, 6) is value
-        assert f.at(six, 6) is value
         with pytest.raises(ValueError):
-            f.at(six)
+            f.at(6)
         with pytest.raises(ValueError):
-            f.at(six, six, six)
+            f.at(6, 6, 6)
+
+
+def argument_contract_breaches() -> list:
+    """Calls on 0, -4 and 14 over {2, 3, 5} that did not raise.
+
+    Each entry point is called on the bad arguments twice: on a fresh
+    universe, and after every integer of a box has passed its check.
+    A RecursionError, say from peeling 0 forever, propagates.
+    """
+    family = preset_family("RC2", (2, 3, 5))
+    entry_points = {
+        "Cochain.at": random_cochain(family, 1, seed=1).at,
+        "AdamsFamily.adams_at": family.adams_at,
+        "Deformation.at": trivial_deformation(family, 1).at,
+        "DerivationSpec.extend": cocycle_space_basis(family)[0].extend,
+    }
+    breaches = []
+    for filled in (False, True):
+        if filled:
+            for n in factored_box(family.universe, 3):
+                for call in entry_points.values():
+                    call(n)
+        for name, call in entry_points.items():
+            for n in (0, -4, 14):
+                try:
+                    call(n)
+                except (ValueError, UnknownPrime):
+                    continue
+                breaches.append((name, n, filled))
+    return breaches
+
+
+class TestArgumentContract:
+    def test_outside_arguments_raise(self):
+        assert argument_contract_breaches() == []
+
+    def test_outside_arguments_raise_under_dash_o(self):
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH", "")]
+        )
+        script = "from test_cochain import argument_contract_breaches as b; print(b())"
+        process = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert process.returncode == 0, process.stderr
+        assert process.stdout == "[]\n"
 
 
 class TestCofacesAndCodegeneracies:

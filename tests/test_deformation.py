@@ -10,6 +10,7 @@ from lambdaring.cochain import (
     differential,
     factored_box,
     random_endomorphism,
+    run_identity_check,
     sample_tuples,
 )
 from lambdaring.cohomology import compute_H1, cocycle_space_basis, inner_derivation
@@ -48,7 +49,6 @@ from lambdaring.exactalg import (
 )
 from lambdaring.rings import (
     AdamsFamily,
-    FactoredInt,
     PrimeUniverse,
     _cyclic_adams_matrix,
     _cyclic_group_ring,
@@ -56,7 +56,7 @@ from lambdaring.rings import (
     verify_adams,
 )
 
-from conftest import nilpotent_family
+from conftest import nilpotent_family, noncommuting_family
 
 
 def scalar(x: int) -> IntMatrix:
@@ -69,24 +69,6 @@ def random_automorphism(family, seed, order):
     for _ in range(order):
         coefficients.append(random_endomorphism(family, rng.randint(0, 10**6)))
     return FormalAutomorphism(family, coefficients)
-
-
-def noncommuting_family() -> AdamsFamily:
-    """Synthetic data violating generator commutation.
-
-    Not a valid Adams family (verification reports the failure); used
-    to exercise the no-extension certificate, which only needs the
-    solver-side structure.
-    """
-    spec = preset_family("RC2", (2, 3)).ring
-    return AdamsFamily(
-        spec,
-        PrimeUniverse((2, 3)),
-        (
-            (2, IntMatrix.from_rows([[1, 1], [0, 0]])),
-            (3, IntMatrix.from_rows([[0, 1], [1, 0]])),
-        ),
-    )
 
 
 class TestSeriesHelpers:
@@ -167,6 +149,67 @@ class TestDeformationBasics:
         assert any("commute" in f for f in report.failures)
 
 
+# Failure texts of noncommuting_family, recorded when cochain arguments
+# were still a factored-integer class; each argument is printed as its
+# factorization over the universe.
+PINNED_PRODUCT_LAW_FAILURES = (
+    "generator series at 2 and 3 do not commute",
+    "product law fails at (3, 2)",
+    "product law fails at (3, 2^2)",
+    "product law fails at (3, 2 * 3)",
+)
+PINNED_SHIFTED_FAILURES = PINNED_PRODUCT_LAW_FAILURES + (
+    "product law fails at (2 * 3, 2)",
+    "product law fails at (2 * 3, 2^2)",
+    "product law fails at (2 * 3, 2 * 3)",
+    "product law fails at (3^2, 2)",
+    "product law fails at (3^2, 2^2)",
+    "product law fails at (3^2, 2 * 3)",
+)
+# (identity, dimension) -> failures at 10 samples and seed 1
+PINNED_IDENTITY_FAILURES = {
+    ("d-squared", 0): (
+        "d(d(f)) nonzero at (2 * 3, 2 * 3)",
+        "d(d(f)) nonzero at (2 * 3, 2 * 3)",
+    ),
+    ("d-squared", 1): (
+        "d(d(f)) nonzero at (2, 2 * 3, 2 * 3)",
+        "d(d(f)) nonzero at (3^2, 2 * 3, 2 * 3)",
+        "d(d(f)) nonzero at (2^2, 2, 2 * 3)",
+    ),
+    ("d-squared", 2): (
+        "d(d(f)) nonzero at (2 * 3, 2 * 3, 3^2, 2 * 3)",
+        "d(d(f)) nonzero at (2 * 3, 2 * 3, 3^2, 2 * 3)",
+        "d(d(f)) nonzero at (2, 2 * 3, 1, 2)",
+    ),
+    ("cosimplicial", 0): (),
+    ("cosimplicial", 1): ("coface relation fails for (i, j) = (2, 3) at (3^2, 2, 3)",),
+    ("cosimplicial", 2): ("coface relation fails for (i, j) = (3, 4) at (2, 3^2, 2, 3)",),
+}
+
+
+class TestFailureTexts:
+    def test_product_law_failures(self):
+        family = noncommuting_family()
+        trivial = trivial_deformation(family, 1)
+        assert verify_deformation(trivial).failures == PINNED_PRODUCT_LAW_FAILURES
+        shifted = make_deformation(
+            family,
+            1,
+            {
+                2: {1: IntMatrix.from_rows([[2, 0], [0, 2]])},
+                3: {1: IntMatrix.from_rows([[3, 3], [0, 0]])},
+            },
+        )
+        assert verify_deformation(shifted).failures == PINNED_SHIFTED_FAILURES
+
+    @pytest.mark.parametrize("case", sorted(PINNED_IDENTITY_FAILURES), ids=str)
+    def test_identity_failures(self, case):
+        identity, dimension = case
+        report = run_identity_check(noncommuting_family(), identity, dimension, 10, 1)
+        assert report.failures == PINNED_IDENTITY_FAILURES[case]
+
+
 class TestObstruction:
     def test_trivial_obstruction_vanishes(self, rc3_family):
         obs = obstruction(trivial_deformation(rc3_family, 2))
@@ -241,14 +284,13 @@ def kronecker_system(deformation, exponent_bound):
     primes = family.universe.primes
     d2 = family.rank**2
     obs = obstruction(deformation)
-    one = FactoredInt.one()
-    operators = {one: IntMatrix.zeros(d2, len(primes) * d2)}
-    constants = {one: (0,) * d2}
+    operators = {1: IntMatrix.zeros(d2, len(primes) * d2)}
+    constants = {1: (0,) * d2}
 
     def affine_at(n):
         if n not in operators:
-            p, rest = n.peel()
-            if rest.is_one:
+            p, rest = family.universe.peel(n)
+            if rest == 1:
                 blocks = [
                     p * IntMatrix.identity(d2) if q == p else IntMatrix.zeros(d2, d2)
                     for q in primes
@@ -259,7 +301,7 @@ def kronecker_system(deformation, exponent_bound):
                 lead = left_multiplication_operator(family.generator(p))
                 tail = right_multiplication_operator(family.adams_at(rest))
                 rest_op, rest_const = affine_at(rest)
-                prime_op, _ = affine_at(FactoredInt.of_prime(p))
+                prime_op, _ = affine_at(p)
                 operators[n] = lead @ rest_op + tail @ prime_op
                 constants[n] = vec_sub(lead.apply(rest_const), obs.at(p, rest).flat())
         return operators[n], constants[n]
@@ -380,9 +422,9 @@ def test_prime_pair_rows_decide_the_box_system():
             keep = [
                 (i * len(box) + j) * d2 + e
                 for i, m in enumerate(box)
-                if m.is_prime
+                if m in family.universe
                 for j, n in enumerate(box)
-                if n.is_prime
+                if n in family.universe
                 for e in range(d2)
             ]
             pairs = IntMatrix(len(keep), system.cols, tuple(system.entries[r] for r in keep))

@@ -29,8 +29,7 @@ REMOVED = {
     ),
     exactalg.IntMatrix: ("is_zero_mod",),
     exactalg.AbelianGroup: ("is_trivial",),
-    rings: ("lambda_series", "element_series_mul"),
-    rings.FactoredInt: ("exponent_of",),
+    rings: ("lambda_series", "element_series_mul", "FactoredInt", "_product"),
     rings.LambdaData: ("from_table",),
     rings.RingSpec: ("multiplication_matrix",),
     symfun.MultiPoly: ("substitute", "zero"),

@@ -9,7 +9,6 @@ from lambdaring.errors import NonIntegralDivision, UnknownPreset, UnknownPrime
 from lambdaring.exactalg import IntMatrix, vec_add, vec_zero
 from lambdaring.rings import (
     AdamsFamily,
-    FactoredInt,
     LambdaData,
     PrimeUniverse,
     RingSpec,
@@ -52,15 +51,20 @@ def element_series_mul(spec, a, b, order):
 class TestPrimeUniverse:
     def test_factoring(self):
         u = PrimeUniverse((2, 3, 5))
-        n = u.factor(360)
-        assert n.factors == ((2, 3), (3, 2), (5, 1))
-        assert n.value == 360
-        assert n.total_exponent == 6
+        assert u.factor(360) == ((2, 3), (3, 2), (5, 1))
+        assert u.factor(1) == ()
+        assert u.render(360) == "2^3 * 3^2 * 5"
+        assert u.render(1) == "1"
 
     def test_rejects_outside_factor(self):
         u = PrimeUniverse((2, 3))
         with pytest.raises(UnknownPrime):
             u.factor(10)
+        with pytest.raises(UnknownPrime, match="factor 7"):
+            u.peel(14)
+        for n in (0, -4):
+            with pytest.raises(ValueError, match="positive"):
+                u.peel(n)
 
     def test_rejects_bad_universe(self):
         with pytest.raises(ValueError):
@@ -72,16 +76,12 @@ class TestPrimeUniverse:
 
     def test_factored_arithmetic(self):
         u = PrimeUniverse((2, 3))
-        a = u.factor(12)
-        b = u.factor(18)
-        assert (a * b).value == 216
-        p, rest = a.peel()
-        assert p == 2 and rest.value == 6
-        assert FactoredInt.one().is_one
-        assert FactoredInt.of_prime(3).is_prime
-        assert not a.is_prime
-        with pytest.raises(ValueError):
-            FactoredInt.one().peel()
+        assert u.factor(12 * 18) == ((2, 3), (3, 3))
+        assert u.peel(12) == (2, 6)
+        assert u.peel(9) == (3, 3)
+        assert u.peel(3) == (3, 1)
+        with pytest.raises(ValueError, match="cannot peel 1"):
+            u.peel(1)
 
 
 class TestRingSpec:
