@@ -54,9 +54,9 @@ from .rings import (
     AdamsFamily,
     PRESET_NAMES,
     PrimeUniverse,
+    family_from_dict,
     is_prime,
     lambda_from_adams,
-    load_ring_file,
     preset_family,
     verify_adams,
     verify_ring,
@@ -67,25 +67,21 @@ SCHEMA_VERSION = 1
 
 # Guardrails, checked before anything is built: deform extend and deform
 # obstruction refuse a box whose pairs carry more than MAX_BOX_ENTRIES =
-# |box|^2 * rank^2 matrix entries, complex check refuses more than
-# MAX_SAMPLES samples or a --dimension above MAX_DIMENSION, poly refuses
-# a --bound above MAX_POLY_BOUND, lambda from-adams refuses a
-# --max-degree above MAX_LAMBDA_DEGREE, and deform refuses a deformation
-# document whose order is above MAX_DEFORMATION_ORDER.
+# |box|^2 * rank^2 matrix entries, complex check refuses a --dimension
+# above MAX_DIMENSION or more than MAX_SAMPLE_WORK = samples *
+# (dimension + 2)^2, dimension 2 when none is given (so at most 100,000
+# samples at dimension 0), poly refuses a --bound above MAX_POLY_BOUND,
+# lambda from-adams refuses a --max-degree above MAX_LAMBDA_DEGREE, and
+# deform refuses a deformation document whose order is above
+# MAX_DEFORMATION_ORDER.
 MAX_BOX_ENTRIES = 10**6
-MAX_SAMPLES = 100_000
 MAX_DIMENSION = 10
+MAX_SAMPLE_WORK = 400_000
 MAX_POLY_BOUND = 12
 MAX_LAMBDA_DEGREE = 1000
 MAX_DEFORMATION_ORDER = 50
 
-_INPUT_ERRORS = (
-    ConfigParseError,
-    UnknownPreset,
-    LimitExceeded,
-    FileNotFoundError,
-    json.JSONDecodeError,
-)
+_INPUT_ERRORS = (ConfigParseError, UnknownPreset, LimitExceeded)
 _MATH_ERRORS = (
     DivisibilityViolation,
     InconsistentDerivation,
@@ -120,38 +116,54 @@ def _parse_primes(text: str) -> PrimeUniverse:
         raise ConfigParseError(f"bad prime list {text!r}: {exc}") from exc
 
 
+def _unique_members(pairs: list) -> dict:
+    """A JSON object's members; a key given twice is malformed."""
+    members = {}
+    for key, value in pairs:
+        if key in members:
+            raise ValueError(f"key {key!r} appears twice in one object")
+        members[key] = value
+    return members
+
+
+def _read_document(path: str, kind: str) -> dict:
+    """The JSON object in the ``kind`` file at ``path``; any failure is a ConfigParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = json.load(handle, object_pairs_hook=_unique_members)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigParseError(f"cannot read {kind} file {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ConfigParseError(f"{kind} file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigParseError(f"{kind} file {path} must hold a JSON object")
+    return doc
+
+
 def _load_family(args: argparse.Namespace) -> AdamsFamily:
     """Resolve --preset/--ring/--primes into an Adams family."""
-    universe: Optional[PrimeUniverse] = None
-    if getattr(args, "primes", None):
-        universe = _parse_primes(args.primes)
-    ring_path = getattr(args, "ring", None)
-    preset = getattr(args, "preset", None)
-    if ring_path and preset:
+    universe = _parse_primes(args.primes) if args.primes else None
+    if args.ring and args.preset:
         raise ConfigParseError("give either --preset or --ring, not both")
-    if ring_path:
-        family = load_ring_file(ring_path)
+    if args.ring:
+        family = family_from_dict(_read_document(args.ring, "ring"))
         if universe is None:
             return family
         missing = [p for p in universe if p not in family.universe]
         if missing:
             raise ConfigParseError(
-                f"primes {missing} have no Adams data in {ring_path}"
+                f"primes {missing} have no Adams data in {args.ring}"
             )
         generators = tuple((p, family.generator(p)) for p in universe)
         return AdamsFamily(family.ring, universe, generators)
-    if not preset:
+    if not args.preset:
         raise ConfigParseError("one of --preset or --ring is required")
-    return preset_family(preset, universe or DEFAULT_PRIMES)
+    return preset_family(args.preset, universe or DEFAULT_PRIMES)
 
 
 def _load_deformation(path: str) -> Deformation:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigParseError(f"cannot read deformation file {path}: {exc}") from exc
-    order = doc.get("order") if isinstance(doc, dict) else None
+    doc = _read_document(path, "deformation")
+    order = doc.get("order")
     # any other order is malformed, and deformation_from_dict says so
     if type(order) is int and order > MAX_DEFORMATION_ORDER:
         raise LimitExceeded(
@@ -202,7 +214,7 @@ def _emit(
             "schema_version": SCHEMA_VERSION,
             "command": command,
             "config": _config_echo(args),
-            "seed": getattr(args, "seed", None),
+            "seed": args.seed,
             "universe": list(universe),
             "bounds": bounds,
             "results": results,
@@ -327,13 +339,14 @@ def _cmd_complex_check(args: argparse.Namespace) -> int:
         raise ConfigParseError(f"--dimension must be at least 0, got {args.dimension}")
     if args.dimension is not None and args.dimension > MAX_DIMENSION:
         raise LimitExceeded(f"--dimension {args.dimension} is above the limit {MAX_DIMENSION}")
-    if args.samples > MAX_SAMPLES:
-        raise LimitExceeded(f"--samples {args.samples} is above the limit {MAX_SAMPLES}")
-    family = _load_family(args)
-    if args.identity not in IDENTITY_NAMES:
-        raise ConfigParseError(
-            f"unknown identity {args.identity!r}; choose from {IDENTITY_NAMES}"
+    dimension = 2 if args.dimension is None else args.dimension
+    work = args.samples * (dimension + 2) ** 2
+    if work > MAX_SAMPLE_WORK:
+        raise LimitExceeded(
+            f"--samples {args.samples} at dimension {dimension} gives samples * "
+            f"(dimension + 2)^2 = {work}, above the limit {MAX_SAMPLE_WORK}"
         )
+    family = _load_family(args)
     dimensions = (
         [args.dimension] if args.dimension is not None else [0, 1, 2]
     )
@@ -528,6 +541,8 @@ def _cmd_deform_normalize(args: argparse.Namespace) -> int:
 
 
 def _cmd_deform_equiv(args: argparse.Namespace) -> int:
+    if not args.other:
+        raise ConfigParseError("equiv needs --other with the second deformation")
     first = _load_deformation(args.deformation)
     second = _load_deformation(args.other)
     witness = check_equivalent_extensions(first, second)
@@ -552,18 +567,18 @@ def _cmd_deform_equiv(args: argparse.Namespace) -> int:
     return 0 if witness is not None else 1
 
 
+_DEFORM_ACTIONS = {
+    "verify": _cmd_deform_verify,
+    "infinitesimal": _cmd_deform_infinitesimal,
+    "obstruction": _cmd_deform_obstruction,
+    "extend": _cmd_deform_extend,
+    "normalize": _cmd_deform_normalize,
+    "equiv": _cmd_deform_equiv,
+}
+
+
 def _cmd_deform_dispatch(args: argparse.Namespace) -> int:
-    handlers = {
-        "verify": _cmd_deform_verify,
-        "infinitesimal": _cmd_deform_infinitesimal,
-        "obstruction": _cmd_deform_obstruction,
-        "extend": _cmd_deform_extend,
-        "normalize": _cmd_deform_normalize,
-        "equiv": _cmd_deform_equiv,
-    }
-    if args.action == "equiv" and not args.other:
-        raise ConfigParseError("equiv needs --other with the second deformation")
-    return handlers[args.action](args)
+    return _DEFORM_ACTIONS[args.action](args)
 
 
 # parsers: the options every command takes, then each command's own arguments
@@ -608,10 +623,7 @@ def _cohomology_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _deform_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "action",
-        choices=("verify", "infinitesimal", "obstruction", "extend", "normalize", "equiv"),
-    )
+    parser.add_argument("action", choices=tuple(_DEFORM_ACTIONS))
     parser.add_argument("--deformation", required=True, help="path to a deformation file")
     parser.add_argument("--other", help="second deformation file (equiv)")
     parser.add_argument("--level", type=_positive_int, default=1, help="coefficient to remove")

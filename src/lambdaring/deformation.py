@@ -531,6 +531,18 @@ def deformation_to_dict(deformation: Deformation) -> dict:
     }
 
 
+def _canonical_key(text: str, name: str) -> int:
+    """The integer a prime or index key names, accepted only as ``str(int(text))``.
+
+    ``int`` also reads ``"+2"``, ``" 2"`` and ``"02"``; taking those would let
+    two keys name one term, and the last one read would silently win.
+    """
+    value = int(text)
+    if text != str(value):
+        raise ConfigParseError(f"key {text!r} for {name} is not written as {value}")
+    return value
+
+
 def deformation_from_dict(data: Mapping) -> Deformation:
     """Inverse of deformation_to_dict."""
     try:
@@ -539,15 +551,16 @@ def deformation_from_dict(data: Mapping) -> Deformation:
         d = family.rank
         terms: dict[int, dict[int, IntMatrix]] = {}
         for p_text, per_prime in data.get("terms", {}).items():
-            p = int(p_text)
+            p = _canonical_key(p_text, "a prime")
             parsed = {}
             for i_text, flat in per_prime.items():
-                flat = [json_int(x, f"an entry of term {i_text} at {p}") for x in flat]
+                i = _canonical_key(i_text, f"an index at {p}")
+                flat = [json_int(x, f"an entry of term {i} at {p}") for x in flat]
                 if len(flat) != d * d:
                     raise ConfigParseError(
-                        f"term {i_text} at {p} must have {d * d} entries"
+                        f"term {i} at {p} must have {d * d} entries"
                     )
-                parsed[int(i_text)] = IntMatrix.from_flat(d, d, flat)
+                parsed[i] = IntMatrix.from_flat(d, d, flat)
             terms[p] = parsed
         return make_deformation(family, order, terms)
     except (ConfigParseError, DivisibilityViolation):

@@ -228,8 +228,13 @@ def frobenius_map(spec: RingSpec, p: int) -> IntMatrix:
     """
     cols = []
     for i in range(spec.rank):
-        power = spec.power(spec.basis_vector(i), p)
-        cols.append(tuple(c % p for c in power))
+        # (e_i)^p multiplied out left to right, as RingSpec.power does, but
+        # reduced mod p after each product so the coefficients stay below p
+        basis_vector = spec.basis_vector(i)
+        power = spec.unit
+        for _ in range(p):
+            power = tuple(c % p for c in spec.mul(power, basis_vector))
+        cols.append(power)
     return IntMatrix.from_columns(cols, spec.rank)
 
 
@@ -596,18 +601,3 @@ def family_from_dict(doc: Mapping) -> AdamsFamily:
         raise
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigParseError(f"bad ring description: {exc}") from exc
-
-
-def load_ring_file(path: str) -> AdamsFamily:
-    import json
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigParseError(f"cannot read ring file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigParseError(f"ring file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigParseError(f"ring file {path} must hold a JSON object")
-    return family_from_dict(doc)

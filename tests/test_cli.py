@@ -89,6 +89,19 @@ def malformed_documents():
     }
 
 
+def raw_documents():
+    """Unusable input files that json.dumps cannot write, as text, by name."""
+    z = json.dumps(family_to_dict(preset_family("Z", (2, 3))))
+    return {
+        # a RecursionError in the JSON decoder
+        "deep_array": "[" * 200_000 + "]" * 200_000,
+        # json keeps the last value of a repeated key; int() reads "+2" and "01"
+        "repeated_key": f'{{"family": {z}, "order": 1, "terms": {{"2": {{"1": [2]}}, "2": {{"1": [4]}}}}}}',
+        "signed_prime_key": f'{{"family": {z}, "order": 1, "terms": {{"2": {{"1": [2]}}, "+2": {{"1": [4]}}}}}}',
+        "padded_index_key": f'{{"family": {z}, "order": 2, "terms": {{"2": {{"1": [2], "01": [4]}}}}}}',
+    }
+
+
 def int_digit_limit():
     get_limit = getattr(sys, "get_int_max_str_digits", None)
     return get_limit() if get_limit is not None else None
@@ -195,6 +208,15 @@ UNUSABLE_ARGV = (
     # above the prime limit, from --primes and from a ring file
     ("cohomology", "h0", "--preset", "Z", "--primes", str(HUGE_PRIME)),
     ("ring", "verify", "--ring", "{prime_above_limit}"),
+    # above the limit on samples * (dimension + 2)^2
+    ("complex", "check", "cosimplicial", "--preset", "RC3", "--dimension", "10", "--samples", "10000"),
+    ("complex", "check", "d-squared", "--preset", "RC3", "--dimension", "10", "--samples", "10000"),
+    ("ring", "verify", "--ring", "{deep_array}"),
+    ("deform", "verify", "--deformation", "{deep_array}"),
+    ("deform", "equiv", "--deformation", "{order_one}", "--other", "{deep_array}"),
+    ("deform", "infinitesimal", "--deformation", "{repeated_key}"),
+    ("deform", "infinitesimal", "--deformation", "{signed_prime_key}"),
+    ("deform", "infinitesimal", "--deformation", "{padded_index_key}"),
 )
 
 
@@ -208,6 +230,9 @@ def contract_paths(tmp_path):
     paths["order_one"] = write_json(
         tmp_path / "z.json", deformation_to_dict(trivial_deformation(z, 1))
     )
+    for name, text in raw_documents().items():
+        (tmp_path / f"{name}.json").write_text(text)
+        paths[name] = str(tmp_path / f"{name}.json")
     return paths
 
 
@@ -258,6 +283,49 @@ class TestInputContract:
             assert code == 2
             assert out == ""
             assert f"--dimension {dimension} is above the limit {cli.MAX_DIMENSION}" in err
+
+    def test_sample_work_limit_is_named(self, capsys):
+        # refused before the ring is read: the file does not exist
+        for dimension, samples, work in (("10", "10000", 1440000), (None, "25001", 400016)):
+            argv = ["complex", "check", "cosimplicial", "--ring", "/no/such.json",
+                    "--samples", samples]
+            if dimension is not None:
+                argv += ["--dimension", dimension]
+            code, out, err = run_cli(capsys, argv)
+            assert code == 2
+            assert out == ""
+            assert f"= {work}, above the limit {cli.MAX_SAMPLE_WORK}" in err
+        code, _, err = run_cli(capsys, ["complex", "check", "d-squared", "--preset", "Z",
+                                        "--samples", str(cli.MAX_SAMPLE_WORK // 4),
+                                        "--dimension", "0"])
+        assert code == 0, err
+
+    @pytest.mark.parametrize("option", ["--ring", "--deformation"])
+    def test_unreadable_documents_are_named(self, capsys, tmp_path, option):
+        paths = contract_paths(tmp_path)
+        (tmp_path / "list.json").write_text("[1, 2]")
+        (tmp_path / "not-json.json").write_text("{not json")
+        kind = option[2:]
+        argv = ["ring", "verify"] if option == "--ring" else ["deform", "verify"]
+        for name, message in (
+            ("list.json", "must hold a JSON object"),
+            ("not-json.json", "is not valid JSON: Expecting property name"),
+            ("deep_array.json", "is not valid JSON: maximum recursion depth exceeded"),
+            ("repeated_key.json", "is not valid JSON: key '2' appears twice in one object"),
+            ("missing.json", "cannot read"),
+        ):
+            path = str(tmp_path / name)
+            code, out, err = run_cli(capsys, argv + [option, path])
+            assert code == 2, name
+            assert out == ""
+            assert f"{kind} file {path}" in err and message in err, err
+        for name, message in (
+            ("signed_prime_key", "key '+2' for a prime is not written as 2"),
+            ("padded_index_key", "key '01' for an index at 2 is not written as 1"),
+        ):
+            code, out, err = run_cli(capsys, ["deform", "infinitesimal", "--deformation", paths[name]])
+            assert (code, out) == (2, ""), name
+            assert message in err
 
     def test_lambda_degree_limit_is_named(self):
         primes = ",".join(str(p) for p in range(2, 1010) if is_prime(p))
@@ -859,6 +927,9 @@ def fuzz_files(tmp_path_factory):
         write_json(root / "z-scaling.json", deformation_to_dict(scaling)),
         write_json(root / "rc2-trivial.json", deformation_to_dict(trivial_deformation(rc2, 1))),
     )
+    raw = raw_documents()
+    for name, text in raw.items():
+        (root / f"{name}.json").write_text(text)
     documents = malformed_documents()
     malformed = tuple(
         write_json(root / f"{name}.json", documents[name])
@@ -875,7 +946,7 @@ def fuzz_files(tmp_path_factory):
     unusable = tuple(
         str(root / name)
         for name in ("not-json.json", "binary.json", "empty.json", "missing.json", "")
-    )
+    ) + tuple(str(root / f"{name}.json") for name in raw)
     # each file option: (usable files, malformed documents, other unusable paths)
     return {
         "--ring": ((ring,), malformed, deformations[:1] + unusable),

@@ -654,3 +654,17 @@ class TestSerialization:
                     "terms": {},
                 }
             )
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            {"2": {"1": [2]}, "+2": {"1": [4]}},
+            {" 3": {"1": [3]}},
+            {"2": {"1": [2], "01": [4]}},
+            {"2": {"2_0": [4]}},
+        ],
+    )
+    def test_keys_only_in_canonical_form(self, z_family, terms):
+        doc = {**deformation_to_dict(trivial_deformation(z_family, 2)), "terms": terms}
+        with pytest.raises(ConfigParseError, match="is not written as"):
+            deformation_from_dict(doc)

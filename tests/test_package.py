@@ -1,12 +1,16 @@
 """The package's public surface: what ``lambdaring`` exports."""
 
 import ast
+import contextlib
+import importlib.util
 import inspect
+import io
 from pathlib import Path
 
 import pytest
 
 import lambdaring
+import lambdaring.cli
 from lambdaring import cochain, cohomology, deformation, exactalg, rings, symfun
 
 # Removed names, by the module or class that defined them.
@@ -29,7 +33,7 @@ REMOVED = {
     ),
     exactalg.IntMatrix: ("is_zero_mod",),
     exactalg.AbelianGroup: ("is_trivial",),
-    rings: ("lambda_series", "element_series_mul", "FactoredInt", "_product"),
+    rings: ("lambda_series", "element_series_mul", "FactoredInt", "_product", "load_ring_file"),
     rings.LambdaData: ("from_table",),
     rings.RingSpec: ("multiplication_matrix",),
     symfun.MultiPoly: ("substitute", "zero"),
@@ -101,3 +105,32 @@ def test_library_modules_use_every_import():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in imported if name not in used]
     assert unused == []
+
+
+def library_state() -> dict:
+    """Every attribute of every lambdaring module and class, by identity."""
+    modules = [lambdaring, lambdaring.cli, cochain, cohomology, deformation, exactalg, rings, symfun]
+    state = {}
+    for module in modules:
+        for attr, value in vars(module).items():
+            state[(module.__name__, attr)] = id(value)
+            if isinstance(value, type):
+                for member, inner in vars(value).items():
+                    state[(module.__name__, attr, member)] = id(inner)
+    return state
+
+
+def test_benchmark_tracer_installs_and_restores():
+    """The benchmark's tracer wraps library names; deleting one fails here first."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    before = library_state()
+    with tracer_module.Tracer() as tracer:
+        assert library_state() != before
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert lambdaring.cli.entry(["cohomology", "h0", "--preset", "Z"]) == 0
+    assert library_state() == before
+    assert tracer.layers["cli.entry"][0] == 1
+    assert tracer.layers["cohomology.compute_H0"][0] == 1

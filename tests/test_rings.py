@@ -1,6 +1,7 @@
 """Ring presentations, Adams families, and the Newton recursion."""
 
 import math
+import random
 
 import pytest
 
@@ -208,6 +209,32 @@ class TestFrobenius:
     def test_entries_reduced(self, nil3_family):
         frob = frobenius_map(nil3_family.ring, 3)
         assert all(0 <= e < 3 for row in frob.entries for e in row)
+
+    @staticmethod
+    def unreduced_frobenius(spec, p):
+        """The p-th powers over Z, reduced mod p only at the end."""
+        cols = [tuple(c % p for c in spec.power(spec.basis_vector(i), p)) for i in range(spec.rank)]
+        return IntMatrix.from_columns(cols, spec.rank)
+
+    @pytest.mark.parametrize("name", ["Z", "RC2", "RC3"])
+    def test_reducing_each_product_changes_nothing_on_presets(self, name):
+        spec = preset_family(name).ring
+        for p in (2, 3, 5, 7, 11, 13, 31):
+            assert frobenius_map(spec, p) == self.unreduced_frobenius(spec, p), p
+
+    def test_reducing_each_product_changes_nothing_on_random_data(self):
+        # arbitrary rank-3 structure constants: neither commutative nor
+        # associative, so only the left-to-right order makes the powers agree
+        rng = random.Random(15)
+        for _ in range(20):
+            structure = tuple(
+                tuple(tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(3))
+                for _ in range(3)
+            )
+            unit = tuple(rng.randint(-3, 3) for _ in range(3))
+            spec = RingSpec(rank=3, structure=structure, unit=unit)
+            for p in (2, 3, 5, 7):
+                assert frobenius_map(spec, p) == self.unreduced_frobenius(spec, p), (spec, p)
 
 
 class TestNewtonRecursion:
