@@ -67,7 +67,12 @@ SCHEMA_VERSION = 1
 
 # Guardrails, checked before anything is built: deform extend and deform
 # obstruction refuse a box whose pairs carry more than MAX_BOX_ENTRIES =
-# |box|^2 * rank^2 matrix entries, complex check refuses a --dimension
+# |box|^2 * rank^2 matrix entries, and so does deform verify for the box
+# of exponent sum 2 that its product law pairs; every command but ring
+# verify and lambda from-adams refuses a family whose pairwise and
+# compatibility systems, with one rank x rank block per pair of primes,
+# would pass MAX_PAIR_WORK = |universe|^2 * rank^2 (Z over 200 primes);
+# complex check refuses a --dimension
 # above MAX_DIMENSION or more than MAX_SAMPLE_WORK = samples *
 # (dimension + 2)^2, dimension 2 when none is given (so at most 100,000
 # samples at dimension 0), poly refuses a --bound above MAX_POLY_BOUND,
@@ -75,6 +80,7 @@ SCHEMA_VERSION = 1
 # deform refuses a deformation document whose order is above
 # MAX_DEFORMATION_ORDER.
 MAX_BOX_ENTRIES = 10**6
+MAX_PAIR_WORK = 40_000
 MAX_DIMENSION = 10
 MAX_SAMPLE_WORK = 400_000
 MAX_POLY_BOUND = 12
@@ -161,6 +167,18 @@ def _load_family(args: argparse.Namespace) -> AdamsFamily:
     return preset_family(args.preset, universe or DEFAULT_PRIMES)
 
 
+def _check_pair_work(family: AdamsFamily) -> AdamsFamily:
+    """The family, refused if its pairwise and compatibility systems are too large."""
+    primes = len(family.universe.primes)
+    work = primes**2 * family.rank**2
+    if work > MAX_PAIR_WORK:
+        raise LimitExceeded(
+            f"{primes} primes at rank {family.rank} give |universe|^2 * rank^2 = "
+            f"{primes}^2 * {family.rank}^2 = {work}, above the limit {MAX_PAIR_WORK}"
+        )
+    return family
+
+
 def _load_deformation(path: str) -> Deformation:
     doc = _read_document(path, "deformation")
     order = doc.get("order")
@@ -169,7 +187,22 @@ def _load_deformation(path: str) -> Deformation:
         raise LimitExceeded(
             f"deformation order {order} in {path} is above the limit {MAX_DEFORMATION_ORDER}"
         )
-    return deformation_from_dict(doc)
+    deformation = deformation_from_dict(doc)
+    _check_pair_work(deformation.family)
+    return deformation
+
+
+def _check_box(family: AdamsFamily, bound: int, source: str) -> None:
+    """Refuse the box of exponent sum 1..bound if its pairs carry too many entries."""
+    # the box holds the exponent vectors over the primes with sum 1..bound
+    primes = len(family.universe.primes)
+    box_size = math.comb(bound + primes, primes) - 1
+    entries = box_size**2 * family.rank**2
+    if entries > MAX_BOX_ENTRIES:
+        raise LimitExceeded(
+            f"{source} gives |box|^2 * rank^2 = {box_size}^2 * {family.rank}^2 = "
+            f"{entries} matrix entries, above the limit {MAX_BOX_ENTRIES}"
+        )
 
 
 def _bounded_box(args: argparse.Namespace, default: int) -> tuple[int, Deformation]:
@@ -178,16 +211,7 @@ def _bounded_box(args: argparse.Namespace, default: int) -> tuple[int, Deformati
     if bound < 1:
         raise ConfigParseError(f"--bound must be at least 1 for {args.action}, got {bound}")
     deformation = _load_deformation(args.deformation)
-    family = deformation.family
-    # the box holds the exponent vectors over the primes with sum 1..bound
-    primes = len(family.universe.primes)
-    box_size = math.comb(bound + primes, primes) - 1
-    entries = box_size**2 * family.rank**2
-    if entries > MAX_BOX_ENTRIES:
-        raise LimitExceeded(
-            f"--bound {bound} gives |box|^2 * rank^2 = {box_size}^2 * {family.rank}^2 = "
-            f"{entries} matrix entries, above the limit {MAX_BOX_ENTRIES}"
-        )
+    _check_box(deformation.family, bound, f"--bound {bound}")
     return bound, deformation
 
 
@@ -247,7 +271,7 @@ def _cmd_ring_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_adams_verify(args: argparse.Namespace) -> int:
-    family = _load_family(args)
+    family = _check_pair_work(_load_family(args))
     violations = verify_adams(family)
     results = {"violations": violations, "primes": list(family.universe.primes)}
     text = ["Adams data: " + ("OK" if not violations else "violations")]
@@ -346,7 +370,7 @@ def _cmd_complex_check(args: argparse.Namespace) -> int:
             f"--samples {args.samples} at dimension {dimension} gives samples * "
             f"(dimension + 2)^2 = {work}, above the limit {MAX_SAMPLE_WORK}"
         )
-    family = _load_family(args)
+    family = _check_pair_work(_load_family(args))
     dimensions = (
         [args.dimension] if args.dimension is not None else [0, 1, 2]
     )
@@ -378,7 +402,7 @@ def _cmd_complex_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_cohomology(args: argparse.Namespace) -> int:
-    family = _load_family(args)
+    family = _check_pair_work(_load_family(args))
     if args.degree == "h0":
         outcome = compute_H0(family)
         results = {
@@ -415,6 +439,8 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
 
 def _cmd_deform_verify(args: argparse.Namespace) -> int:
     deformation = _load_deformation(args.deformation)
+    # the product law is sampled on every pair of the box of exponent sum 2
+    _check_box(deformation.family, 2, "the product law's exponent sum 2")
     report = verify_deformation(deformation)
     results = report.to_dict()
     text = [

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 from .cochain import Cochain, factored_box
@@ -46,6 +47,7 @@ from .exactalg import IntMatrix, Vector, solve_linear
 from .cohomology import DerivationSpec, solve_coboundary_1
 from .rings import (
     AdamsFamily,
+    canonical_key,
     family_from_dict,
     family_to_dict,
     frobenius_compatible,
@@ -61,17 +63,26 @@ def series_identity(rank: int, order: int) -> Series:
     return tuple(head)
 
 
+def _product_sum(pairs, rank: int, op=operator.add) -> IntMatrix:
+    """The sum of x @ y over the pairs, or minus it with ``op=operator.sub``.
+
+    The products are summed row by row into one buffer.
+    """
+    rows = ((0,) * rank,) * rank
+    for x, y in pairs:
+        rows = [tuple(map(op, r, s)) for r, s in zip(rows, (x @ y).entries)]
+    return IntMatrix._trusted(rank, rank, tuple(rows))
+
+
 def series_mul(a: Sequence[IntMatrix], b: Sequence[IntMatrix], order: int) -> Series:
     """Product of matrix polynomials in t, truncated past t^order."""
     rank = a[0].rows
-    out = []
-    for k in range(order + 1):
-        acc = IntMatrix.zeros(rank, rank)
-        for i in range(k + 1):
-            if i < len(a) and k - i < len(b):
-                acc = acc + a[i] @ b[k - i]
-        out.append(acc)
-    return tuple(out)
+    return tuple(
+        _product_sum(
+            ((a[i], b[k - i]) for i in range(k + 1) if i < len(a) and k - i < len(b)), rank
+        )
+        for k in range(order + 1)
+    )
 
 
 def series_inverse(a: Sequence[IntMatrix], order: int) -> Series:
@@ -81,11 +92,8 @@ def series_inverse(a: Sequence[IntMatrix], order: int) -> Series:
         raise ValueError("only series with identity constant term are inverted here")
     out = [IntMatrix.identity(rank)]
     for k in range(1, order + 1):
-        acc = IntMatrix.zeros(rank, rank)
-        for i in range(1, k + 1):
-            if i < len(a):
-                acc = acc + a[i] @ out[k - i]
-        out.append(-acc)
+        terms = ((a[i], out[k - i]) for i in range(1, min(k, len(a) - 1) + 1))
+        out.append(_product_sum(terms, rank, operator.sub))
     return tuple(out)
 
 
@@ -269,20 +277,35 @@ def obstruction(deformation: Deformation) -> Cochain:
     of the two truncated series; a new coefficient f works at order
     N+1 exactly when df equals this cochain.
     """
-    family = deformation.family
-    order = deformation.order
-    d = family.rank
+    d = deformation.family.rank
 
     def evaluate(args: tuple[int, ...]) -> IntMatrix:
         m, n = args
-        left = deformation.at(m)
-        right = deformation.at(n)
-        total = IntMatrix.zeros(d, d)
-        for i in range(1, order + 1):
-            total = total + left[i] @ right[order + 1 - i]
-        return -total
+        rows, _ = _obstruction_factors(deformation, m)
+        _, columns = _obstruction_factors(deformation, n)
+        return IntMatrix.from_flat(d, d, _obstruction_value(rows, columns))
 
-    return Cochain(family, 2, evaluate)
+    return Cochain(deformation.family, 2, evaluate)
+
+
+def _obstruction_factors(
+    deformation: Deformation, m: int
+) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
+    """The rows of [F_1(m) .. F_N(m)] and the columns of [F_N(m); ..; F_1(m)].
+
+    The t^{N+1} coefficient of F(m) F(n) is the first block row, of m,
+    times the second block column, of n.
+    """
+    d = deformation.family.rank
+    top = deformation.at(m)[1:]
+    rows = tuple(tuple(chain.from_iterable(c.entries[i] for c in top)) for i in range(d))
+    columns = tuple(zip(*chain.from_iterable(c.entries for c in reversed(top))))
+    return rows, columns or ((),) * d
+
+
+def _obstruction_value(rows: Sequence[Vector], columns: Sequence[Vector]) -> Vector:
+    """vec of the obstruction at (m, n), from m's rows and n's columns."""
+    return tuple([-sum(map(operator.mul, row, column)) for row in rows for column in columns])
 
 
 @dataclass(frozen=True)
@@ -342,15 +365,25 @@ def _extension_system(
     d = family.rank
     d2 = d * d
     width = len(primes) * d2
-    obs = obstruction(deformation)
     zero_row = (0,) * (width + 1)
 
     def row_sum(terms) -> Vector:
         total = zero_row
         for c, row in terms:
-            if c:
+            if c == 1 and total is zero_row:
+                total = row
+            elif c:
                 total = tuple([t + c * e for t, e in zip(total, row)])
         return total
+
+    # obs(m, n) from the block row of m and the block column of n
+    factors: dict[int, tuple] = {}
+
+    def obs(m: int, n: int) -> Vector:
+        for k in (m, n):
+            if k not in factors:
+                factors[k] = _obstruction_factors(deformation, k)
+        return _obstruction_value(factors[m][0], factors[n][1])
 
     affine: dict[int, list[Vector]] = {}
     for idx, p in enumerate(primes):
@@ -386,7 +419,7 @@ def _extension_system(
             lead = product_rows(True, family.generator(p), rest)
             tail = product_rows(False, family.adams_at(rest), p)
             rows = []
-            for x, y, o in zip(lead, tail, obs.at(p, rest).flat()):
+            for x, y, o in zip(lead, tail, obs(p, rest)):
                 row = list(map(operator.add, x, y))
                 row[-1] -= o
                 rows.append(tuple(row))
@@ -402,7 +435,7 @@ def _extension_system(
         for n in box:
             left_rows = product_rows(True, am, n)
             right_rows = product_rows(False, family.adams_at(n), m)
-            for x, y, z, o in zip(left_rows, affine[m * n], right_rows, obs.at(m, n).flat()):
+            for x, y, z, o in zip(left_rows, affine[m * n], right_rows, obs(m, n)):
                 row = list(map(operator.add, map(operator.sub, x, y), z))
                 rhs.append(o - row.pop())
                 row = tuple(row)
@@ -531,18 +564,6 @@ def deformation_to_dict(deformation: Deformation) -> dict:
     }
 
 
-def _canonical_key(text: str, name: str) -> int:
-    """The integer a prime or index key names, accepted only as ``str(int(text))``.
-
-    ``int`` also reads ``"+2"``, ``" 2"`` and ``"02"``; taking those would let
-    two keys name one term, and the last one read would silently win.
-    """
-    value = int(text)
-    if text != str(value):
-        raise ConfigParseError(f"key {text!r} for {name} is not written as {value}")
-    return value
-
-
 def deformation_from_dict(data: Mapping) -> Deformation:
     """Inverse of deformation_to_dict."""
     try:
@@ -551,10 +572,10 @@ def deformation_from_dict(data: Mapping) -> Deformation:
         d = family.rank
         terms: dict[int, dict[int, IntMatrix]] = {}
         for p_text, per_prime in data.get("terms", {}).items():
-            p = _canonical_key(p_text, "a prime")
+            p = canonical_key(p_text, "a prime")
             parsed = {}
             for i_text, flat in per_prime.items():
-                i = _canonical_key(i_text, f"an index at {p}")
+                i = canonical_key(i_text, f"an index at {p}")
                 flat = [json_int(x, f"an entry of term {i} at {p}") for x in flat]
                 if len(flat) != d * d:
                     raise ConfigParseError(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import FrozenInstanceError, dataclass
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from .errors import InternalInconsistency, NonIntegralDivision
@@ -310,7 +311,10 @@ class _Eliminator:
     list shared by every position holding it, and every zero row is the
     tuple ``zero_row``; positions sharing a list always hold equal rows.
     Row operations bind a position to a new list and never change one;
-    column operations change each distinct list once, in place.
+    column operations change each distinct list once, in place.  Every
+    scan of diagonalize walks ``live``, the positions from t on whose row
+    is not ``zero_row``, so a tall system costs about as much as its
+    nonzero rows.
     """
 
     def __init__(self, matrix: IntMatrix, rhs: Optional[Sequence[int]] = None) -> None:
@@ -321,6 +325,8 @@ class _Eliminator:
         lists = {key: list(row) if any(row) else self.zero_row for key, row in distinct.items()}
         self.d = [lists[id(row)] for row in matrix.entries]
         self.t = 0  # the step of diagonalize
+        # the ascending positions from t on whose row is not zero_row
+        self.live = [i for i, row in enumerate(self.d) if row is not self.zero_row]
         # (id(row), q) -> (row, pivot, row + q * pivot); holding row keeps its id unique
         self.memo: dict[tuple[int, int], tuple] = {}
         self.rhs = None if rhs is None else list(rhs)
@@ -378,7 +384,8 @@ class _Eliminator:
         if i == j:
             return
         self.memo.clear()
-        for row in {id(row): row for row in self.d[self.t :]}.values():
+        d = self.d
+        for row in {id(d[k]): d[k] for k in self.live}.values():
             if row is not self.zero_row:
                 row[i], row[j] = row[j], row[i]
         for lists in self.col_swapped:
@@ -405,26 +412,34 @@ class _Eliminator:
         order; the search stops at the first unit, which is the entry it
         would pick anyway.  While column t and row t are cleared, the
         scans for the next nonzero entry resume where they stopped:
-        ``row_from`` marks rows t+1.. already zero in column t and
-        ``col_from`` entries t+1.. of row t already zero.  The row mark
-        resets only when column t changes (a column swap with t or the
-        divisibility step), the column mark only when row t changes (a
-        row swap with t or the divisibility step).  Every other
-        operation leaves the scanned zeros in place, so the sequence of
-        swaps, additions and quotients is the same as that of a scan
-        restarted from t+1 after every step.
+        ``row_from`` marks the entries 1.. of ``live`` (rows below t)
+        already zero in column t and ``col_from`` entries t+1.. of row t
+        already zero.  The row mark resets only when column t changes (a
+        column swap with t or the divisibility step), the column mark
+        only when row t changes (a row swap with t or the divisibility
+        step).  Every other operation leaves the scanned zeros in place,
+        so the sequence of swaps, additions and quotients is the same as
+        that of a scan restarted from t+1 after every step.
 
         In step t the rows at t and below are zero in the columns before
         t, and the rows above t are zero from column t on.  So a row
         operation, which combines two rows at t or below, needs only the
         columns from t on, and ``add_col``, which runs once column t is
-        zero outside row t, changes row t alone.  The row scans still
-        walk every position.
+        zero outside row t, changes row t alone.
+
+        No operation of step t turns a zero row into a nonzero one: a
+        row operation changes only a row that is nonzero in column t or
+        row t itself, and a column operation changes rows in place,
+        never ``zero_row``.  So ``live``, filtered at the end of each
+        step and joined by position t once the pivot row is swapped in,
+        holds every row the pivot search, the row scans, the column
+        swaps and the divisibility scan could find nonzero, in the order
+        a walk over every position would meet them.
         """
-        d = self.d
-        nrows, ncols = self.nrows, self.ncols
+        d, zero_row = self.d, self.zero_row
+        ncols = self.ncols
         divisibility_step = self.rhs is None
-        t, limit = 0, min(nrows, ncols)
+        t, limit = 0, min(self.nrows, ncols)
         while t < limit:
             self.t = t
             self.memo.clear()
@@ -432,15 +447,19 @@ class _Eliminator:
             if pivot is None:
                 break
             self.swap_rows(t, pivot[0])
+            live = self.live
+            if live[0] != t:
+                live.insert(0, t)
             self.swap_cols(t, pivot[1])
-            row_from = col_from = t + 1
+            below = len(live)
+            row_from, col_from = 1, t + 1
             while True:
                 if d[t][t] < 0:
                     self.negate_row(t)
                 p = d[t][t]
-                row_from = next((i for i in range(row_from, nrows) if d[i][t]), nrows)
-                if row_from < nrows:
-                    i = row_from
+                row_from = next((k for k in range(row_from, below) if d[live[k]][t]), below)
+                if row_from < below:
+                    i = live[row_from]
                     self.add_row(i, t, -(d[i][t] // p))
                     if d[i][t]:
                         self.swap_rows(t, i)
@@ -453,19 +472,20 @@ class _Eliminator:
                     self.add_col(j, t, -(pivot_row[j] // p))
                     if pivot_row[j]:
                         self.swap_cols(t, j)
-                        row_from = t + 1
+                        row_from = 1
                     continue
                 if not divisibility_step:
                     break
                 stray = next(
-                    (i for i in range(t + 1, nrows) for e in d[i][t + 1 :] if e % p), None
+                    (i for i in islice(live, 1, None) for e in d[i][t + 1 :] if e % p), None
                 )
                 if stray is None:
                     break
                 # Pull the offending row into row t; the next clearing pass
                 # shrinks the pivot toward the gcd of the whole block.
                 self.add_row(t, stray, 1)
-                row_from = col_from = t + 1
+                row_from, col_from = 1, t + 1
+            self.live = [i for i in islice(live, 1, None) if d[i] is not zero_row]
             t += 1
         return t
 
@@ -474,7 +494,7 @@ class _Eliminator:
         pivot, best = None, 0
         least_of: dict[int, int] = {}
         d, zero_row = self.d, self.zero_row
-        for i in range(t, self.nrows):
+        for i in self.live:
             row = d[i]
             if row is zero_row:
                 continue

@@ -567,6 +567,18 @@ def json_int(value, name: str) -> int:
     return value
 
 
+def canonical_key(text: str, name: str) -> int:
+    """The integer a prime or index key names, accepted only as ``str(int(text))``.
+
+    ``int`` also reads ``"+2"``, ``" 2"`` and ``"02"``; taking those would let
+    two keys name one term, and the last one read would silently win.
+    """
+    value = int(text)
+    if text != str(value):
+        raise ConfigParseError(f"key {text!r} for {name} is not written as {value}")
+    return value
+
+
 def family_from_dict(doc: Mapping) -> AdamsFamily:
     """Inverse of family_to_dict; malformed input raises ConfigParseError."""
     try:
@@ -596,6 +608,9 @@ def family_from_dict(doc: Mapping) -> AdamsFamily:
             if len(entries) != d * d:
                 raise ConfigParseError(f"Adams matrix for {p} must hold {d * d} integers")
             generators.append((p, IntMatrix.from_flat(d, d, entries)))
+        for key in adams_doc:
+            if canonical_key(key, "an Adams matrix") not in universe:
+                raise ConfigParseError(f"Adams key {key!r} names no prime of the universe {primes}")
         return AdamsFamily(spec, universe, tuple(generators))
     except ConfigParseError:
         raise

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -61,6 +62,7 @@ def malformed_documents():
     """Ring and deformation documents that are unusable input, by name."""
     z = family_to_dict(preset_family("Z", (2,)))
     rc2 = family_to_dict(preset_family("RC2", (2,)))
+    z23 = family_to_dict(preset_family("Z", (2, 3)))
     order_one = deformation_to_dict(trivial_deformation(preset_family("Z", (2,)), 1))
     return {
         "rank_zero": {**z, "rank": 0, "structure_constants": [], "unit": []},
@@ -69,6 +71,8 @@ def malformed_documents():
         "no_primes": {**z, "primes": [], "adams": {}},
         "short_unit": {**rc2, "unit": [1]},
         "adams_not_a_list": {**z, "adams": {"2": 5}},
+        # keys that name no universe prime, beside the real entries
+        "adams_stray_keys": {**z23, "adams": {"2": [1], "3": [1], "+2": [5], "7": [9]}},
         "prime_above_limit": {**z, "primes": [HUGE_PRIME], "adams": {str(HUGE_PRIME): [1]}},
         "rank_infinite": {**z, "rank": float("inf")},
         "negative_order": {**order_one, "order": -1},
@@ -100,6 +104,15 @@ def raw_documents():
         "signed_prime_key": f'{{"family": {z}, "order": 1, "terms": {{"2": {{"1": [2]}}, "+2": {{"1": [4]}}}}}}',
         "padded_index_key": f'{{"family": {z}, "order": 2, "terms": {{"2": {{"1": [2], "01": [4]}}}}}}',
     }
+
+
+def first_primes(count):
+    primes, n = [], 2
+    while len(primes) < count:
+        if is_prime(n):
+            primes.append(n)
+        n += 1
+    return tuple(primes)
 
 
 def int_digit_limit():
@@ -189,6 +202,7 @@ UNUSABLE_ARGV = (
     ("ring", "verify", "--ring", "{no_primes}"),
     ("ring", "verify", "--ring", "{short_unit}"),
     ("ring", "verify", "--ring", "{adams_not_a_list}"),
+    ("adams", "verify", "--ring", "{adams_stray_keys}"),
     ("ring", "verify", "--ring", "{rank_infinite}"),
     ("deform", "verify", "--deformation", "{negative_order}"),
     ("deform", "verify", "--deformation", "{order_infinite}"),
@@ -357,6 +371,56 @@ class TestInputContract:
             assert code == 2, argv
             assert out == ""
             assert f"{HUGE_PRIME} is above the limit {PrimeUniverse.MAX_PRIME}" in err
+
+    def test_pair_work_limit_is_named(self, capsys, tmp_path):
+        above = first_primes(201)  # 201^2 * 1^2 = 40401
+        primes = ",".join(map(str, above))
+        deformation = write_json(
+            tmp_path / "z.json",
+            deformation_to_dict(trivial_deformation(preset_family("Z", above), 1)),
+        )
+        for argv in (
+            ["cohomology", "h0", "--preset", "Z", "--primes", primes],
+            ["cohomology", "h1", "--preset", "Z", "--primes", primes],
+            ["adams", "verify", "--preset", "Z", "--primes", primes],
+            ["complex", "check", "leibniz", "--preset", "Z", "--primes", primes],
+            ["deform", "infinitesimal", "--deformation", deformation],
+            ["deform", "normalize", "--deformation", deformation],
+        ):
+            code, out, err = run_cli(capsys, argv)
+            assert (code, out) == (2, ""), argv
+            assert f"201^2 * 1^2 = 40401, above the limit {cli.MAX_PAIR_WORK}" in err, argv
+
+    def test_pair_work_limit_counts_the_rank(self, capsys):
+        # 67^2 * 3^2 = 40401, while Z over the same primes is far below the limit
+        primes = ",".join(map(str, first_primes(67)))
+        code, _, err = run_cli(capsys, ["cohomology", "h0", "--preset", "RC3", "--primes", primes])
+        assert code == 2
+        assert "67^2 * 3^2 = 40401" in err
+        code, _, _ = run_cli(capsys, ["adams", "verify", "--preset", "Z", "--primes", primes])
+        assert code == 0
+
+    def test_pair_work_limit_spares_what_builds_no_pairs(self, capsys):
+        # --max-degree 1000 needs the 168 primes below 1000; ring verify reads no pairs
+        primes = ",".join(map(str, first_primes(250)))
+        code, out, err = run_cli(
+            capsys,
+            ["lambda", "from-adams", "--preset", "Z", "--primes", primes,
+             "--element", "2", "--max-degree", str(cli.MAX_LAMBDA_DEGREE)],
+        )
+        assert code == 0, err
+        assert "lambda_1000: [0]" in out
+        code, _, err = run_cli(capsys, ["ring", "verify", "--preset", "Z", "--primes", primes])
+        assert code == 0, err
+
+    def test_verify_box_limit_is_named(self, capsys, tmp_path):
+        # over 44 primes the box of exponent sum 2 has 44 + 990 = 1034 elements
+        family = preset_family("Z", first_primes(44))
+        path = write_json(tmp_path / "z.json", deformation_to_dict(trivial_deformation(family, 1)))
+        code, out, err = run_cli(capsys, ["deform", "verify", "--deformation", path])
+        assert (code, out) == (2, "")
+        assert "1034^2 * 1^2 = 1069156" in err
+        assert str(cli.MAX_BOX_ENTRIES) in err
 
     def test_deformation_path_is_a_directory(self, tmp_path):
         process = run_module("deform", "extend", "--deformation", str(tmp_path))
@@ -556,6 +620,48 @@ class TestReports:
         assert out.strip() == "s1*s3 - s4"
 
 
+# SHA-256 of the JSON "results" of each report (json.dumps with sorted
+# keys), recorded with the elimination engine that walked every row
+# position.  The extension and the H1 classes depend on the elimination
+# path, so these pin the path as well as the answers.
+PINNED_RESULTS = (
+    ("deform", "extend", "--deformation", "{rc3_trivial}", "--bound", "2",
+     "afdb453aaf463649035340f7c1ee3432d80534b87a393abd4b922347487a4bcb"),
+    ("deform", "extend", "--deformation", "{rc3_trivial}", "--bound", "3",
+     "b04d3944cccfca84e57e4969e647134a83c5183650301c7782a476097a433b07"),
+    ("deform", "extend", "--deformation", "{rc3_trivial}", "--bound", "4",
+     "8d0715da32f150ba4c417646c7071ce9854bfa1968852f2161030f2d9061a7c8"),
+    ("cohomology", "h1", "--preset", "RC3", "--primes", "2,3,5,7,11,13",
+     "ce14a33a787392bca82c805c9db02fb285c67448a40dd823a868100b2f59bac9"),
+    ("cohomology", "h1", "--ring", "{zc4}",
+     "a2320f1b7b76b48fe0144359622805e07a8f3d8514f69240b9af938efc5cc77f"),
+)
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize("pinned", PINNED_RESULTS, ids=lambda p: " ".join(p[:2] + p[-2:-1]))
+    def test_results_digest(self, capsys, tmp_path, pinned):
+        *argv, digest = pinned
+        primes = (2, 3, 5, 7)
+        zc4 = AdamsFamily(
+            _cyclic_group_ring(4, "ZC4"),
+            PrimeUniverse(primes),
+            tuple((p, _cyclic_adams_matrix(4, p)) for p in primes),
+        )
+        paths = {
+            "rc3_trivial": write_json(
+                tmp_path / "rc3.json",
+                deformation_to_dict(trivial_deformation(preset_family("RC3", (2, 3, 5)), 1)),
+            ),
+            "zc4": write_json(tmp_path / "zc4.json", family_to_dict(zc4)),
+        }
+        argv = [arg.format(**paths) for arg in argv] + ["--format", "json"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0, err
+        results = json.dumps(json.loads(out)["results"], sort_keys=True)
+        assert hashlib.sha256(results.encode()).hexdigest() == digest
+
+
 class TestRingFiles:
     def test_verify_from_file(self, capsys, tmp_path):
         ring = write_json(
@@ -596,6 +702,15 @@ class TestRingFiles:
         code, out, _ = run_cli(capsys, ["adams", "verify", "--ring", ring])
         assert code == 1
         assert "violations" in out
+
+    @pytest.mark.parametrize("key", ["+2", "7", "03", " 3", "x"])
+    def test_stray_adams_keys_are_refused(self, capsys, tmp_path, key):
+        doc = family_to_dict(preset_family("Z", (2, 3)))
+        doc["adams"][key] = [5]
+        ring = write_json(tmp_path / "stray.json", doc)
+        code, out, err = run_cli(capsys, ["adams", "verify", "--ring", ring])
+        assert (code, out) == (2, "")
+        assert repr(key) in err
 
     def test_malformed_ring_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -940,6 +1055,7 @@ def fuzz_files(tmp_path_factory):
             "terms_outside_universe",
             "order_fractional",
             "family_rank_float",
+            "adams_stray_keys",
         )
     )
     # the last one names the directory itself
@@ -987,10 +1103,35 @@ def fuzz_argv(data, files):
     return argv
 
 
+def file_argv(option, path, files):
+    """An argv whose only input of note is ``path`` given to ``option``."""
+    if option == "--ring":
+        return ["adams", "verify", "--ring", path]
+    if option == "--deformation":
+        return ["deform", "verify", "--deformation", path]
+    usable = files["--deformation"][0][0]
+    return ["deform", "equiv", "--deformation", usable, "--other", path]
+
+
 class TestArgvFuzz:
     def test_exit_codes_hold_for_any_argv(self, fuzz_files):
         hypothesis = pytest.importorskip("hypothesis")
         from hypothesis import strategies as st
+
+        called = []
+
+        def run(argv):
+            called.append(argv)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = entry(argv)
+                except SystemExit as exc:
+                    assert exc.code == 2, (argv, err.getvalue())
+                    code = 2
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in err.getvalue(), argv
+            return code
 
         @hypothesis.settings(
             max_examples=200,
@@ -1000,27 +1141,19 @@ class TestArgvFuzz:
         )
         @hypothesis.given(st.data())
         def check(data):
-            argv = fuzz_argv(data, fuzz_files)
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = spy(argv)
-                except SystemExit as exc:
-                    assert exc.code == 2, (argv, err.getvalue())
-                    code = 2
-            assert code in (0, 1, 2), argv
-            assert "Traceback" not in err.getvalue(), argv
-
-        called = []
-
-        def spy(argv):
-            called.append(argv)
-            return entry(argv)
+            run(fuzz_argv(data, fuzz_files))
 
         check()
-        _, malformed, _ = fuzz_files["--deformation"]
+        # Beside the draws, every file of every pool once: the usable files
+        # end in 0 or 1, the malformed and the other unusable ones in 2.
+        for option, pools in fuzz_files.items():
+            for codes, pool in zip(((0, 1), (2,), (2,)), pools):
+                for path in pool:
+                    argv = file_argv(option, path, fuzz_files)
+                    assert run(argv) in codes, argv
         named = {arg for argv in called for arg in argv}
-        assert set(malformed) <= named, set(malformed) - named
+        every = {path for pools in fuzz_files.values() for pool in pools for path in pool}
+        assert every <= named, every - named
 
 
 # --- python -O: no assert statements, the same reports ---------------------

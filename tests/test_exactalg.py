@@ -323,9 +323,9 @@ def with_fresh_copies(rng, a, share):
     return IntMatrix(a.rows, a.cols, entries)
 
 
-def seeded_rc3_cocycle_start(seed):
-    """Order-1 RC3 deformation whose t-coefficient is a seeded random cocycle."""
-    family = preset_family("RC3", (2, 3, 5))
+def seeded_cocycle_start(preset, seed):
+    """Order-1 deformation whose t-coefficient is a seeded random cocycle."""
+    family = preset_family(preset, (2, 3, 5))
     rng = random.Random(seed)
     spec = None
     for b in cocycle_space_basis(family):
@@ -419,7 +419,7 @@ class TestEliminationMatchesSeed:
             assert answers[0] == answers[1] == answers[2], f"case {k}"
 
     def test_rc3_extension_equals_the_reference(self, monkeypatch):
-        start = seeded_rc3_cocycle_start(1)
+        start = seeded_cocycle_start("RC3", 1)
         fast = try_extend(start, 3)
         with monkeypatch.context() as patch:
             patch.setattr(deformation, "solve_linear", seed_solve_linear)
@@ -427,6 +427,15 @@ class TestEliminationMatchesSeed:
         assert fast.succeeded and fast.equations == 3249
         for p in start.family.universe.primes:
             assert fast.extended.series(p) == slow.extended.series(p)
+
+    # the seed engine takes seconds on the 10,404 rows of RC3 at bound 4
+    @pytest.mark.parametrize("preset, seed, bound", [("RC3", 2, 3), ("RC3", 3, 3), ("RC2", 1, 4)])
+    def test_extension_systems_solve_like_the_seed(self, preset, seed, bound):
+        _, system, rhs = deformation._extension_system(seeded_cocycle_start(preset, seed), bound)
+        assert len({id(r) for r in system.entries}) < system.rows
+        fast = solve_linear(system, rhs)
+        assert fast is not None
+        assert fast == seed_solve_linear(system, rhs)
 
     def test_interned_rows_build_the_same_matrix(self):
         rng = random.Random(3)
