@@ -215,16 +215,6 @@ def _bounded_box(args: argparse.Namespace, default: int) -> tuple[int, Deformati
     return bound, deformation
 
 
-def _config_echo(args: argparse.Namespace) -> dict:
-    skip = {"handler"}
-    echo = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or value is None:
-            continue
-        echo[key] = value
-    return echo
-
-
 def _emit(
     args: argparse.Namespace,
     command: str,
@@ -237,7 +227,7 @@ def _emit(
         report = {
             "schema_version": SCHEMA_VERSION,
             "command": command,
-            "config": _config_echo(args),
+            "config": {k: v for k, v in sorted(vars(args).items()) if v is not None},
             "seed": args.seed,
             "universe": list(universe),
             "bounds": bounds,
@@ -257,30 +247,30 @@ def _group_dict(group) -> dict:
     }
 
 
-# subcommand handlers; each returns the process exit code
+# Subcommand handlers.  Each computes its report and returns it as (exit
+# code, universe, bounds, results, text lines); entry alone renders it.
+_Report = tuple[int, Sequence[int], dict, dict, list]
 
 
-def _cmd_ring_verify(args: argparse.Namespace) -> int:
+def _cmd_ring_verify(args: argparse.Namespace) -> _Report:
     family = _load_family(args)
     violations = verify_ring(family.ring)
     results = {"violations": violations, "rank": family.rank}
     text = [f"ring rank {family.rank}: " + ("OK" if not violations else "violations")]
     text += [f"  {v}" for v in violations]
-    _emit(args, "ring verify", family.universe.primes, {}, results, text)
-    return 0 if not violations else 1
+    return int(bool(violations)), family.universe.primes, {}, results, text
 
 
-def _cmd_adams_verify(args: argparse.Namespace) -> int:
+def _cmd_adams_verify(args: argparse.Namespace) -> _Report:
     family = _check_pair_work(_load_family(args))
     violations = verify_adams(family)
     results = {"violations": violations, "primes": list(family.universe.primes)}
     text = ["Adams data: " + ("OK" if not violations else "violations")]
     text += [f"  {v}" for v in violations]
-    _emit(args, "adams verify", family.universe.primes, {}, results, text)
-    return 0 if not violations else 1
+    return int(bool(violations)), family.universe.primes, {}, results, text
 
 
-def _cmd_lambda_from_adams(args: argparse.Namespace) -> int:
+def _cmd_lambda_from_adams(args: argparse.Namespace) -> _Report:
     if args.max_degree > MAX_LAMBDA_DEGREE:
         raise LimitExceeded(
             f"--max-degree {args.max_degree} is above the limit {MAX_LAMBDA_DEGREE}"
@@ -315,18 +305,10 @@ def _cmd_lambda_from_adams(args: argparse.Namespace) -> int:
     }
     text = [f"lambda values of {list(element)} up to degree {args.max_degree}:"]
     text += [f"  lambda_{i}: {list(v)}" for i, v in enumerate(values, start=1)]
-    _emit(
-        args,
-        "lambda from-adams",
-        family.universe.primes,
-        {"max_degree": args.max_degree},
-        results,
-        text,
-    )
-    return 0
+    return 0, family.universe.primes, {"max_degree": args.max_degree}, results, text
 
 
-def _cmd_poly(args: argparse.Namespace) -> int:
+def _cmd_poly(args: argparse.Namespace) -> _Report:
     bound = args.bound if args.bound is not None else DEFAULT_COMPOSITION_LIMIT
     if bound > MAX_POLY_BOUND:
         raise LimitExceeded(f"--bound {bound} is above the limit {MAX_POLY_BOUND}")
@@ -347,18 +329,10 @@ def _cmd_poly(args: argparse.Namespace) -> int:
         "indices": list(polynomial.indices),
         "text": polynomial.text(),
     }
-    _emit(
-        args,
-        f"poly {args.which}",
-        (),
-        {"bound": bound},
-        results,
-        [polynomial.text()],
-    )
-    return 0
+    return 0, (), {"bound": bound}, results, [polynomial.text()]
 
 
-def _cmd_complex_check(args: argparse.Namespace) -> int:
+def _cmd_complex_check(args: argparse.Namespace) -> _Report:
     if args.dimension is not None and args.dimension < 0:
         raise ConfigParseError(f"--dimension must be at least 0, got {args.dimension}")
     if args.dimension is not None and args.dimension > MAX_DIMENSION:
@@ -390,54 +364,49 @@ def _cmd_complex_check(args: argparse.Namespace) -> int:
     for report in reports:
         for failure in report["failures"]:
             text.append(f"  dim {report['dimension']}: {failure}")
-    _emit(
-        args,
-        "complex check",
-        family.universe.primes,
-        {"samples": args.samples, "dimensions": dimensions},
-        results,
-        text,
-    )
-    return 0 if mismatches == 0 else 1
+    bounds = {"samples": args.samples, "dimensions": dimensions}
+    return int(mismatches > 0), family.universe.primes, bounds, results, text
 
 
-def _cmd_cohomology(args: argparse.Namespace) -> int:
+def _cmd_h0(args: argparse.Namespace) -> _Report:
     family = _check_pair_work(_load_family(args))
-    if args.degree == "h0":
-        outcome = compute_H0(family)
-        results = {
-            "group": _group_dict(outcome.group),
-            "basis": [list(b.flat()) for b in outcome.basis],
-        }
-        text = [f"H0 = {outcome.group.render()}"]
-        text += [f"  basis: {list(b.flat())}" for b in outcome.basis]
-    else:
-        outcome = compute_H1(family)
-        classes = []
-        for cls in outcome.classes:
-            classes.append(
-                {
-                    "order": cls.order,
-                    "values": {
-                        str(p): list(cls.derivation.value(p).flat())
-                        for p in family.universe.primes
-                    },
-                }
-            )
-        results = {
-            "group": _group_dict(outcome.group),
-            "classes": classes,
-            "cocycle_rank": len(outcome.cocycle_basis),
-        }
-        text = [f"H1 = {outcome.group.render()}"]
-        for cls in classes:
-            label = "infinite order" if cls["order"] == 0 else f"order {cls['order']}"
-            text.append(f"  class ({label}): {cls['values']}")
-    _emit(args, f"cohomology {args.degree}", family.universe.primes, {}, results, text)
-    return 0
+    outcome = compute_H0(family)
+    results = {
+        "group": _group_dict(outcome.group),
+        "basis": [list(b.flat()) for b in outcome.basis],
+    }
+    text = [f"H0 = {outcome.group.render()}"]
+    text += [f"  basis: {list(b.flat())}" for b in outcome.basis]
+    return 0, family.universe.primes, {}, results, text
 
 
-def _cmd_deform_verify(args: argparse.Namespace) -> int:
+def _cmd_h1(args: argparse.Namespace) -> _Report:
+    family = _check_pair_work(_load_family(args))
+    outcome = compute_H1(family)
+    classes = []
+    for cls in outcome.classes:
+        classes.append(
+            {
+                "order": cls.order,
+                "values": {
+                    str(p): list(cls.derivation.value(p).flat())
+                    for p in family.universe.primes
+                },
+            }
+        )
+    results = {
+        "group": _group_dict(outcome.group),
+        "classes": classes,
+        "cocycle_rank": len(outcome.cocycle_basis),
+    }
+    text = [f"H1 = {outcome.group.render()}"]
+    for cls in classes:
+        label = "infinite order" if cls["order"] == 0 else f"order {cls['order']}"
+        text.append(f"  class ({label}): {cls['values']}")
+    return 0, family.universe.primes, {}, results, text
+
+
+def _cmd_deform_verify(args: argparse.Namespace) -> _Report:
     deformation = _load_deformation(args.deformation)
     # the product law is sampled on every pair of the box of exponent sum 2
     _check_box(deformation.family, 2, "the product law's exponent sum 2")
@@ -448,18 +417,10 @@ def _cmd_deform_verify(args: argparse.Namespace) -> int:
         + ("OK" if report.passed else "violations")
     ]
     text += [f"  {f}" for f in report.failures]
-    _emit(
-        args,
-        "deform verify",
-        deformation.family.universe.primes,
-        {},
-        results,
-        text,
-    )
-    return 0 if report.passed else 1
+    return int(not report.passed), deformation.family.universe.primes, {}, results, text
 
 
-def _cmd_deform_infinitesimal(args: argparse.Namespace) -> int:
+def _cmd_deform_infinitesimal(args: argparse.Namespace) -> _Report:
     deformation = _load_deformation(args.deformation)
     spec = infinitesimal(deformation)
     results = {
@@ -472,18 +433,10 @@ def _cmd_deform_infinitesimal(args: argparse.Namespace) -> int:
     text = ["infinitesimal part:"]
     text += [f"  at {p}: {results['values'][str(p)]}" for p in deformation.family.universe.primes]
     text.append(f"  cocycle: {results['is_cocycle']}")
-    _emit(
-        args,
-        "deform infinitesimal",
-        deformation.family.universe.primes,
-        {},
-        results,
-        text,
-    )
-    return 0
+    return 0, deformation.family.universe.primes, {}, results, text
 
 
-def _cmd_deform_obstruction(args: argparse.Namespace) -> int:
+def _cmd_deform_obstruction(args: argparse.Namespace) -> _Report:
     bound, deformation = _bounded_box(args, 2)
     obs = obstruction(deformation)
     box = factored_box(deformation.family.universe, bound, include_one=False)
@@ -500,18 +453,10 @@ def _cmd_deform_obstruction(args: argparse.Namespace) -> int:
     results = {"order": deformation.order, "entries": entries}
     text = [f"obstruction values on the box with exponent sum <= {bound}:"]
     text += [f"  ({e['m']}, {e['n']}): {e['matrix']}" for e in entries]
-    _emit(
-        args,
-        "deform obstruction",
-        deformation.family.universe.primes,
-        {"bound": bound},
-        results,
-        text,
-    )
-    return 0
+    return 0, deformation.family.universe.primes, {"bound": bound}, results, text
 
 
-def _cmd_deform_extend(args: argparse.Namespace) -> int:
+def _cmd_deform_extend(args: argparse.Namespace) -> _Report:
     bound, deformation = _bounded_box(args, 3)
     outcome = try_extend(deformation, bound)
     results = {
@@ -530,18 +475,11 @@ def _cmd_deform_extend(args: argparse.Namespace) -> int:
             f"no extension to order {deformation.order + 1} exists "
             f"({outcome.equations} equations over the box)"
         ]
-    _emit(
-        args,
-        "deform extend",
-        deformation.family.universe.primes,
-        {"bound": bound},
-        results,
-        text,
-    )
-    return 0 if outcome.succeeded else 1
+    code = int(not outcome.succeeded)
+    return code, deformation.family.universe.primes, {"bound": bound}, results, text
 
 
-def _cmd_deform_normalize(args: argparse.Namespace) -> int:
+def _cmd_deform_normalize(args: argparse.Namespace) -> _Report:
     deformation = _load_deformation(args.deformation)
     if args.level > deformation.order:
         raise ConfigParseError(
@@ -555,18 +493,10 @@ def _cmd_deform_normalize(args: argparse.Namespace) -> int:
     text = [
         f"t^{args.level} coefficient removed by conjugation; witness {list(witness.flat())}"
     ]
-    _emit(
-        args,
-        "deform normalize",
-        deformation.family.universe.primes,
-        {"level": args.level},
-        results,
-        text,
-    )
-    return 0
+    return 0, deformation.family.universe.primes, {"level": args.level}, results, text
 
 
-def _cmd_deform_equiv(args: argparse.Namespace) -> int:
+def _cmd_deform_equiv(args: argparse.Namespace) -> _Report:
     if not args.other:
         raise ConfigParseError("equiv needs --other with the second deformation")
     first = _load_deformation(args.deformation)
@@ -582,29 +512,7 @@ def _cmd_deform_equiv(args: argparse.Namespace) -> int:
         text = [
             "no inner witness: the top terms differ by a nonzero cohomology class"
         ]
-    _emit(
-        args,
-        "deform equiv",
-        first.family.universe.primes,
-        {},
-        results,
-        text,
-    )
-    return 0 if witness is not None else 1
-
-
-_DEFORM_ACTIONS = {
-    "verify": _cmd_deform_verify,
-    "infinitesimal": _cmd_deform_infinitesimal,
-    "obstruction": _cmd_deform_obstruction,
-    "extend": _cmd_deform_extend,
-    "normalize": _cmd_deform_normalize,
-    "equiv": _cmd_deform_equiv,
-}
-
-
-def _cmd_deform_dispatch(args: argparse.Namespace) -> int:
-    return _DEFORM_ACTIONS[args.action](args)
+    return int(witness is None), first.family.universe.primes, {}, results, text
 
 
 # parsers: the options every command takes, then each command's own arguments
@@ -622,50 +530,66 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _verify_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("action", choices=("verify",))
-
-
 def _lambda_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("action", choices=("from-adams",))
     parser.add_argument("--element", required=True, help="comma-separated coordinates")
     parser.add_argument("--max-degree", type=_positive_int, default=6)
 
 
 def _poly_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("which", choices=("P", "Pij"))
     parser.add_argument("i", type=_positive_int)
     parser.add_argument("j", type=_positive_int, nargs="?")
 
 
 def _complex_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("action", choices=("check",))
     parser.add_argument("identity", choices=IDENTITY_NAMES)
     parser.add_argument("--dimension", type=int, help="restrict to one cochain dimension")
 
 
-def _cohomology_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("degree", choices=("h0", "h1"))
-
-
 def _deform_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("action", choices=tuple(_DEFORM_ACTIONS))
     parser.add_argument("--deformation", required=True, help="path to a deformation file")
     parser.add_argument("--other", help="second deformation file (equiv)")
     parser.add_argument("--level", type=_positive_int, default=1, help="coefficient to remove")
 
 
-# (name, help line, adder of the command's own arguments, handler)
-_COMMANDS = (
-    ("ring", "ring-level checks", _verify_arguments, _cmd_ring_verify),
-    ("adams", "Adams-family checks", _verify_arguments, _cmd_adams_verify),
-    ("lambda", "lambda-operation values", _lambda_arguments, _cmd_lambda_from_adams),
-    ("poly", "universal polynomials", _poly_arguments, _cmd_poly),
-    ("complex", "structural identities of the complex", _complex_arguments, _cmd_complex_check),
-    ("cohomology", "cohomology groups", _cohomology_arguments, _cmd_cohomology),
-    ("deform", "deformation calculus", _deform_arguments, _cmd_deform_dispatch),
-)
-_COMMAND_NAMES = tuple(name for name, *_ in _COMMANDS)
+# command -> (help line, name of its first positional, the handler of each
+# value of that positional, adder of the command's other arguments).  The
+# report's label is the command and the value, such as "deform extend".
+_COMMANDS = {
+    "ring": ("ring-level checks", "action", {"verify": _cmd_ring_verify}, None),
+    "adams": ("Adams-family checks", "action", {"verify": _cmd_adams_verify}, None),
+    "lambda": (
+        "lambda-operation values",
+        "action",
+        {"from-adams": _cmd_lambda_from_adams},
+        _lambda_arguments,
+    ),
+    "poly": (
+        "universal polynomials",
+        "which",
+        {"P": _cmd_poly, "Pij": _cmd_poly},
+        _poly_arguments,
+    ),
+    "complex": (
+        "structural identities of the complex",
+        "action",
+        {"check": _cmd_complex_check},
+        _complex_arguments,
+    ),
+    "cohomology": ("cohomology groups", "degree", {"h0": _cmd_h0, "h1": _cmd_h1}, None),
+    "deform": (
+        "deformation calculus",
+        "action",
+        {
+            "verify": _cmd_deform_verify,
+            "infinitesimal": _cmd_deform_infinitesimal,
+            "obstruction": _cmd_deform_obstruction,
+            "extend": _cmd_deform_extend,
+            "normalize": _cmd_deform_normalize,
+            "equiv": _cmd_deform_equiv,
+        },
+        _deform_arguments,
+    ),
+}
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
@@ -683,14 +607,15 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     # Without a metavar the usage lists the commands built; an explicit
     # one would rename the command in "the following arguments are
     # required", so it is given only when one command is built.
-    metavar = "{" + ",".join(_COMMAND_NAMES) + "}" if command is not None else None
+    metavar = "{" + ",".join(_COMMANDS) + "}" if command is not None else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, help_line, add_arguments, handler in _COMMANDS:
+    for name, (help_line, positional, handlers, add_arguments) in _COMMANDS.items():
         if command in (None, name):
             command_parser = sub.add_parser(name, help=help_line)
             _add_common_options(command_parser)
-            add_arguments(command_parser)
-            command_parser.set_defaults(handler=handler)
+            command_parser.add_argument(positional, choices=tuple(handlers))
+            if add_arguments is not None:
+                add_arguments(command_parser)
     return parser
 
 
@@ -698,8 +623,10 @@ def entry(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # An option before the command, --help or an unknown command needs
     # the whole parser tree; otherwise only the named command's parser.
-    command = argv[0] if argv and argv[0] in _COMMAND_NAMES else None
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
+    _, positional, handlers, _ = _COMMANDS[args.command]
+    value = getattr(args, positional)
     # Exact results can run to tens of thousands of digits; lift the
     # int-to-str limit (Python 3.11+) for rendering and JSON, then restore it.
     set_digits = getattr(sys, "set_int_max_str_digits", None)
@@ -707,7 +634,9 @@ def entry(argv: Optional[Sequence[str]] = None) -> int:
         previous = sys.get_int_max_str_digits()
         set_digits(0)
     try:
-        return args.handler(args)
+        code, universe, bounds, results, text = handlers[value](args)
+        _emit(args, f"{args.command} {value}", universe, bounds, results, text)
+        return code
     except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

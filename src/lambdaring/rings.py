@@ -106,8 +106,10 @@ class PrimeUniverse:
             if e:
                 factors.append((p, e))
         if remaining != 1:
-            stray = next(q for q in range(2, remaining + 1) if remaining % q == 0)
-            raise UnknownPrime(f"{n} has the factor {stray} outside the universe {self.primes}")
+            # the cofactor, not its least prime: finding that is factoring
+            raise UnknownPrime(
+                f"{n} has the factor {remaining} outside the universe {self.primes}"
+            )
         return tuple(factors)
 
     def check(self, args: tuple[int, ...]) -> None:

@@ -468,6 +468,7 @@ class TestInputContract:
         )
         ring = write_json(tmp_path / "zc6.json", family_to_dict(family))
         before = int_digit_limit()
+        assert before != 0
         code, out, err = run_cli(
             capsys, ["cohomology", "h1", "--ring", ring, "--format", "json"]
         )
@@ -476,6 +477,16 @@ class TestInputContract:
         assert '"rendered": "Z^18"' in out
         longest = max(len(chunk) for chunk in out.replace("-", " ").split())
         assert longest > 4300
+        # the limit comes back on the other exits too: an input error, and a
+        # t^1 coefficient that is a genuine class, so not inner
+        whole_report_files(tmp_path)
+        for argv, exit_code in (
+            (["cohomology", "h0"], 2),
+            (["deform", "normalize", "--deformation", str(tmp_path / "z-class.json")], 1),
+        ):
+            code, _, err = run_cli(capsys, argv)
+            assert code == exit_code, err
+            assert int_digit_limit() == before, argv
 
     def test_long_integers_in_and_out(self, capsys):
         # lambda_2 of 10^5000 is 10^5000 (10^5000 - 1) / 2
@@ -660,6 +671,129 @@ class TestPinnedReports:
         assert code == 0, err
         results = json.dumps(json.loads(out)["results"], sort_keys=True)
         assert hashlib.sha256(results.encode()).hexdigest() == digest
+
+
+def whole_report_files(directory):
+    """The input files of WHOLE_REPORTS, written into ``directory`` by relative name."""
+    rc2 = preset_family("RC2", (2, 3, 5))
+    z = preset_family("Z", (2, 3, 5))
+    u = IntMatrix.from_rows([[0, 0], [0, 2]])
+    inner = inner_derivation(rc2, u)
+    documents = {
+        "rc2-ring.json": family_to_dict(rc2),
+        "scaling.json": deformation_to_dict(
+            make_deformation(z, 1, {p: {1: IntMatrix.from_rows([[p]])} for p in (2, 3, 5)})
+        ),
+        "conjugated.json": deformation_to_dict(
+            make_deformation(rc2, 1, {p: {1: inner.scale(-1).value(p)} for p in (2, 3, 5)})
+        ),
+        "rc2-trivial.json": deformation_to_dict(trivial_deformation(rc2, 1)),
+        "rc2-inner.json": deformation_to_dict(
+            make_deformation(rc2, 1, {p: {1: inner.value(p)} for p in (2, 3, 5)})
+        ),
+        "z-trivial.json": deformation_to_dict(trivial_deformation(z, 1)),
+        # a genuine H1 class of the integers: not inner, so no witness
+        "z-class.json": deformation_to_dict(
+            make_deformation(z, 1, {2: {1: IntMatrix.from_rows([[2]])}})
+        ),
+    }
+    for name, doc in documents.items():
+        write_json(directory / name, doc)
+
+
+# One argv for each report label, then the exit-1 outcomes of normalize and
+# equiv, with (exit code, SHA-256 of the text stdout, SHA-256 of the JSON
+# stdout, stderr).  Recorded before the command table replaced the
+# per-command report calls; every report byte is pinned, config echo included.
+WHOLE_REPORTS = (
+    (("ring", "verify", "--preset", "RC2"),
+     0, "dfea18b226231c7d2cec436f81da19d01ac3f6235f4ce4e4142d6e50c0da3698",
+     "773a8cfa4e25c4f5e2f20451015313a2a15da7239ab827e77ffeccf35f8abfdd",
+     ""),
+    (("adams", "verify", "--ring", "rc2-ring.json", "--primes", "2,3"),
+     0, "d71d8a4aefe8ff5d4d797b7c3aabd5d25a86a2353e97d8b1d41cd57ad0e941ac",
+     "14f03a5eebf0adff45492c82f9db4ecae7a8befb28be4142b1f689a6c60e084c",
+     ""),
+    (("lambda", "from-adams", "--preset", "Z", "--primes", "2,3,5,7",
+      "--element", "9", "--max-degree", "7"),
+     0, "075441e08c525ee7d425f0bd56c037cdbe892b38dd8aa1aa1d96b330f3ff49d7",
+     "c55127c8c301b4223e0fc5ed08fe313b194c99dd0295c0d89cd289da70942225",
+     ""),
+    (("poly", "P", "3"),
+     0, "17482e518c93cdee7b2e754d3198d4dfb9a2dd3fb84a25ac8e35e38210c0a3d1",
+     "1f510f4b5a21b3505ef2b9b5bb48023e9a799b97b7ef57f067853664736f6493",
+     ""),
+    (("poly", "Pij", "2", "2"),
+     0, "da40368006a8bc3f9a37b5abfc15c544bf8b410fc0fc897a1697ae217d0e18ad",
+     "143f3babdb79fc1026abd249e7a30d32944127c583d6f1d916a7dc61d006a66d",
+     ""),
+    (("complex", "check", "d-squared", "--preset", "RC2", "--samples", "5", "--seed", "7"),
+     0, "fd4572eacb5242351816a10ae6616740cbe70775da9eb682d8e7bc03db9096fd",
+     "1415b7ffbb88b0f0a7ed5c49505b84b4c4de0bdfe036aa2f0da83752dabca02e",
+     ""),
+    (("cohomology", "h0", "--preset", "RC3"),
+     0, "8803dd2a85dd8ea11061a50d895e8a7020d42b1340d0ca145f5b6301b6bde11e",
+     "051a7ae87c13627553a796111c52a2471606e94fc3ae9b48ced39b7b45a4897c",
+     ""),
+    (("cohomology", "h1", "--ring", "rc2-ring.json", "--primes", "2,3"),
+     0, "5c6de1059d86485e14db9b4231a5325996827621240e1a19e9a36e26d535e814",
+     "ae64e82e949c05bc5b2c4f2aa566b79d7c198b8c73770752e2ec2da67c9e5d3a",
+     ""),
+    (("deform", "verify", "--deformation", "scaling.json"),
+     0, "f0ca82f771189c3aa7914330f0687c511ff6c1a7c2ce26afa2f82861e8184784",
+     "ef7bcc9aa6b0676c26b065463a936045948a700647fe824d630f61897c11841e",
+     ""),
+    (("deform", "infinitesimal", "--deformation", "scaling.json"),
+     0, "475d746672f0a19fd13b25ed4db66116fb43d1744b414cbd6cff6fec204d26bf",
+     "b864a37031ec22b9180fa0b33c07304ed24f8e2771541e6cb71c75ec7558b770",
+     ""),
+    (("deform", "obstruction", "--deformation", "scaling.json", "--bound", "2"),
+     0, "f5708d11dfb4c8b544e5c104ae6697de931f68b8ea11b8b0dc8e0d9d8372c643",
+     "5cf481275128f8e674e922db987178c4417946c63f6c8362d5b24806b1208589",
+     ""),
+    (("deform", "extend", "--deformation", "scaling.json", "--bound", "2"),
+     0, "d49c77d354e5232a4ced36d9de164470e873fa43a554900edadd9178e16ce10c",
+     "6ec61530a8b38ba56e6f3ebdb7f11604715b0bc575fd51c2fc3564b8293f9acf",
+     ""),
+    (("deform", "normalize", "--deformation", "conjugated.json", "--level", "1"),
+     0, "ed819f35e1075c836975a2dbaf9c84292d3eec069faa547661ad237952d407ec",
+     "549c5ee477a3872cd68c49013735b97821780451782c7263e804cf75995fcbbe",
+     ""),
+    (("deform", "equiv", "--deformation", "rc2-trivial.json", "--other", "rc2-inner.json"),
+     0, "47bc7bc6aec404c67658e3cfe7412d128c0983feb47ba4fc91aad2c53edf0d9b",
+     "bf817614b438c6b460bb5c83992151431302f60fffa7b553b024c8c1732ddca0",
+     ""),
+    (("deform", "normalize", "--deformation", "z-class.json"),
+     1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "mathematical violation: the t^1 coefficient is not an inner derivation\n"),
+    (("deform", "equiv", "--deformation", "z-trivial.json", "--other", "z-class.json"),
+     1, "a1aab84a1aa4efb03ac5a2b0d70979be082c26753340d03cb7644139a9beee6d",
+     "039ff8769d8dbf4859619661609ca0e3d8e27f5b2ce737504f7503bc09507442",
+     ""),
+)
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestWholeReports:
+    @pytest.mark.parametrize(
+        "pinned", WHOLE_REPORTS, ids=lambda p: " ".join(p[0][:2]) + f" exit {p[1]}"
+    )
+    def test_report_bytes(self, capsys, monkeypatch, tmp_path, pinned):
+        argv, code, text_digest, json_digest, stderr = pinned
+        whole_report_files(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        text = run_cli(capsys, list(argv))
+        as_json = run_cli(capsys, [*argv, "--format", "json"])
+        assert (text[0], sha256(text[1]), text[2]) == (code, text_digest, stderr)
+        assert (as_json[0], sha256(as_json[1]), as_json[2]) == (code, json_digest, stderr)
+
+    def test_every_label_is_pinned(self):
+        labels = {" ".join(argv[:2]) for argv, code, *_ in WHOLE_REPORTS if code == 0}
+        assert len(labels) == 14
 
 
 class TestRingFiles:
@@ -873,23 +1007,19 @@ def reference_parser():
 
     ring = sub.add_parser("ring", parents=[common], help="ring-level checks")
     ring.add_argument("action", choices=("verify",))
-    ring.set_defaults(handler=cli._cmd_ring_verify)
 
     adams = sub.add_parser("adams", parents=[common], help="Adams-family checks")
     adams.add_argument("action", choices=("verify",))
-    adams.set_defaults(handler=cli._cmd_adams_verify)
 
     lam = sub.add_parser("lambda", parents=[common], help="lambda-operation values")
     lam.add_argument("action", choices=("from-adams",))
     lam.add_argument("--element", required=True, help="comma-separated coordinates")
     lam.add_argument("--max-degree", type=cli._positive_int, default=6)
-    lam.set_defaults(handler=cli._cmd_lambda_from_adams)
 
     poly = sub.add_parser("poly", parents=[common], help="universal polynomials")
     poly.add_argument("which", choices=("P", "Pij"))
     poly.add_argument("i", type=cli._positive_int)
     poly.add_argument("j", type=cli._positive_int, nargs="?")
-    poly.set_defaults(handler=cli._cmd_poly)
 
     complex_parser = sub.add_parser(
         "complex", parents=[common], help="structural identities of the complex"
@@ -899,11 +1029,9 @@ def reference_parser():
     complex_parser.add_argument(
         "--dimension", type=int, help="restrict to one cochain dimension"
     )
-    complex_parser.set_defaults(handler=cli._cmd_complex_check)
 
     cohomology_parser = sub.add_parser("cohomology", parents=[common], help="cohomology groups")
     cohomology_parser.add_argument("degree", choices=("h0", "h1"))
-    cohomology_parser.set_defaults(handler=cli._cmd_cohomology)
 
     deform = sub.add_parser("deform", parents=[common], help="deformation calculus")
     deform.add_argument(
@@ -913,7 +1041,6 @@ def reference_parser():
     deform.add_argument("--deformation", required=True, help="path to a deformation file")
     deform.add_argument("--other", help="second deformation file (equiv)")
     deform.add_argument("--level", type=cli._positive_int, default=1, help="coefficient to remove")
-    deform.set_defaults(handler=cli._cmd_deform_dispatch)
     return parser
 
 

@@ -5,6 +5,7 @@ import contextlib
 import importlib.util
 import inspect
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -120,17 +121,38 @@ def library_state() -> dict:
     return state
 
 
-def test_benchmark_tracer_installs_and_restores():
-    """The benchmark's tracer wraps library names; deleting one fails here first."""
+def test_benchmark_tracer_installs_and_restores(tmp_path):
+    """The benchmark's tracer wraps library names; deleting one fails here first.
+
+    The runs reach every observer: H1 runs the Smith form, and extend
+    runs try_extend and its solve.
+    """
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
+    trivial = deformation.trivial_deformation(rings.preset_family("Z", (2, 3, 5)), 1)
+    document = tmp_path / "z.json"
+    document.write_text(json.dumps(deformation.deformation_to_dict(trivial)))
     before = library_state()
     with tracer_module.Tracer() as tracer:
         assert library_state() != before
         with contextlib.redirect_stdout(io.StringIO()):
-            assert lambdaring.cli.entry(["cohomology", "h0", "--preset", "Z"]) == 0
+            for argv in (
+                ["cohomology", "h0", "--preset", "Z"],
+                ["cohomology", "h1", "--preset", "Z"],
+                ["deform", "extend", "--deformation", str(document), "--bound", "2"],
+            ):
+                assert lambdaring.cli.entry(argv) == 0, argv
     assert library_state() == before
-    assert tracer.layers["cli.entry"][0] == 1
+    assert tracer.layers["cli.entry"][0] == 3
     assert tracer.layers["cohomology.compute_H0"][0] == 1
+    assert tracer.layers["cohomology.compute_H1"][0] == 1
+    assert tracer.layers["deformation.try_extend"][0] == 1
+    for size in (
+        "exactalg.smith_normal_form.rows_max",
+        "exactalg.solve_linear.rows_max",
+        "deformation.try_extend.equations",
+        "deformation.try_extend.unknowns",
+    ):
+        assert tracer.sizes[size] > 0, size

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 
@@ -63,6 +64,14 @@ class TestPrimeUniverse:
             u.factor(10)
         with pytest.raises(UnknownPrime, match="factor 7"):
             u.peel(14)
+        # a large outside prime is named without a search for it
+        mersenne = 2**61 - 1
+        start = time.perf_counter()
+        with pytest.raises(UnknownPrime, match=f"factor {mersenne} "):
+            u.factor(2 * mersenne)
+        with pytest.raises(UnknownPrime, match=f"factor {mersenne} "):
+            preset_family("Z", (2, 3)).adams_at(3 * mersenne)
+        assert time.perf_counter() - start < 1
         for n in (0, -4):
             with pytest.raises(ValueError, match="positive"):
                 u.peel(n)
