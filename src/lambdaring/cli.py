@@ -78,7 +78,10 @@ SCHEMA_VERSION = 1
 # samples at dimension 0), poly refuses a --bound above MAX_POLY_BOUND,
 # lambda from-adams refuses a --max-degree above MAX_LAMBDA_DEGREE, and
 # deform refuses a deformation document whose order is above
-# MAX_DEFORMATION_ORDER.
+# MAX_DEFORMATION_ORDER.  Every --ring, --deformation and --other file is
+# refused when it is longer than MAX_DOCUMENT_BYTES; an order-50 RC3
+# deformation over six primes, extended from a random cocycle, is
+# about 0.5 MB.
 MAX_BOX_ENTRIES = 10**6
 MAX_PAIR_WORK = 40_000
 MAX_DIMENSION = 10
@@ -86,6 +89,8 @@ MAX_SAMPLE_WORK = 400_000
 MAX_POLY_BOUND = 12
 MAX_LAMBDA_DEGREE = 1000
 MAX_DEFORMATION_ORDER = 50
+MAX_DOCUMENT_BYTES = 16 * 2**20
+_READ_PIECE = 2**16
 
 _INPUT_ERRORS = (ConfigParseError, UnknownPreset, LimitExceeded)
 _MATH_ERRORS = (
@@ -133,12 +138,30 @@ def _unique_members(pairs: list) -> dict:
 
 
 def _read_document(path: str, kind: str) -> dict:
-    """The JSON object in the ``kind`` file at ``path``; any failure is a ConfigParseError."""
+    """The JSON object in the ``kind`` file at ``path``.
+
+    A file longer than MAX_DOCUMENT_BYTES is a LimitExceeded, read no
+    further than one byte past the limit; any other failure is a
+    ConfigParseError.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle, object_pairs_hook=_unique_members)
+        # in pieces, so that memory follows the file, not the limit
+        data = bytearray()
+        with open(path, "rb") as handle:
+            while len(data) <= MAX_DOCUMENT_BYTES:
+                piece = handle.read(min(_READ_PIECE, MAX_DOCUMENT_BYTES + 1 - len(data)))
+                if not piece:
+                    break
+                data += piece
+        if len(data) > MAX_DOCUMENT_BYTES:
+            raise LimitExceeded(
+                f"{kind} file {path} is longer than the limit of {MAX_DOCUMENT_BYTES} bytes"
+            )
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read {kind} file {path}: {exc}") from exc
+    try:
+        doc = json.loads(text, object_pairs_hook=_unique_members)
     except (ValueError, RecursionError) as exc:
         raise ConfigParseError(f"{kind} file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

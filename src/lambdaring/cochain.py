@@ -319,7 +319,10 @@ def _check_cosimplicial(
 ) -> list[str]:
     n = f.dimension
     failures = []
-    # shared, so each inner coface value is computed once for all pairs
+    # shared, so each inner coface value is computed once for all pairs;
+    # the pairs after row i read inner[j - 1] for j > i only, so the values
+    # of inner[i] are dropped once row i is done, and the codegeneracy
+    # sections below recompute the few they need
     inner = [coface(i, f) for i in range(n + 2)]
     for i in range(0, n + 2):
         for j in range(i + 1, n + 3):
@@ -332,6 +335,7 @@ def _check_cosimplicial(
                         + _render_args(f, args)
                     )
                     break
+        inner[i]._cache.clear()
     if n >= 1:
         short = tuples[0][:n] if tuples else ()
         for i in range(0, n + 1):

@@ -11,9 +11,10 @@ cohomology classes can be printed, not just counted.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import operator
 from dataclasses import FrozenInstanceError, dataclass
-from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from .errors import InternalInconsistency, NonIntegralDivision
@@ -293,6 +294,21 @@ def _add_multiple(lists: list[list[int]], i: int, j: int, q: int) -> None:
     lists[i] = [a + q * b for a, b in zip(lists[i], lists[j])]
 
 
+def _combine(row: list[int], pivot: list[int], q: int, t: int) -> list[int]:
+    """row + q * pivot; both are zero before column t.  row itself when q is 0."""
+    if not q:
+        return row
+    return row[:t] + [a + q * b for a, b in zip(row[t:], pivot[t:])]
+
+
+def _first_position(group: list) -> int:
+    return group[2][0]
+
+
+class _Unsolvable(Exception):
+    """A row of the system is zero and its right-hand side is not."""
+
+
 class _Eliminator:
     """Shared row/column elimination engine; its mode comes from its input.
 
@@ -306,207 +322,232 @@ class _Eliminator:
     columns, so every update swaps two lists or adds a multiple of one
     list to another.
 
-    Tall systems repeat few rows many times, so the matrix work is done
-    once per distinct row.  Each distinct input row object becomes one
-    list shared by every position holding it, and every zero row is the
-    tuple ``zero_row``; positions sharing a list always hold equal rows.
-    Row operations bind a position to a new list and never change one;
-    column operations change each distinct list once, in place.  Every
-    scan of diagonalize walks ``live``, the positions from t on whose row
-    is not ``zero_row``, so a tall system costs about as much as its
-    nonzero rows.
+    The rows below the pivots are held in groups ``[row, rhs,
+    positions]``: one row list, one right-hand side, and the ascending
+    positions that hold that pair.  Zero rows belong to no group, and a
+    zero row with a nonzero right-hand side means there is no solution.
+    A solve starts with one group per distinct pair; a Smith form starts
+    with every position in its own group, because ``u`` and ``u_inv``
+    differ per position, and keeps it so.  Scans, row operations and
+    right-hand-side updates run once per group, so a tall system costs
+    about as much as its distinct rows.  The pivot of step t (position
+    t) is held apart; ``pivots`` keeps the row and right-hand side of
+    each finished step.
+
+    The path is that of an elimination over every position, because of
+    one invariant.  Take one row sweep of step t: it starts at the pivot
+    choice or at a column swap, and ends when column t is clear below
+    t.  Within it, only a group's first position can change the pivot.
+    After Euclid runs there, the pivot's column-t entry divides the
+    group's, and every later pivot's entry divides the one before, so
+    every later copy reduces to zero in column t in one row operation,
+    with no swap.
     """
 
     def __init__(self, matrix: IntMatrix, rhs: Optional[Sequence[int]] = None) -> None:
         self.nrows = matrix.rows
         self.ncols = matrix.cols
-        self.zero_row = (0,) * self.ncols
-        distinct = {id(row): row for row in matrix.entries}
-        lists = {key: list(row) if any(row) else self.zero_row for key, row in distinct.items()}
-        self.d = [lists[id(row)] for row in matrix.entries]
-        self.t = 0  # the step of diagonalize
-        # the ascending positions from t on whose row is not zero_row
-        self.live = [i for i, row in enumerate(self.d) if row is not self.zero_row]
-        # (id(row), q) -> (row, pivot, row + q * pivot); holding row keeps its id unique
-        self.memo: dict[tuple[int, int], tuple] = {}
-        self.rhs = None if rhs is None else list(rhs)
         self.v = _identity_rows(self.ncols)
-        # row_swapped and col_swapped: the lists whose entries i and j a swap exchanges
+        self.pivots: list[tuple[list[int], int]] = []
         if rhs is None:
             self.u = _identity_rows(self.nrows)
             self.u_inv = _identity_rows(self.nrows)
             self.v_inv = _identity_rows(self.ncols)
-            self.row_swapped = (self.d, self.u, self.u_inv)
             self.col_swapped = (self.v, self.v_inv)
+            groups = [[list(row), 0, [i]] for i, row in enumerate(matrix.entries) if any(row)]
         else:
-            self.row_swapped = (self.d, self.rhs)
+            self.u = None
             self.col_swapped = (self.v,)
+            by_pair: dict[tuple[Vector, int], list] = {}
+            for i, pair in enumerate(zip(matrix.entries, rhs)):
+                group = by_pair.get(pair)
+                if group is None:
+                    by_pair[pair] = [list(pair[0]), pair[1], [i]]
+                else:
+                    group[2].append(i)
+            if any(b for row, b in by_pair if not any(row)):
+                raise _Unsolvable
+            groups = [group for group in by_pair.values() if any(group[0])]
+        self.groups = groups
 
-    def swap_rows(self, i: int, j: int) -> None:
-        if i == j:
-            return
-        for lists in self.row_swapped:
-            lists[i], lists[j] = lists[j], lists[i]
-
-    def add_row(self, i: int, j: int, q: int) -> None:
-        """row_i += q * row_j, over the columns from t on.
-
-        Every copy of row i gets the same new list while row j is the same
-        list and no column changes; a zero result becomes ``zero_row``.
-        """
-        if q == 0:
-            return
-        d = self.d
-        row, pivot = d[i], d[j]
-        key = (id(row), q)
-        hit = self.memo.get(key)
-        if hit is None or hit[1] is not pivot:
-            t = self.t
-            new = row[:t] + [a + q * b for a, b in zip(row[t:], pivot[t:])]
-            hit = self.memo[key] = (row, pivot, new if any(new) else self.zero_row)
-        d[i] = hit[2]
-        if self.rhs is not None:
-            self.rhs[i] += q * self.rhs[j]
-        else:
+    def track_add(self, i: int, j: int, q: int) -> None:
+        """Record row_i += q * row_j in u and u_inv."""
+        if self.u is not None and q:
             _add_multiple(self.u, i, j, q)
             _add_multiple(self.u_inv, j, i, -q)
 
-    def negate_row(self, i: int) -> None:
-        self.d[i] = [-a for a in self.d[i]]
-        if self.rhs is not None:
-            self.rhs[i] = -self.rhs[i]
-        else:
-            _add_multiple(self.u, i, i, -2)
-            _add_multiple(self.u_inv, i, i, -2)
+    def track_swap(self, i: int, j: int) -> None:
+        """Record the exchange of rows i and j in u and u_inv."""
+        if self.u is not None and i != j:
+            for lists in (self.u, self.u_inv):
+                lists[i], lists[j] = lists[j], lists[i]
 
-    def swap_cols(self, i: int, j: int) -> None:
-        """Exchange columns i, j >= t; the rows above t are zero in both."""
+    def swap_cols(self, i: int, j: int, pivot: list[int]) -> None:
+        """Exchange columns i, j >= t; the pivots before t are zero in both."""
         if i == j:
             return
-        self.memo.clear()
-        d = self.d
-        for row in {id(d[k]): d[k] for k in self.live}.values():
-            if row is not self.zero_row:
-                row[i], row[j] = row[j], row[i]
+        for row in itertools.chain((group[0] for group in self.groups), (pivot,)):
+            row[i], row[j] = row[j], row[i]
         for lists in self.col_swapped:
             lists[i], lists[j] = lists[j], lists[i]
-
-    def add_col(self, j: int, i: int, q: int) -> None:
-        """col_j += q * col_i; column i is zero outside row i, so only row i changes."""
-        if q == 0:
-            return
-        self.memo.clear()
-        target = self.d[i]
-        target[j] += q * target[i]
-        _add_multiple(self.v, j, i, q)
-        if self.rhs is None:
-            _add_multiple(self.v_inv, i, j, -q)
 
     def diagonalize(self) -> int:
         """Clear the matrix to diagonal form; returns the diagonal length used.
 
-        Without a right-hand side, a last step per pivot makes it divide
-        the rest of the block.
+        Each step t takes a pivot, then alternates row sweeps, which clear
+        column t below t, with column operations, which clear row t to
+        the right of t, until both are clear.  Without a right-hand side,
+        a last step per pivot makes it divide the rest of the block.
 
-        The pivot is the first entry of least absolute value in row-major
-        order; the search stops at the first unit, which is the entry it
-        would pick anyway.  While column t and row t are cleared, the
-        scans for the next nonzero entry resume where they stopped:
-        ``row_from`` marks the entries 1.. of ``live`` (rows below t)
-        already zero in column t and ``col_from`` entries t+1.. of row t
-        already zero.  The row mark resets only when column t changes (a
-        column swap with t or the divisibility step), the column mark
-        only when row t changes (a row swap with t or the divisibility
-        step).  Every other operation leaves the scanned zeros in place,
-        so the sequence of swaps, additions and quotients is the same as
-        that of a scan restarted from t+1 after every step.
+        The pivot is the least entry in absolute value, of the earliest
+        first position holding it, in the first column holding it; the
+        search stops at the first unit.  ``col_from`` marks the entries
+        t+1.. of the pivot row already zero; it resets after each row
+        sweep and each divisibility step, the two that may change the
+        pivot row by more than a column operation.
 
-        In step t the rows at t and below are zero in the columns before
-        t, and the rows above t are zero from column t on.  So a row
-        operation, which combines two rows at t or below, needs only the
-        columns from t on, and ``add_col``, which runs once column t is
-        zero outside row t, changes row t alone.
-
-        No operation of step t turns a zero row into a nonzero one: a
-        row operation changes only a row that is nonzero in column t or
-        row t itself, and a column operation changes rows in place,
-        never ``zero_row``.  So ``live``, filtered at the end of each
-        step and joined by position t once the pivot row is swapped in,
-        holds every row the pivot search, the row scans, the column
-        swaps and the divisibility scan could find nonzero, in the order
-        a walk over every position would meet them.
+        In step t the rows below are zero in the columns before t, and
+        the pivots above are zero from column t on.  So a row operation
+        needs only the columns from t on, and a column operation, which
+        runs once column t is zero below t, changes the pivot alone.  No
+        operation turns a zero row into a nonzero one, and no column
+        operation makes a nonzero row zero, so the groups hold every row
+        that a scan over the positions from t on could find nonzero.
+        Raises ``_Unsolvable`` as soon as a row becomes zero while its
+        right-hand side does not.
         """
-        d, zero_row = self.d, self.zero_row
         ncols = self.ncols
-        divisibility_step = self.rhs is None
+        divisibility_step = self.u is not None
         t, limit = 0, min(self.nrows, ncols)
-        while t < limit:
-            self.t = t
-            self.memo.clear()
-            pivot = self._find_pivot(t)
-            if pivot is None:
-                break
-            self.swap_rows(t, pivot[0])
-            live = self.live
-            if live[0] != t:
-                live.insert(0, t)
-            self.swap_cols(t, pivot[1])
-            below = len(live)
-            row_from, col_from = 1, t + 1
+        while t < limit and self.groups:
+            pivot, pivot_rhs = self.take_pivot(t)
+            pivot, pivot_rhs = self.sweep(t, pivot, pivot_rhs)
+            col_from = t + 1
             while True:
-                if d[t][t] < 0:
-                    self.negate_row(t)
-                p = d[t][t]
-                row_from = next((k for k in range(row_from, below) if d[live[k]][t]), below)
-                if row_from < below:
-                    i = live[row_from]
-                    self.add_row(i, t, -(d[i][t] // p))
-                    if d[i][t]:
-                        self.swap_rows(t, i)
-                        col_from = t + 1
-                    continue
-                pivot_row = d[t]
-                col_from = next((j for j in range(col_from, ncols) if pivot_row[j]), ncols)
+                p = pivot[t]
+                col_from = next((j for j in range(col_from, ncols) if pivot[j]), ncols)
                 if col_from < ncols:
+                    # col_j += q * col_t, which is zero outside the pivot row
                     j = col_from
-                    self.add_col(j, t, -(pivot_row[j] // p))
-                    if pivot_row[j]:
-                        self.swap_cols(t, j)
-                        row_from = 1
+                    q = -(pivot[j] // p)
+                    if q:
+                        pivot[j] += q * p
+                        _add_multiple(self.v, j, t, q)
+                        if divisibility_step:
+                            _add_multiple(self.v_inv, t, j, -q)
+                    if pivot[j]:
+                        self.swap_cols(t, j, pivot)
+                        pivot, pivot_rhs = self.sweep(t, pivot, pivot_rhs)
+                        col_from = t + 1
                     continue
                 if not divisibility_step:
                     break
+                self.groups.sort(key=_first_position)
                 stray = next(
-                    (i for i in islice(live, 1, None) for e in d[i][t + 1 :] if e % p), None
+                    (group for group in self.groups for e in group[0][t + 1 :] if e % p), None
                 )
                 if stray is None:
                     break
-                # Pull the offending row into row t; the next clearing pass
-                # shrinks the pivot toward the gcd of the whole block.
-                self.add_row(t, stray, 1)
-                row_from, col_from = 1, t + 1
-            self.live = [i for i in islice(live, 1, None) if d[i] is not zero_row]
+                # Pull the offending row into the pivot; the next column
+                # pass shrinks the pivot toward the gcd of the whole block.
+                pivot = _combine(pivot, stray[0], 1, t)
+                self.track_add(t, stray[2][0], 1)
+                col_from = t + 1
+            self.pivots.append((pivot, pivot_rhs))
             t += 1
         return t
 
-    def _find_pivot(self, t: int) -> Optional[tuple[int, int]]:
-        """First entry of least absolute value below and right of (t, t); one least per list."""
-        pivot, best = None, 0
-        least_of: dict[int, int] = {}
-        d, zero_row = self.d, self.zero_row
-        for i in self.live:
-            row = d[i]
-            if row is zero_row:
-                continue
-            least = least_of.get(id(row))
-            if least is None:
-                least = least_of[id(row)] = min(map(abs, filter(None, row[t:])))
-            if pivot is None or least < best:
-                j = next(j for j in range(t, self.ncols) if abs(row[j]) == least)
-                pivot, best = (i, j), least
+    def take_pivot(self, t: int) -> tuple[list[int], int]:
+        """Move the pivot's row to position t and its column to t; a positive pivot."""
+        groups = self.groups
+        groups.sort(key=_first_position)
+        pick, best = 0, 0
+        for k, group in enumerate(groups):
+            least = min(map(abs, filter(None, group[0][t:])))
+            if not best or least < best:
+                pick, best = k, least
                 if best == 1:
                     break
-        return pivot
+        row, rhs, positions = groups[pick]
+        i = positions[0]
+        if i != t and _first_position(groups[0]) == t:
+            # the row at position t moves to position i
+            held = groups[0][2]
+            del held[0]
+            bisect.insort(held, i)
+        self.track_swap(t, i)
+        del positions[0]
+        if positions:
+            row = list(row)
+        else:
+            del groups[pick]
+        self.swap_cols(t, next(j for j in range(t, self.ncols) if abs(row[j]) == best), row)
+        if row[t] < 0:
+            row, rhs = [-a for a in row], -rhs
+            if self.u is not None:
+                _add_multiple(self.u, t, t, -2)
+                _add_multiple(self.u_inv, t, t, -2)
+        return row, rhs
+
+    def sweep(self, t: int, pivot: list[int], pivot_rhs: int) -> tuple[list[int], int]:
+        """Clear column t below t; returns the pivot row and right-hand side it ends with.
+
+        Euclid runs at each first position in position order, swapping
+        its row with the pivot while a remainder is left.  The pivot in
+        force after each first position that changed it starts a new
+        epoch.  The other positions of a group then move as blocks, one
+        new row and right-hand side per epoch; in the epoch of a first
+        position that kept the pivot, they join its result.
+        """
+        self.groups.sort(key=_first_position)
+        staying, moving = [], []
+        for group in self.groups:
+            (moving if group[0][t] else staying).append(group)
+        if not moving:
+            return pivot, pivot_rhs
+        starts = [-1]  # the position after which each epoch's pivot is in force
+        epochs = [(pivot, pivot_rhs)]
+        firsts = []
+        for row, rhs, positions in moving:
+            i = positions[0]
+            while True:
+                q = -(row[t] // pivot[t])
+                row, rhs = _combine(row, pivot, q, t), rhs + q * pivot_rhs
+                self.track_add(i, t, q)
+                if not row[t]:
+                    break
+                pivot, row = row, pivot
+                pivot_rhs, rhs = rhs, pivot_rhs
+                self.track_swap(t, i)
+            if pivot is epochs[-1][0]:
+                own = len(epochs) - 1
+            else:
+                own = None
+                starts.append(i)
+                epochs.append((pivot, pivot_rhs))
+            firsts.append((own, [row, rhs, [i]]))
+
+        def keep(group: list) -> None:
+            if any(group[0]):
+                staying.append(group)
+            elif group[1]:
+                raise _Unsolvable
+
+        for (row, rhs, positions), (own, first) in zip(moving, firsts):
+            lo, n = 1, len(positions)
+            while lo < n:
+                e = bisect.bisect_left(starts, positions[lo]) - 1
+                hi = n if e + 1 == len(starts) else bisect.bisect_left(positions, starts[e + 1], lo)
+                if e == own:
+                    first[2].extend(positions[lo:hi])
+                else:
+                    epoch_pivot, epoch_rhs = epochs[e]
+                    q = -(row[t] // epoch_pivot[t])
+                    keep([_combine(row, epoch_pivot, q, t), rhs + q * epoch_rhs, positions[lo:hi]])
+                lo = hi
+            keep(first)
+        self.groups = staying
+        return pivot, pivot_rhs
 
 
 def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
@@ -522,11 +563,11 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     True
     """
     work = _Eliminator(matrix)
-    work.diagonalize()
+    used = work.diagonalize()
     n, m = work.nrows, work.ncols
     decomposition = SmithDecomposition(
         u=IntMatrix.from_flat(n, n, [e for r in work.u for e in r]),
-        d=IntMatrix(n, m, tuple(tuple(r) for r in work.d)),
+        d=IntMatrix(n, m, tuple(tuple(r) for r, _ in work.pivots) + ((0,) * m,) * (n - used)),
         v=IntMatrix.from_columns(work.v, m),
         u_inv=IntMatrix.from_columns(work.u_inv, n),
         v_inv=IntMatrix.from_flat(m, m, [e for r in work.v_inv for e in r]),
@@ -560,20 +601,21 @@ def solve_linear(matrix: IntMatrix, rhs: Sequence[int]) -> Optional[LinearSoluti
     """
     if len(rhs) != matrix.rows:
         raise ValueError("right-hand side length does not match row count")
-    work = _Eliminator(matrix, rhs)
-    used = work.diagonalize()
-    if any(work.rhs[used:]):
+    try:
+        work = _Eliminator(matrix, rhs)
+        work.diagonalize()
+    except _Unsolvable:
         return None
-    # x = v y with d y = u rhs, where each pivot d[k][k] of the used
-    # length is positive; the columns of v past the pivots span the kernel
+    # x = v y with d y = u rhs, where each pivot d[k][k] is positive; the
+    # columns of v past the pivots span the kernel
     y = []
-    for k in range(used):
-        quotient, remainder = divmod(work.rhs[k], work.d[k][k])
+    for k, (pivot, c) in enumerate(work.pivots):
+        quotient, remainder = divmod(c, pivot[k])
         if remainder:
             return None
         y.append(quotient)
     particular = tuple(sum(map(operator.mul, row, y)) for row in zip(*work.v))
-    kernel = tuple(tuple(column) for column in work.v[used:])
+    kernel = tuple(tuple(column) for column in work.v[len(y):])
     return LinearSolution(particular=particular, kernel=kernel)
 
 

@@ -1,7 +1,11 @@
-"""Shared fixtures: preset families and a small nilpotent example."""
+"""Shared fixtures: preset families, a small nilpotent example and seeded deformations."""
+
+import random
 
 import pytest
 
+from lambdaring.cohomology import cocycle_space_basis
+from lambdaring.deformation import Deformation, make_deformation
 from lambdaring.exactalg import IntMatrix
 from lambdaring.rings import AdamsFamily, PrimeUniverse, RingSpec, preset_family
 
@@ -45,6 +49,17 @@ def noncommuting_family() -> AdamsFamily:
             (3, IntMatrix.from_rows([[0, 1], [1, 0]])),
         ),
     )
+
+
+def seeded_cocycle_start(preset: str, seed: int) -> Deformation:
+    """Order-1 deformation whose t-coefficient is a seeded random cocycle."""
+    family = preset_family(preset, (2, 3, 5))
+    rng = random.Random(seed)
+    spec = None
+    for b in cocycle_space_basis(family):
+        term = b.scale(rng.randint(-2, 2))
+        spec = term if spec is None else spec + term
+    return make_deformation(family, 1, {p: {1: spec.value(p)} for p in family.universe.primes})
 
 
 @pytest.fixture

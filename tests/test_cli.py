@@ -6,13 +6,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import noncommuting_family
+from conftest import noncommuting_family, seeded_cocycle_start
 from lambdaring import cli
 from lambdaring.cli import entry
 from lambdaring.cochain import IDENTITY_NAMES, random_endomorphism
@@ -439,6 +440,30 @@ class TestInputContract:
             assert process.returncode == 2, argv
             assert "Traceback" not in process.stderr
 
+    def test_documents_one_byte_over_the_limit_are_refused(self, capsys, monkeypatch, tmp_path):
+        doc = json.dumps(deformation_to_dict(trivial_deformation(preset_family("Z", (2, 3)), 1)))
+        fits = write_json(tmp_path / "fits.json", json.loads(doc))
+        over = tmp_path / "over.json"
+        over.write_text(doc + " ")
+        monkeypatch.setattr(cli, "MAX_DOCUMENT_BYTES", len(doc))
+        code, _, err = run_cli(capsys, ["deform", "equiv", "--deformation", fits, "--other", fits])
+        assert code == 0, err
+        for option, argv in (
+            ("--ring", ["ring", "verify"]),
+            ("--deformation", ["deform", "verify"]),
+            ("--other", ["deform", "equiv", "--deformation", fits]),
+        ):
+            code, out, err = run_cli(capsys, argv + [option, str(over)])
+            assert (code, out) == (2, ""), option
+            assert f"file {over} is longer than the limit of {len(doc)} bytes" in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_an_endless_document_is_refused(self):
+        process = run_module("deform", "extend", "--deformation", "/dev/zero")
+        assert process.returncode == 2
+        assert "Traceback" not in process.stderr
+        assert f"is longer than the limit of {cli.MAX_DOCUMENT_BYTES} bytes" in process.stderr
+
     def test_lambda_degree_needs_its_primes(self):
         process = run_module(
             "lambda", "from-adams", "--preset", "Z", "--element", "4", "--max-degree", "7"
@@ -649,6 +674,19 @@ PINNED_RESULTS = (
 )
 
 
+# The same digest of `deform extend` on the seeded RC3 cocycle start of
+# conftest (seed 1), recorded with the engine that walked every live row
+# position.  The trivial deformation above has a zero right-hand side in
+# all 3249 rows at bound 3, so its particular solution is 0 on any path;
+# this start has 1616 nonzero right-hand sides there, so its extension
+# moves with the path.
+COCYCLE_EXTENSIONS = {
+    "3": "79fb5ff2684c9b4de40ca9d400e7158dde76e23d7e3381ad349f808953ba3eb3",
+    "4": "5fd5a35bfb0d0a192642ce626acc21ecb5c30164a9060ad94d7ac0c757cd4651",
+    "5": "68e865745f5c9f1433856fd5c7c5cdc64d7d1e997104b07bcf6ead63db207df0",
+}
+
+
 class TestPinnedReports:
     @pytest.mark.parametrize("pinned", PINNED_RESULTS, ids=lambda p: " ".join(p[:2] + p[-2:-1]))
     def test_results_digest(self, capsys, tmp_path, pinned):
@@ -666,11 +704,22 @@ class TestPinnedReports:
             ),
             "zc4": write_json(tmp_path / "zc4.json", family_to_dict(zc4)),
         }
-        argv = [arg.format(**paths) for arg in argv] + ["--format", "json"]
-        code, out, err = run_cli(capsys, argv)
-        assert code == 0, err
-        results = json.dumps(json.loads(out)["results"], sort_keys=True)
-        assert hashlib.sha256(results.encode()).hexdigest() == digest
+        assert results_digest(capsys, [arg.format(**paths) for arg in argv]) == digest
+
+    @pytest.mark.parametrize("bound", sorted(COCYCLE_EXTENSIONS))
+    def test_cocycle_extension_digest(self, capsys, tmp_path, bound):
+        start = deformation_to_dict(seeded_cocycle_start("RC3", 1))
+        path = write_json(tmp_path / "rc3-cocycle.json", start)
+        argv = ["deform", "extend", "--deformation", path, "--bound", bound]
+        assert results_digest(capsys, argv) == COCYCLE_EXTENSIONS[bound]
+
+
+def results_digest(capsys, argv):
+    """SHA-256 of the JSON "results" of a clean run, as PINNED_RESULTS records it."""
+    code, out, err = run_cli(capsys, [*argv, "--format", "json"])
+    assert code == 0, err
+    results = json.dumps(json.loads(out)["results"], sort_keys=True)
+    return hashlib.sha256(results.encode()).hexdigest()
 
 
 def whole_report_files(directory):

@@ -10,9 +10,9 @@ from dataclasses import FrozenInstanceError, dataclass
 
 import pytest
 
+from conftest import seeded_cocycle_start
 from lambdaring import deformation, exactalg
-from lambdaring.cohomology import cocycle_space_basis
-from lambdaring.deformation import make_deformation, try_extend
+from lambdaring.deformation import try_extend
 from lambdaring.errors import InternalInconsistency, NonIntegralDivision
 from lambdaring.exactalg import (
     AbelianGroup,
@@ -27,7 +27,6 @@ from lambdaring.exactalg import (
     smith_normal_form,
     solve_linear,
 )
-from lambdaring.rings import preset_family
 
 
 def random_matrix(rng, rows, cols, bound=9):
@@ -302,6 +301,11 @@ def shared_row_matrices():
     yield IntMatrix(6, 3, (p, s, s, q, s, q))
     s = (0, 6, 0, 0)
     yield IntMatrix(5, 4, ((4, 0, 0, 0), s, s, (0, 0, 10, 15), s))
+    # in the first sweep Euclid changes the pivot at the first copy of a
+    # below the pivot and again at the first copy of c: the copy of a
+    # between them clears against the pivot in force there, not the last
+    a, b, c = (9, -6, -6, -6), (-7, 5, -8, -4), (4, 8, -6, 9)
+    yield IntMatrix(7, 4, (a, b, b, a, c, c, a))
 
 
 def small_shared_row_matrices(rng, count):
@@ -317,21 +321,24 @@ def small_shared_row_matrices(rng, count):
         yield IntMatrix(len(rows), cols, rows)
 
 
+def repeated_row_matrix(rng, cols):
+    """2-6 distinct rows, each repeated up to 40 times, in a shuffled order.
+
+    The entries have few common factors, so Euclid often swaps the pivot
+    at the first copy of one row while copies of another row lie on both
+    sides of it: those copies clear column t against different pivots.
+    """
+    values = (0, 1, -1, 2, -2, 3, -3, 5, 7, -9)
+    distinct = [tuple(rng.choice(values) for _ in range(cols)) for _ in range(rng.randint(2, 6))]
+    rows = [row for row in distinct for _ in range(rng.randint(1, 40))]
+    rng.shuffle(rows)
+    return IntMatrix(len(rows), cols, tuple(rows))
+
+
 def with_fresh_copies(rng, a, share):
     """The same matrix with some rows replaced by content-equal separate tuples."""
     entries = tuple(tuple(list(r)) if rng.random() >= share else r for r in a.entries)
     return IntMatrix(a.rows, a.cols, entries)
-
-
-def seeded_cocycle_start(preset, seed):
-    """Order-1 deformation whose t-coefficient is a seeded random cocycle."""
-    family = preset_family(preset, (2, 3, 5))
-    rng = random.Random(seed)
-    spec = None
-    for b in cocycle_space_basis(family):
-        term = b.scale(rng.randint(-2, 2))
-        spec = term if spec is None else spec + term
-    return make_deformation(family, 1, {p: {1: spec.value(p)} for p in family.universe.primes})
 
 
 def degenerate_matrices():
@@ -373,6 +380,21 @@ class TestEliminationMatchesSeed:
                 a.apply(x),
                 tuple(rng.randint(-1, 1) if any(row) else 0 for row in a.entries),
                 tuple(rng.randint(-1, 1) for _ in range(a.rows)),
+            ]
+            fast = self.assert_same_as_seed(a, right_hand_sides, f"trial {trial}")
+            assert fast[0] is not None
+
+    def test_rows_repeated_up_to_forty_times_equal_the_reference(self):
+        rng = random.Random(20261023)
+        for trial in range(40):
+            a = repeated_row_matrix(rng, rng.randint(2, 6))
+            consistent = a.apply(tuple(rng.randint(-3, 3) for _ in range(a.cols)))
+            perturbed = list(consistent)
+            perturbed[rng.randrange(a.rows)] += rng.choice((-1, 1, 2))
+            right_hand_sides = [
+                consistent,
+                tuple(perturbed),
+                tuple(rng.randint(-2, 2) for _ in range(a.rows)),
             ]
             fast = self.assert_same_as_seed(a, right_hand_sides, f"trial {trial}")
             assert fast[0] is not None
