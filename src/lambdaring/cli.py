@@ -79,9 +79,10 @@ SCHEMA_VERSION = 1
 # lambda from-adams refuses a --max-degree above MAX_LAMBDA_DEGREE, and
 # deform refuses a deformation document whose order is above
 # MAX_DEFORMATION_ORDER.  Every --ring, --deformation and --other file is
-# refused when it is longer than MAX_DOCUMENT_BYTES; an order-50 RC3
-# deformation over six primes, extended from a random cocycle, is
-# about 0.5 MB.
+# refused when it is longer than MAX_DOCUMENT_BYTES or holds an integer
+# longer than MAX_INTEGER_DIGITS digits (decimal text converts in quadratic
+# time); an order-50 RC3 deformation over six primes, extended from a
+# random cocycle, is about 0.5 MB, with integers of about 650 digits.
 MAX_BOX_ENTRIES = 10**6
 MAX_PAIR_WORK = 40_000
 MAX_DIMENSION = 10
@@ -90,6 +91,7 @@ MAX_POLY_BOUND = 12
 MAX_LAMBDA_DEGREE = 1000
 MAX_DEFORMATION_ORDER = 50
 MAX_DOCUMENT_BYTES = 16 * 2**20
+MAX_INTEGER_DIGITS = 10**4
 _READ_PIECE = 2**16
 
 _INPUT_ERRORS = (ConfigParseError, UnknownPreset, LimitExceeded)
@@ -137,12 +139,19 @@ def _unique_members(pairs: list) -> dict:
     return members
 
 
+def _document_int(text: str) -> int:
+    digits = len(text.lstrip("-"))
+    if digits > MAX_INTEGER_DIGITS:
+        raise LimitExceeded(f"an integer of {digits} digits, above the limit {MAX_INTEGER_DIGITS}")
+    return int(text)
+
+
 def _read_document(path: str, kind: str) -> dict:
     """The JSON object in the ``kind`` file at ``path``.
 
-    A file longer than MAX_DOCUMENT_BYTES is a LimitExceeded, read no
-    further than one byte past the limit; any other failure is a
-    ConfigParseError.
+    A file longer than MAX_DOCUMENT_BYTES, read no further than one byte
+    past it, or holding an integer longer than MAX_INTEGER_DIGITS digits,
+    is a LimitExceeded; any other failure is a ConfigParseError.
     """
     try:
         # in pieces, so that memory follows the file, not the limit
@@ -161,7 +170,9 @@ def _read_document(path: str, kind: str) -> dict:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read {kind} file {path}: {exc}") from exc
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_members)
+        doc = json.loads(text, object_pairs_hook=_unique_members, parse_int=_document_int)
+    except LimitExceeded as exc:
+        raise LimitExceeded(f"{kind} file {path} holds {exc}") from None
     except (ValueError, RecursionError) as exc:
         raise ConfigParseError(f"{kind} file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -146,44 +146,39 @@ def endo_cochain(family: AdamsFamily, matrix: IntMatrix) -> Cochain:
     return Cochain(family, 0, lambda args: matrix)
 
 
+def _coface_term(f: Cochain, i: int, args: tuple[int, ...]) -> IntMatrix:
+    """The value of the i-th coface of f at args: the i-th term of df."""
+    family = f.family
+    if i == 0:
+        return family.adams_at(args[0]) @ f.at(*args[1:])
+    if i == f.dimension + 1:
+        return f.at(*args[:-1]) @ family.adams_at(args[-1])
+    return f.at(*args[: i - 1], args[i - 1] * args[i], *args[i + 1 :])
+
+
 def differential(f: Cochain) -> Cochain:
     """Coboundary of a cochain, one dimension up."""
-    family = f.family
     n = f.dimension
-    d = family.rank
+    d = f.family.rank
 
     def evaluate(args: tuple[int, ...]) -> IntMatrix:
         # The terms are summed row by row into one buffer, the i-th
         # with the sign (-1)^i of the formula in the module docstring.
-        rows = (family.adams_at(args[0]) @ f.at(*args[1:])).entries
+        rows = _coface_term(f, 0, args).entries
         for i in range(1, n + 2):
-            if i <= n:
-                term = f.at(*args[: i - 1], args[i - 1] * args[i], *args[i + 1 :])
-            else:
-                term = f.at(*args[:-1]) @ family.adams_at(args[-1])
             op = operator.sub if i % 2 else operator.add
-            rows = [tuple(map(op, a, b)) for a, b in zip(rows, term.entries)]
+            rows = [tuple(map(op, a, b)) for a, b in zip(rows, _coface_term(f, i, args).entries)]
         return IntMatrix._trusted(d, d, tuple(rows))
 
-    return Cochain(family, n + 1, evaluate)
+    return Cochain(f.family, n + 1, evaluate)
 
 
 def coface(i: int, f: Cochain) -> Cochain:
     """The i-th coface; the differential is their alternating sum."""
-    family = f.family
     n = f.dimension
     if not 0 <= i <= n + 1:
         raise IndexError(f"coface index {i} out of range 0..{n + 1}")
-
-    def evaluate(args: tuple[int, ...]) -> IntMatrix:
-        if i == 0:
-            return family.adams_at(args[0]) @ f.at(*args[1:])
-        if i == n + 1:
-            return f.at(*args[:-1]) @ family.adams_at(args[-1])
-        merged = args[: i - 1] + (args[i - 1] * args[i],) + args[i + 1 :]
-        return f.at(*merged)
-
-    return Cochain(family, n + 1, evaluate)
+    return Cochain(f.family, n + 1, lambda args: _coface_term(f, i, args))
 
 
 def codegeneracy(i: int, f: Cochain) -> Cochain:

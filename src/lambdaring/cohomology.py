@@ -23,7 +23,9 @@ the wrong lattice.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
 from .cochain import Cochain
@@ -38,53 +40,58 @@ from .exactalg import (
     IntMatrix,
     Vector,
     kernel_basis,
+    product_forms,
     quotient_with_generators,
     row_space_basis,
     solve_linear,
-    vec_scale,
+    vec_add,
 )
 from .rings import AdamsFamily, frobenius_compatible
 
 
-def _commutator_rows(a: IntMatrix) -> list[list[int]]:
-    """The d^2 rows of vec(g) -> vec(a @ g - g @ a), row-major vec.
+def _commutator_forms(a: IntMatrix, forms: Sequence[Vector]) -> list[Vector]:
+    """The forms of vec(a F - F a) from the d^2 forms of vec F.
 
-    >>> _commutator_rows(IntMatrix.from_rows([[0, 1], [0, 0]]))
-    [[0, 0, 1, 0], [-1, 0, 0, 1], [0, 0, 0, 0], [0, 0, -1, 0]]
+    >>> units = divided_blocks([1], 4, 4)[0]
+    >>> _commutator_forms(IntMatrix.from_rows([[0, 1], [0, 0]]), units)
+    [(0, 0, 1, 0), (-1, 0, 0, 1), (0, 0, 0, 0), (0, 0, -1, 0)]
     """
-    d = a.rows
-    entries = a.entries
-    rows = []
-    for i in range(d):
-        for j in range(d):
-            row = [0] * (d * d)
-            for k in range(d):
-                row[k * d + j] += entries[i][k]
-                row[i * d + k] -= entries[k][j]
-            rows.append(row)
-    return rows
+    left, right = product_forms(a, forms, True), product_forms(a, forms, False)
+    return [tuple(map(operator.sub, x, y)) for x, y in zip(left, right)]
+
+
+def divided_blocks(primes: Sequence[int], d2: int, width: int) -> list[list[Vector]]:
+    """The forms of vec f(p) = p vec X_p at each of the primes, in their order.
+
+    The unknowns are ``width`` entries that start with the blocks X_p,
+    of ``d2`` entries each, one after another.
+    """
+    zeros = (0,) * width
+    return [
+        [zeros[:e] + (p,) + zeros[e + 1 :] for e in range(idx * d2, idx * d2 + d2)]
+        for idx, p in enumerate(primes)
+    ]
 
 
 def _compatible_system(family: AdamsFamily, exact: bool) -> IntMatrix:
-    """Rows of the compatibility system on vec(g) and one block per prime.
+    """Rows of the compatibility system in the unknowns vec(g), then e_p per prime.
 
     Per prime p in universe order: when ``exact``, the d^2 rows
-    [A_p, g] = 0 with no auxiliary part, then the d^2 rows
-    [Frob_p, g] + p * e_p = 0, where the auxiliary unknown e_p absorbs
-    the multiple of p that Frobenius compatibility allows.
+    [A_p, g] = 0, then the d^2 rows [Frob_p, g] + p * e_p = 0, where
+    the auxiliary unknown e_p absorbs the multiple of p that Frobenius
+    compatibility allows.
     """
     d2 = family.rank * family.rank
     primes = family.universe.primes
-    aux = d2 * len(primes)
-    rows: list[list[int]] = []
-    for idx, p in enumerate(primes):
+    width = d2 * (1 + len(primes))
+    g, *aux_blocks = divided_blocks((1, *primes), d2, width)
+    rows: list[Vector] = []
+    for p, aux in zip(primes, aux_blocks):
         if exact:
-            rows.extend(row + [0] * aux for row in _commutator_rows(family.generator(p)))
-        for r, row in enumerate(_commutator_rows(family.frobenius(p))):
-            tail = [0] * aux
-            tail[idx * d2 + r] = p
-            rows.append(row + tail)
-    return IntMatrix.from_rows(rows)
+            rows.extend(_commutator_forms(family.generator(p), g))
+        commutator = _commutator_forms(family.frobenius(p), g)
+        rows.extend(map(vec_add, commutator, aux))
+    return IntMatrix(len(rows), width, tuple(rows))
 
 
 def _endomorphism_lattice(family: AdamsFamily, exact: bool) -> list[IntMatrix]:
@@ -139,7 +146,7 @@ class DerivationSpec:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DerivationSpec):
             return NotImplemented
-        return self.family.ring == other.family.ring and self.values == other.values
+        return self.family == other.family and self.values == other.values
 
     def __add__(self, other: "DerivationSpec") -> "DerivationSpec":
         pairs = zip(self.family.universe.primes, self.values, other.values)
@@ -182,17 +189,10 @@ class DerivationSpec:
         condition under which the prime values extend to a cocycle.
         """
         if self._cocycle is None:
-            family = self.family
-            primes = family.universe.primes
-            ok = True
-            for i in range(len(primes)):
-                for j in range(i + 1, len(primes)):
-                    p, q = primes[i], primes[j]
-                    ap, aq = family.generator(p), family.generator(q)
-                    fp, fq = self.values[i], self.values[j]
-                    if ap @ fq + fp @ aq != aq @ fp + fq @ ap:
-                        ok = False
-            self._cocycle = ok
+            pairs = combinations(zip(self.family.generators, self.values), 2)
+            self._cocycle = all(
+                ap @ fq + fp @ aq == aq @ fp + fq @ ap for ((_, ap), fp), ((_, aq), fq) in pairs
+            )
         return self._cocycle
 
     def extend(self, m: int) -> IntMatrix:
@@ -236,11 +236,7 @@ def inner_derivation(family: AdamsFamily, g: IntMatrix) -> DerivationSpec:
         raise NotFrobeniusCompatible(
             "inner derivations come from Frobenius-compatible endomorphisms"
         )
-    values = {}
-    for p in family.universe.primes:
-        a = family.generator(p)
-        values[p] = a @ g - g @ a
-    return DerivationSpec(family, values)
+    return DerivationSpec(family, {p: a @ g - g @ a for p, a in family.generators})
 
 
 def frobenius_compatible_basis(family: AdamsFamily) -> list[IntMatrix]:
@@ -283,24 +279,20 @@ def _cocycle_kernel(family: AdamsFamily) -> list[Vector]:
     """Kernel of the pairwise relations in the divided coordinates.
 
     Unknown X_p satisfies f(p) = p X_p; the relation for p < q reads
-    q [A_p, X_q] = p [A_q, X_p].
+    [A_p, f(q)] - [A_q, f(p)] = 0.
     """
     d2 = family.rank * family.rank
     primes = family.universe.primes
-    k = len(primes)
-    width = k * d2
-    commutators = [_commutator_rows(family.generator(p)) for p in primes]
-    rows: list[list[int]] = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            p, q = primes[i], primes[j]
-            for cp, cq in zip(commutators[i], commutators[j]):
-                row = [0] * width
-                row[j * d2 : (j + 1) * d2] = vec_scale(q, cp)
-                row[i * d2 : (i + 1) * d2] = vec_scale(-p, cq)
-                rows.append(row)
+    width = len(primes) * d2
+    values = divided_blocks(primes, d2, width)
+    rows: list[Vector] = []
+    for i, p in enumerate(primes):
+        for q, fq in zip(primes[i + 1 :], values[i + 1 :]):
+            ap_fq = _commutator_forms(family.generator(p), fq)
+            aq_fp = _commutator_forms(family.generator(q), values[i])
+            rows.extend(tuple(map(operator.sub, x, y)) for x, y in zip(ap_fq, aq_fp))
     if not rows:
-        rows = [[0] * width]
+        rows = [(0,) * width]
     return kernel_basis(IntMatrix.from_rows(rows))
 
 

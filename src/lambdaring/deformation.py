@@ -32,7 +32,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import chain
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .cochain import Cochain, factored_box
 from .errors import (
@@ -43,8 +43,8 @@ from .errors import (
     NotFrobeniusCompatible,
     PrefixMismatch,
 )
-from .exactalg import IntMatrix, Vector, solve_linear
-from .cohomology import DerivationSpec, solve_coboundary_1
+from .exactalg import IntMatrix, Vector, product_forms, solve_linear
+from .cohomology import DerivationSpec, divided_blocks, inner_derivation, solve_coboundary_1
 from .rings import (
     AdamsFamily,
     canonical_key,
@@ -147,7 +147,7 @@ class Deformation:
         if not isinstance(other, Deformation):
             return NotImplemented
         return (
-            self.family.ring == other.family.ring
+            self.family == other.family
             and self.order == other.order
             and self._series == other._series
         )
@@ -278,34 +278,32 @@ def obstruction(deformation: Deformation) -> Cochain:
     N+1 exactly when df equals this cochain.
     """
     d = deformation.family.rank
-
-    def evaluate(args: tuple[int, ...]) -> IntMatrix:
-        m, n = args
-        rows, _ = _obstruction_factors(deformation, m)
-        _, columns = _obstruction_factors(deformation, n)
-        return IntMatrix.from_flat(d, d, _obstruction_value(rows, columns))
-
-    return Cochain(deformation.family, 2, evaluate)
+    value = _obstruction_values(deformation)
+    return Cochain(deformation.family, 2, lambda args: IntMatrix.from_flat(d, d, value(*args)))
 
 
-def _obstruction_factors(
-    deformation: Deformation, m: int
-) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
-    """The rows of [F_1(m) .. F_N(m)] and the columns of [F_N(m); ..; F_1(m)].
+def _obstruction_values(deformation: Deformation) -> Callable[[int, int], Vector]:
+    """The map (m, n) -> vec of the obstruction at (m, n).
 
-    The t^{N+1} coefficient of F(m) F(n) is the first block row, of m,
-    times the second block column, of n.
+    It is minus the block row [F_1(m) .. F_N(m)] of m times the block
+    column [F_N(n); ..; F_1(n)] of n; each is formed once per element.
     """
     d = deformation.family.rank
-    top = deformation.at(m)[1:]
-    rows = tuple(tuple(chain.from_iterable(c.entries[i] for c in top)) for i in range(d))
-    columns = tuple(zip(*chain.from_iterable(c.entries for c in reversed(top))))
-    return rows, columns or ((),) * d
+    factors: dict[int, tuple] = {}
 
+    def factor(m: int) -> tuple:
+        if m not in factors:
+            top = deformation.at(m)[1:]
+            rows = tuple(tuple(chain.from_iterable(c.entries[i] for c in top)) for i in range(d))
+            columns = tuple(zip(*chain.from_iterable(c.entries for c in reversed(top))))
+            factors[m] = rows, columns or ((),) * d
+        return factors[m]
 
-def _obstruction_value(rows: Sequence[Vector], columns: Sequence[Vector]) -> Vector:
-    """vec of the obstruction at (m, n), from m's rows and n's columns."""
-    return tuple([-sum(map(operator.mul, row, column)) for row in rows for column in columns])
+    def value(m: int, n: int) -> Vector:
+        rows, columns = factor(m)[0], factor(n)[1]
+        return tuple([-sum(map(operator.mul, row, column)) for row in rows for column in columns])
+
+    return value
 
 
 @dataclass(frozen=True)
@@ -362,34 +360,10 @@ def _extension_system(
         raise ValueError("the exponent bound must be at least 1")
     family = deformation.family
     primes = family.universe.primes
-    d = family.rank
-    d2 = d * d
+    d2 = family.rank * family.rank
     width = len(primes) * d2
-    zero_row = (0,) * (width + 1)
-
-    def row_sum(terms) -> Vector:
-        total = zero_row
-        for c, row in terms:
-            if c == 1 and total is zero_row:
-                total = row
-            elif c:
-                total = tuple([t + c * e for t, e in zip(total, row)])
-        return total
-
-    # obs(m, n) from the block row of m and the block column of n
-    factors: dict[int, tuple] = {}
-
-    def obs(m: int, n: int) -> Vector:
-        for k in (m, n):
-            if k not in factors:
-                factors[k] = _obstruction_factors(deformation, k)
-        return _obstruction_value(factors[m][0], factors[n][1])
-
-    affine: dict[int, list[Vector]] = {}
-    for idx, p in enumerate(primes):
-        affine[p] = [
-            tuple(p if c == idx * d2 + e else 0 for c in range(width + 1)) for e in range(d2)
-        ]
+    obs = _obstruction_values(deformation)
+    affine = dict(zip(primes, divided_blocks(primes, d2, width + 1)))
 
     # vec(A f(n)) and vec(f(n) A) depend on a pair only through one
     # Adams matrix and one box element, and the box has few distinct
@@ -399,17 +373,7 @@ def _extension_system(
     def product_rows(left: bool, adams: IntMatrix, n: int) -> list[Vector]:
         key = (left, adams, n)
         if key not in products:
-            f = affine[n]
-            a = adams.entries
-            if left:  # row (i, j) of vec(A F) is sum_k A[i][k] F[k*d + j]
-                out = [row_sum(zip(a[i], f[j::d])) for i in range(d) for j in range(d)]
-            else:  # row (i, j) of vec(F B) is sum_k B[k][j] F[i*d + k]
-                out = [
-                    row_sum((a[k][j], f[i * d + k]) for k in range(d))
-                    for i in range(d)
-                    for j in range(d)
-                ]
-            products[key] = out
+            products[key] = product_forms(adams, affine[n], left)
         return products[key]
 
     for n in factored_box(family.universe, 2 * exponent_bound, include_one=False):
@@ -509,13 +473,12 @@ def check_equivalent_extensions(
         p: second.series(p)[top] - first.series(p)[top]
         for p in family.universe.primes
     }
-    witness = solve_coboundary_1(family, DerivationSpec(family, delta))
+    difference = DerivationSpec(family, delta)
+    witness = solve_coboundary_1(family, difference)
     if witness is None:
         return None
-    for p in family.universe.primes:
-        a = family.generator(p)
-        if a @ witness - witness @ a != delta[p]:
-            raise InternalInconsistency(f"the witness does not reproduce the difference at {p}")
+    if inner_derivation(family, witness) != difference:
+        raise InternalInconsistency("the witness does not reproduce the difference")
     return witness
 
 

@@ -738,22 +738,46 @@ def quotient_with_generators(
     return AbelianGroup(free_rank, tuple(torsion)), tuple(generators)
 
 
+def product_forms(a: IntMatrix, forms: Sequence[Vector], left: bool) -> list[Vector]:
+    """The forms of vec(A F) when ``left``, else of vec(F A), from the d*d forms of vec F.
+
+    A form is the coefficient row of one entry of F in some unknowns,
+    and vec is row-major: entry (i, j) of F is form i*d + j.  A sum whose
+    first nonzero coefficient is 1 starts from that form's own tuple.
+
+    >>> a = IntMatrix.from_rows([[0, 1], [2, 0]])
+    >>> product_forms(a, [(1,), (2,), (3,), (4,)], True)
+    [(3,), (4,), (2,), (4,)]
+    """
+    d = a.rows
+    if a.cols != d or len(forms) != d * d:
+        raise ValueError("vec products need a square matrix and d*d forms")
+    entries = a.entries
+    zero = (0,) * len(forms[0]) if forms else ()
+    out = []
+    for i in range(d):
+        for j in range(d):
+            if left:  # entry (i, j) of A F is sum_k A[i][k] F[k][j]
+                terms = zip(entries[i], forms[j::d])
+            else:  # entry (i, j) of F A is sum_k F[i][k] A[k][j]
+                terms = zip((row[j] for row in entries), forms[i * d : i * d + d])
+            total = zero
+            for c, form in terms:
+                if c == 1 and total is zero:
+                    total = form
+                elif c:
+                    total = tuple([t + c * e for t, e in zip(total, form)])
+            out.append(total)
+    return out
+
+
 def left_multiplication_operator(a: IntMatrix) -> IntMatrix:
     """Operator L with ``L @ vec(M) == vec(A @ M)`` in row-major vec convention."""
-    d = a.rows
-    if a.cols != d:
-        raise ValueError("left multiplication operator needs a square matrix")
-    r = range(d)  # row (i, j), column (k, l): A[i][k] where l == j
-    flat = [a[i, k] * (l == j) for i in r for j in r for k in r for l in r]
-    return IntMatrix.from_flat(d * d, d * d, flat)
+    units = IntMatrix.identity(a.rows**2)
+    return IntMatrix(units.rows, units.cols, tuple(product_forms(a, units.entries, True)))
 
 
 def right_multiplication_operator(b: IntMatrix) -> IntMatrix:
     """Operator R with ``R @ vec(M) == vec(M @ B)`` in row-major vec convention."""
-    d = b.rows
-    if b.cols != d:
-        raise ValueError("right multiplication operator needs a square matrix")
-    r = range(d)  # row (i, j), column (l, k): B[k][j] where l == i
-    flat = [b[k, j] * (l == i) for i in r for j in r for l in r for k in r]
-    return IntMatrix.from_flat(d * d, d * d, flat)
-
+    units = IntMatrix.identity(b.rows**2)
+    return IntMatrix(units.rows, units.cols, tuple(product_forms(b, units.entries, False)))

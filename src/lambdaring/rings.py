@@ -226,18 +226,32 @@ def frobenius_map(spec: RingSpec, p: int) -> IntMatrix:
     """Matrix of the mod-p Frobenius r -> r^p on the basis, entries in [0, p).
 
     The p-th power map is additive mod p, so its effect on the basis
-    determines it; column i holds the coordinates of (e_i)^p mod p.
+    determines it; column i holds (e_i)^p mod p, multiplied out left to
+    right from the unit as RingSpec.power does.  As v -> v e_i is linear
+    in v for any structure constants, that is R^p applied to the unit,
+    where column j of R is e_j e_i; R^p is taken by squaring mod p.
     """
+    d = spec.rank
+
+    def image(columns: Sequence[Vector], v: Vector) -> Vector:
+        # the matrix with these columns applied to v, mod p
+        out = [0] * d
+        for c, column in zip(v, columns):
+            if c:
+                out = [a + c * b for a, b in zip(out, column)]
+        return tuple(a % p for a in out)
+
     cols = []
-    for i in range(spec.rank):
-        # (e_i)^p multiplied out left to right, as RingSpec.power does, but
-        # reduced mod p after each product so the coefficients stay below p
-        basis_vector = spec.basis_vector(i)
-        power = spec.unit
-        for _ in range(p):
-            power = tuple(c % p for c in spec.mul(power, basis_vector))
+    for i in range(d):
+        columns, power, e = [spec.structure[j][i] for j in range(d)], spec.unit, p
+        while e:
+            if e & 1:
+                power = image(columns, power)
+            e >>= 1
+            if e:
+                columns = [image(columns, column) for column in columns]
         cols.append(power)
-    return IntMatrix.from_columns(cols, spec.rank)
+    return IntMatrix.from_columns(cols, d)
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,27 @@ def noncommuting_family() -> AdamsFamily:
     )
 
 
+# The row-major Kronecker operators as explicit comprehensions, apart from
+# the library's vec-form builder, so that the references built on them do
+# not compare that builder with itself.
+
+
+def kronecker_left(a: IntMatrix) -> IntMatrix:
+    """Operator L with ``L @ vec(M) == vec(A @ M)`` in row-major vec convention."""
+    d = a.rows
+    r = range(d)  # row (i, j), column (k, l): A[i][k] where l == j
+    flat = [a[i, k] * (l == j) for i in r for j in r for k in r for l in r]
+    return IntMatrix.from_flat(d * d, d * d, flat)
+
+
+def kronecker_right(b: IntMatrix) -> IntMatrix:
+    """Operator R with ``R @ vec(M) == vec(M @ B)`` in row-major vec convention."""
+    d = b.rows
+    r = range(d)  # row (i, j), column (l, k): B[k][j] where l == i
+    flat = [b[k, j] * (l == i) for i in r for j in r for l in r for k in r]
+    return IntMatrix.from_flat(d * d, d * d, flat)
+
+
 def seeded_cocycle_start(preset: str, seed: int) -> Deformation:
     """Order-1 deformation whose t-coefficient is a seeded random cocycle."""
     family = preset_family(preset, (2, 3, 5))

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from lambdaring.cochain import IDENTITY_NAMES, random_endomorphism
 from lambdaring.cohomology import inner_derivation
 from lambdaring.deformation import (
     deformation_to_dict,
+    infinitesimal,
     make_deformation,
     trivial_deformation,
 )
@@ -456,6 +458,39 @@ class TestInputContract:
             code, out, err = run_cli(capsys, argv + [option, str(over)])
             assert (code, out) == (2, ""), option
             assert f"file {over} is longer than the limit of {len(doc)} bytes" in err
+
+    def test_integers_one_digit_over_the_limit_are_refused(self, capsys, tmp_path):
+        limit = cli.MAX_INTEGER_DIGITS
+        ring = json.dumps(family_to_dict(preset_family("Z", (2, 3))))
+        assert '"structure_constants": [1]' in ring
+        for sign in ("", "-"):
+            fits = tmp_path / f"fits{sign}.json"
+            over = tmp_path / f"over{sign}.json"
+            for path, digits in ((fits, limit), (over, limit + 1)):
+                constant = f'"structure_constants": [{sign}{"7" * digits}]'
+                path.write_text(ring.replace('"structure_constants": [1]', constant))
+            # the unit law fails: a mathematical negative, so the file was read
+            code, out, err = run_cli(capsys, ["ring", "verify", "--ring", str(fits)])
+            assert (code, err) == (1, ""), sign
+            assert out.startswith("ring rank 1: violations\n"), sign
+            code, out, err = run_cli(capsys, ["ring", "verify", "--ring", str(over)])
+            assert (code, out) == (2, ""), sign
+            assert err == (
+                f"input error: ring file {over} holds an integer of {limit + 1} digits, "
+                f"above the limit {limit}\n"
+            )
+        doc = json.dumps(deformation_to_dict(trivial_deformation(preset_family("Z", (2, 3)), 1)))
+        assert '"order": 1,' in doc
+        path = tmp_path / "order.json"
+        path.write_text(doc.replace('"order": 1,', f'"order": 1{"0" * limit},'))
+        fits = write_json(tmp_path / "fits.json", json.loads(doc))
+        for argv in (
+            ["deform", "verify", "--deformation", str(path)],
+            ["deform", "equiv", "--deformation", fits, "--other", str(path)],
+        ):
+            code, out, err = run_cli(capsys, argv)
+            assert (code, out) == (2, "")
+            assert f"deformation file {path} holds an integer of {limit + 1} digits" in err
 
     @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
     def test_an_endless_document_is_refused(self):
@@ -903,6 +938,25 @@ class TestRingFiles:
 
 
 class TestDeformWorkflows:
+    def test_extend_reports_that_no_extension_exists(self, capsys, tmp_path):
+        # an order-1 start whose t-coefficient is not a cocycle
+        family = preset_family("RC3", (2, 3))
+        rng = random.Random(7)
+        terms = {
+            p: {1: p * IntMatrix.from_flat(3, 3, [rng.randint(-2, 2) for _ in range(9)])}
+            for p in (2, 3)
+        }
+        start = make_deformation(family, 1, terms)
+        assert not infinitesimal(start).is_cocycle()
+        path = write_json(tmp_path / "start.json", deformation_to_dict(start))
+        argv = ["deform", "extend", "--deformation", path, "--bound", "2"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (1, "")
+        assert out == "no extension to order 2 exists (225 equations over the box)\n"
+        code, out, err = run_cli(capsys, argv + ["--format", "json"])
+        assert (code, err) == (1, "")
+        assert json.loads(out)["results"] == {"box_size": 5, "equations": 225, "succeeded": False}
+
     def test_verify_extend_normalize(self, capsys, tmp_path):
         family = preset_family("Z", (2, 3, 5))
         scaling = make_deformation(

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import nilpotent_family
+from lambdaring import cochain as cochain_module
 from lambdaring.cochain import (
     Cochain,
     IDENTITY_NAMES,
@@ -388,6 +389,31 @@ class TestIdentities:
             if lhs.at(*args) != wrong.at(*args)
         )
         assert mismatches > 0
+
+    @staticmethod
+    def break_coface_one(monkeypatch):
+        """Double the first merge term, in coface(1, f) and in every differential."""
+        term = cochain_module._coface_term
+
+        def broken(f, i, args):
+            value = term(f, i, args)
+            return 2 * value if i == 1 else value
+
+        monkeypatch.setattr(cochain_module, "_coface_term", broken)
+
+    def test_a_broken_coface_fails_the_codegeneracy_sections(self, rc2_family, monkeypatch):
+        assert run_identity_check(rc2_family, "cosimplicial", 1, 5, seed=0).passed
+        self.break_coface_one(monkeypatch)
+        report = run_identity_check(rc2_family, "cosimplicial", 1, 5, seed=0)
+        assert "codegeneracy section fails at index 0" in report.failures
+        assert "codegeneracy section fails at index 1" in report.failures
+
+    def test_a_broken_coface_fails_the_leibniz_rule(self, rc2_family, monkeypatch):
+        assert run_identity_check(rc2_family, "leibniz", 1, 10, seed=0).passed
+        self.break_coface_one(monkeypatch)
+        report = run_identity_check(rc2_family, "leibniz", 1, 10, seed=0)
+        assert report.failures
+        assert all(f.startswith("Leibniz rule fails at (") for f in report.failures)
 
     def test_wrong_coface_relation_fails(self, rc2_family):
         # The relation pairs coface(j) after coface(i) with coface(i)

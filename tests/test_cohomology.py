@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import nilpotent_family
+from conftest import kronecker_left, kronecker_right, nilpotent_family
 from lambdaring import cohomology
 from lambdaring.cochain import differential, endo_cochain, random_endomorphism
 from lambdaring.cohomology import (
@@ -25,8 +25,6 @@ from lambdaring.errors import (
 from lambdaring.exactalg import (
     AbelianGroup,
     IntMatrix,
-    left_multiplication_operator,
-    right_multiplication_operator,
     solve_linear,
     vec_scale,
 )
@@ -112,6 +110,28 @@ class TestH0:
             db = differential(cochain)
             for n in (2, 3, 5, 6, 12):
                 assert db.at(n).is_zero
+
+
+class TestDerivationSpecEquality:
+    def test_equality_compares_the_adams_matrices(self):
+        # one ring and one universe, with different Adams matrices
+        family = preset_family("RC2", (2, 3))
+        other = AdamsFamily(
+            family.ring,
+            family.universe,
+            ((2, IntMatrix.identity(2)), (3, family.generator(3))),
+        )
+        assert other.generator(2) != family.generator(2)
+        zeros = {p: IntMatrix.zeros(2, 2) for p in (2, 3)}
+        assert DerivationSpec(family, zeros) != DerivationSpec(other, zeros)
+        assert DerivationSpec(family, zeros) == DerivationSpec(preset_family("RC2", (2, 3)), zeros)
+
+    def test_equality_compares_the_universe(self):
+        thirty = IntMatrix.from_rows([[30]])
+        over_23 = DerivationSpec(preset_family("Z", (2, 3)), {2: thirty, 3: thirty})
+        over_25 = DerivationSpec(preset_family("Z", (2, 5)), {2: thirty, 5: thirty})
+        assert over_23.values == over_25.values
+        assert over_23 != over_25
 
 
 class TestCocycles:
@@ -304,11 +324,11 @@ class TestCoboundarySolver:
 
 
 # The compatibility systems as the seed built them: each row by hand
-# from the difference of the two d^2 x d^2 multiplication operators.
+# from the difference of the two d^2 x d^2 Kronecker operators.
 
 
 def seed_commutator_operator(matrix):
-    return left_multiplication_operator(matrix) - right_multiplication_operator(matrix)
+    return kronecker_left(matrix) - kronecker_right(matrix)
 
 
 def seed_frobenius_system(family):
@@ -394,7 +414,7 @@ class TestCompatibilitySystemMatchesSeed:
         for trial in range(60):
             d = trial % 4 + 1
             a = IntMatrix.from_flat(d, d, [rng.randint(-7, 7) for _ in range(d * d)])
-            rows = cohomology._commutator_rows(a)
+            rows = cohomology._commutator_forms(a, IntMatrix.identity(d * d).entries)
             assert IntMatrix.from_rows(rows) == seed_commutator_operator(a), trial
 
     @pytest.mark.parametrize(

@@ -42,8 +42,6 @@ from lambdaring.errors import (
 )
 from lambdaring.exactalg import (
     IntMatrix,
-    left_multiplication_operator,
-    right_multiplication_operator,
     solve_linear,
     vec_add,
 )
@@ -56,7 +54,7 @@ from lambdaring.rings import (
     verify_adams,
 )
 
-from conftest import nilpotent_family, noncommuting_family
+from conftest import kronecker_left, kronecker_right, nilpotent_family, noncommuting_family
 
 
 def scalar(x: int) -> IntMatrix:
@@ -131,6 +129,15 @@ class TestDeformationBasics:
         assert a == b
         c = make_deformation(z_family, 2, {2: {1: scalar(2)}})
         assert a != c
+
+    def test_equality_compares_the_universe(self):
+        # the generator series agree, as Z has psi_p = 1 at every prime
+        over_23 = trivial_deformation(preset_family("Z", (2, 3)), 1)
+        over_25 = trivial_deformation(preset_family("Z", (2, 5)), 1)
+        assert over_23.family.ring == over_25.family.ring
+        assert over_23._series == over_25._series
+        assert over_23 != over_25
+        assert over_23 == trivial_deformation(preset_family("Z", (2, 3)), 1)
 
     def test_infinitesimal(self, z_family):
         deformation = make_deformation(
@@ -275,7 +282,7 @@ def stack_cols(blocks):
 
 
 def kronecker_system(deformation, exponent_bound):
-    """The extension system built with the d^2 x d^2 multiplication operators.
+    """The extension system built with the d^2 x d^2 Kronecker operators.
 
     An independent reference for the direct build inside try_extend:
     every product is formed as an operator matrix times an operator.
@@ -298,8 +305,8 @@ def kronecker_system(deformation, exponent_bound):
                 operators[n] = stack_cols(blocks)
                 constants[n] = (0,) * d2
             else:
-                lead = left_multiplication_operator(family.generator(p))
-                tail = right_multiplication_operator(family.adams_at(rest))
+                lead = kronecker_left(family.generator(p))
+                tail = kronecker_right(family.adams_at(rest))
                 rest_op, rest_const = affine_at(rest)
                 prime_op, _ = affine_at(p)
                 operators[n] = lead @ rest_op + tail @ prime_op
@@ -311,8 +318,8 @@ def kronecker_system(deformation, exponent_bound):
     rhs = []
     for m in box:
         for n in box:
-            am = left_multiplication_operator(family.adams_at(m))
-            an = right_multiplication_operator(family.adams_at(n))
+            am = kronecker_left(family.adams_at(m))
+            an = kronecker_right(family.adams_at(n))
             op_m, c_m = affine_at(m)
             op_n, c_n = affine_at(n)
             op_mn, c_mn = affine_at(m * n)

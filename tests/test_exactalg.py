@@ -10,7 +10,7 @@ from dataclasses import FrozenInstanceError, dataclass
 
 import pytest
 
-from conftest import seeded_cocycle_start
+from conftest import kronecker_left, kronecker_right, seeded_cocycle_start
 from lambdaring import deformation, exactalg
 from lambdaring.deformation import try_extend
 from lambdaring.errors import InternalInconsistency, NonIntegralDivision
@@ -21,6 +21,7 @@ from lambdaring.exactalg import (
     SmithDecomposition,
     kernel_basis,
     left_multiplication_operator,
+    product_forms,
     quotient_with_generators,
     right_multiplication_operator,
     row_space_basis,
@@ -1005,6 +1006,27 @@ class TestMultiplicationOperators:
             right = right_multiplication_operator(a)
             assert left.apply(vec) == (a @ m).flat()
             assert right.apply(vec) == (m @ a).flat()
+
+    def test_product_forms_equal_the_kronecker_operators(self):
+        # the forms of vec(A F) and vec(F A) are the operators times the forms of vec F
+        rng = random.Random(18)
+        for trial in range(60):
+            d, width = rng.randint(1, 4), rng.randint(1, 5)
+            a = random_matrix(rng, d, d, bound=2)
+            forms = random_matrix(rng, d * d, width, bound=3)
+            for left, operator_of in ((True, kronecker_left), (False, kronecker_right)):
+                got = product_forms(a, forms.entries, left)
+                assert IntMatrix.from_rows(got) == operator_of(a) @ forms, (trial, left)
+
+    def test_a_lone_unit_coefficient_reuses_its_form(self):
+        swap = IntMatrix.from_rows([[0, 1], [1, 0]])
+        forms = [(1, 0), (2, 0), (3, 0), (4, 0)]
+        for left in (True, False):
+            assert all(any(f is g for g in forms) for f in product_forms(swap, forms, left))
+        scaled = product_forms(2 * swap, forms, True)
+        assert not any(f is g for f in scaled for g in forms)
+        zeros = product_forms(IntMatrix.zeros(2, 2), forms, True)
+        assert zeros == [(0, 0)] * 4 and all(z is zeros[0] for z in zeros)
 
     def test_square_required(self):
         with pytest.raises(ValueError):

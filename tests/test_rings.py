@@ -246,6 +246,44 @@ class TestFrobenius:
                 assert frobenius_map(spec, p) == self.unreduced_frobenius(spec, p), (spec, p)
 
 
+    @staticmethod
+    def looped_frobenius(spec, p):
+        """The former construction: p ring products left to right, each reduced mod p."""
+        cols = []
+        for i in range(spec.rank):
+            power = spec.unit
+            for _ in range(p):
+                power = tuple(c % p for c in spec.mul(power, spec.basis_vector(i)))
+            cols.append(power)
+        return IntMatrix.from_columns(cols, spec.rank)
+
+    def test_squaring_equals_the_loop_on_random_data(self):
+        # structure constants with no commutativity, associativity or unit
+        rng = random.Random(19)
+        primes = [p for p in range(2, 101) if all(p % q for q in range(2, p))]
+        for trial in range(60):
+            d = rng.randint(1, 4)
+            structure = tuple(
+                tuple(tuple(rng.randint(-9, 9) for _ in range(d)) for _ in range(d))
+                for _ in range(d)
+            )
+            unit = tuple(rng.randint(-9, 9) for _ in range(d))
+            spec = RingSpec(rank=d, structure=structure, unit=unit)
+            for p in rng.sample(primes, 4):
+                assert frobenius_map(spec, p) == self.looped_frobenius(spec, p), (trial, p)
+
+    def test_a_dense_rank_eight_ring_at_a_large_prime(self):
+        rng = random.Random(20)
+        structure = tuple(
+            tuple(tuple(rng.randint(-9, 9) for _ in range(8)) for _ in range(8)) for _ in range(8)
+        )
+        spec = RingSpec(rank=8, structure=structure, unit=tuple(rng.randint(-9, 9) for _ in range(8)))
+        start = time.perf_counter()
+        frob = frobenius_map(spec, 999983)
+        assert time.perf_counter() - start < 1.0
+        assert all(0 <= e < 999983 for row in frob.entries for e in row)
+
+
 class TestNewtonRecursion:
     def test_binomial_values_on_integers(self, z_family):
         # On the integers with identity Adams operations the lambda
