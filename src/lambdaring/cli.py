@@ -344,6 +344,8 @@ def _cmd_lambda_from_adams(args: argparse.Namespace) -> _Report:
 
 def _cmd_poly(args: argparse.Namespace) -> _Report:
     bound = args.bound if args.bound is not None else DEFAULT_COMPOSITION_LIMIT
+    if bound < 1:
+        raise ConfigParseError(f"--bound must be at least 1 for poly, got {bound}")
     if bound > MAX_POLY_BOUND:
         raise LimitExceeded(f"--bound {bound} is above the limit {MAX_POLY_BOUND}")
     if args.which == "P":

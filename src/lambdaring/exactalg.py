@@ -289,20 +289,41 @@ def _identity_rows(n: int) -> list[list[int]]:
     return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
+def _support(row: list[int], start: int = 0) -> list[int]:
+    """The columns from ``start`` on where the row is nonzero."""
+    return list(itertools.compress(range(start, len(row)), row[start:]))
+
+
 def _add_multiple(lists: list[list[int]], i: int, j: int, q: int) -> None:
-    """lists[i] += q * lists[j]; with i == j and q == -2 it negates lists[i]."""
-    lists[i] = [a + q * b for a, b in zip(lists[i], lists[j])]
+    """lists[i] += q * lists[j] in place, over the support of lists[j].
+
+    With i == j and q == -2 it negates lists[i].
+    """
+    target, source = lists[i], lists[j]
+    for k in _support(source):
+        target[k] += q * source[k]
 
 
-def _combine(row: list[int], pivot: list[int], q: int, t: int) -> list[int]:
-    """row + q * pivot; both are zero before column t.  row itself when q is 0."""
+def _combine(row: list[int], pivot: list[int], q: int, support: list[int]) -> list[int]:
+    """row + q * pivot as a new list, where ``support`` holds the pivot's nonzero columns.
+
+    row itself when q is 0.
+    """
     if not q:
         return row
-    return row[:t] + [a + q * b for a, b in zip(row[t:], pivot[t:])]
+    row = row.copy()
+    for j in support:
+        row[j] += q * pivot[j]
+    return row
 
 
-def _first_position(group: list) -> int:
-    return group[2][0]
+def _least(row: list[int]) -> int:
+    """The least nonzero absolute value in the row; 0 for a zero row."""
+    return min(map(abs, filter(None, row)), default=0)
+
+
+_POSITIONS = operator.itemgetter(2)
+_LEAST = operator.itemgetter(3)
 
 
 class _Unsolvable(Exception):
@@ -323,8 +344,9 @@ class _Eliminator:
     list to another.
 
     The rows below the pivots are held in groups ``[row, rhs,
-    positions]``: one row list, one right-hand side, and the ascending
-    positions that hold that pair.  Zero rows belong to no group, and a
+    positions, least]``: one row list, one right-hand side, the
+    ascending positions that hold that pair, and the least nonzero
+    absolute value in the row.  Zero rows belong to no group, and a
     zero row with a nonzero right-hand side means there is no solution.
     A solve starts with one group per distinct pair; a Smith form starts
     with every position in its own group, because ``u`` and ``u_inv``
@@ -333,6 +355,15 @@ class _Eliminator:
     about as much as its distinct rows.  The pivot of step t (position
     t) is held apart; ``pivots`` keeps the row and right-hand side of
     each finished step.
+
+    Each step costs what it changes.  ``least`` is computed once, when
+    the group's row list is made, and stays exact: a row operation
+    makes a new list, a column swap moves entries without changing
+    them, and the other column operations touch only the pivot.  So the
+    pivot search reads one cached value per group.  Row updates, and
+    updates of a transform, visit only the columns where the row added
+    in is nonzero; the support of a pivot row is found once per row
+    sweep and again whenever the sweep makes a new pivot.
 
     The path is that of an elimination over every position, because of
     one invariant.  Take one row sweep of step t: it starts at the pivot
@@ -354,7 +385,9 @@ class _Eliminator:
             self.u_inv = _identity_rows(self.nrows)
             self.v_inv = _identity_rows(self.ncols)
             self.col_swapped = (self.v, self.v_inv)
-            groups = [[list(row), 0, [i]] for i, row in enumerate(matrix.entries) if any(row)]
+            groups = [
+                [list(row), 0, [i], _least(row)] for i, row in enumerate(matrix.entries) if any(row)
+            ]
         else:
             self.u = None
             self.col_swapped = (self.v,)
@@ -362,12 +395,12 @@ class _Eliminator:
             for i, pair in enumerate(zip(matrix.entries, rhs)):
                 group = by_pair.get(pair)
                 if group is None:
-                    by_pair[pair] = [list(pair[0]), pair[1], [i]]
+                    by_pair[pair] = [list(pair[0]), pair[1], [i], _least(pair[0])]
                 else:
                     group[2].append(i)
             if any(b for row, b in by_pair if not any(row)):
                 raise _Unsolvable
-            groups = [group for group in by_pair.values() if any(group[0])]
+            groups = [group for group in by_pair.values() if group[3]]
         self.groups = groups
 
     def track_add(self, i: int, j: int, q: int) -> None:
@@ -386,8 +419,10 @@ class _Eliminator:
         """Exchange columns i, j >= t; the pivots before t are zero in both."""
         if i == j:
             return
-        for row in itertools.chain((group[0] for group in self.groups), (pivot,)):
+        for group in self.groups:
+            row = group[0]
             row[i], row[j] = row[j], row[i]
+        pivot[i], pivot[j] = pivot[j], pivot[i]
         for lists in self.col_swapped:
             lists[i], lists[j] = lists[j], lists[i]
 
@@ -401,10 +436,10 @@ class _Eliminator:
 
         The pivot is the least entry in absolute value, of the earliest
         first position holding it, in the first column holding it; the
-        search stops at the first unit.  ``col_from`` marks the entries
-        t+1.. of the pivot row already zero; it resets after each row
-        sweep and each divisibility step, the two that may change the
-        pivot row by more than a column operation.
+        search reads each group's cached ``least``.  ``col_from`` marks
+        the entries t+1.. of the pivot row already zero; it resets after
+        each row sweep and each divisibility step, the two that may
+        change the pivot row by more than a column operation.
 
         In step t the rows below are zero in the columns before t, and
         the pivots above are zero from column t on.  So a row operation
@@ -425,7 +460,7 @@ class _Eliminator:
             col_from = t + 1
             while True:
                 p = pivot[t]
-                col_from = next((j for j in range(col_from, ncols) if pivot[j]), ncols)
+                col_from = next(itertools.compress(range(col_from, ncols), pivot[col_from:]), ncols)
                 if col_from < ncols:
                     # col_j += q * col_t, which is zero outside the pivot row
                     j = col_from
@@ -442,15 +477,16 @@ class _Eliminator:
                     continue
                 if not divisibility_step:
                     break
-                self.groups.sort(key=_first_position)
+                self.groups.sort(key=_POSITIONS)
+                # the rows below are zero up to column t
                 stray = next(
-                    (group for group in self.groups for e in group[0][t + 1 :] if e % p), None
+                    (g for g in self.groups if any(e % p for e in filter(None, g[0]))), None
                 )
                 if stray is None:
                     break
                 # Pull the offending row into the pivot; the next column
                 # pass shrinks the pivot toward the gcd of the whole block.
-                pivot = _combine(pivot, stray[0], 1, t)
+                pivot = _combine(pivot, stray[0], 1, _support(stray[0], t))
                 self.track_add(t, stray[2][0], 1)
                 col_from = t + 1
             self.pivots.append((pivot, pivot_rhs))
@@ -460,17 +496,13 @@ class _Eliminator:
     def take_pivot(self, t: int) -> tuple[list[int], int]:
         """Move the pivot's row to position t and its column to t; a positive pivot."""
         groups = self.groups
-        groups.sort(key=_first_position)
-        pick, best = 0, 0
-        for k, group in enumerate(groups):
-            least = min(map(abs, filter(None, group[0][t:])))
-            if not best or least < best:
-                pick, best = k, least
-                if best == 1:
-                    break
-        row, rhs, positions = groups[pick]
+        groups.sort(key=_POSITIONS)
+        leasts = list(map(_LEAST, groups))
+        best = min(leasts)
+        pick = leasts.index(best)
+        row, rhs, positions, _ = groups[pick]
         i = positions[0]
-        if i != t and _first_position(groups[0]) == t:
+        if i != t and groups[0][2][0] == t:
             # the row at position t moves to position i
             held = groups[0][2]
             del held[0]
@@ -481,7 +513,7 @@ class _Eliminator:
             row = list(row)
         else:
             del groups[pick]
-        self.swap_cols(t, next(j for j in range(t, self.ncols) if abs(row[j]) == best), row)
+        self.swap_cols(t, list(map(abs, row)).index(best, t), row)
         if row[t] < 0:
             row, rhs = [-a for a in row], -rhs
             if self.u is not None:
@@ -499,41 +531,44 @@ class _Eliminator:
         new row and right-hand side per epoch; in the epoch of a first
         position that kept the pivot, they join its result.
         """
-        self.groups.sort(key=_first_position)
+        self.groups.sort(key=_POSITIONS)
         staying, moving = [], []
         for group in self.groups:
             (moving if group[0][t] else staying).append(group)
         if not moving:
             return pivot, pivot_rhs
+        support = _support(pivot, t)
         starts = [-1]  # the position after which each epoch's pivot is in force
-        epochs = [(pivot, pivot_rhs)]
+        epochs = [(pivot, pivot_rhs, support)]
         firsts = []
-        for row, rhs, positions in moving:
+        for row, rhs, positions, _ in moving:
             i = positions[0]
             while True:
                 q = -(row[t] // pivot[t])
-                row, rhs = _combine(row, pivot, q, t), rhs + q * pivot_rhs
+                row, rhs = _combine(row, pivot, q, support), rhs + q * pivot_rhs
                 self.track_add(i, t, q)
                 if not row[t]:
                     break
                 pivot, row = row, pivot
                 pivot_rhs, rhs = rhs, pivot_rhs
+                support = _support(pivot, t)
                 self.track_swap(t, i)
             if pivot is epochs[-1][0]:
                 own = len(epochs) - 1
             else:
                 own = None
                 starts.append(i)
-                epochs.append((pivot, pivot_rhs))
+                epochs.append((pivot, pivot_rhs, support))
             firsts.append((own, [row, rhs, [i]]))
 
-        def keep(group: list) -> None:
-            if any(group[0]):
-                staying.append(group)
-            elif group[1]:
+        def keep(row: list[int], rhs: int, positions: list[int]) -> None:
+            least = _least(row)
+            if least:
+                staying.append([row, rhs, positions, least])
+            elif rhs:
                 raise _Unsolvable
 
-        for (row, rhs, positions), (own, first) in zip(moving, firsts):
+        for (row, rhs, positions, _), (own, first) in zip(moving, firsts):
             lo, n = 1, len(positions)
             while lo < n:
                 e = bisect.bisect_left(starts, positions[lo]) - 1
@@ -541,11 +576,12 @@ class _Eliminator:
                 if e == own:
                     first[2].extend(positions[lo:hi])
                 else:
-                    epoch_pivot, epoch_rhs = epochs[e]
+                    epoch_pivot, epoch_rhs, epoch_support = epochs[e]
                     q = -(row[t] // epoch_pivot[t])
-                    keep([_combine(row, epoch_pivot, q, t), rhs + q * epoch_rhs, positions[lo:hi]])
+                    moved = _combine(row, epoch_pivot, q, epoch_support)
+                    keep(moved, rhs + q * epoch_rhs, positions[lo:hi])
                 lo = hi
-            keep(first)
+            keep(*first)
         self.groups = staying
         return pivot, pivot_rhs
 

@@ -1,13 +1,31 @@
 """Shared fixtures: preset families, a small nilpotent example and seeded deformations."""
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 from lambdaring.cohomology import cocycle_space_basis
 from lambdaring.deformation import Deformation, make_deformation
 from lambdaring.exactalg import IntMatrix
-from lambdaring.rings import AdamsFamily, PrimeUniverse, RingSpec, preset_family
+from lambdaring.rings import (
+    AdamsFamily,
+    PrimeUniverse,
+    RingSpec,
+    _cyclic_adams_matrix,
+    _cyclic_group_ring,
+    preset_family,
+)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env(*paths: str) -> dict:
+    """The environment of a child interpreter: src, then ``paths``, first on PYTHONPATH."""
+    entries = [str(SRC), *paths, *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(entries)}
 
 
 def nilpotent_family(primes=(2, 3, 5)) -> AdamsFamily:
@@ -31,6 +49,13 @@ def nilpotent_family(primes=(2, 3, 5)) -> AdamsFamily:
         cols = [(1, 0, 0), image_of_x, image_of_x2]
         generators.append((p, IntMatrix.from_columns(cols, 3)))
     return AdamsFamily(spec, PrimeUniverse(tuple(primes)), tuple(generators))
+
+
+def cyclic_family(k: int, primes) -> AdamsFamily:
+    """The group ring Z[C_k] with psi_p(x) = x^p over the given primes."""
+    spec = _cyclic_group_ring(k, f"ZC{k}")
+    generators = tuple((p, _cyclic_adams_matrix(k, p)) for p in primes)
+    return AdamsFamily(spec, PrimeUniverse(primes), generators)
 
 
 def noncommuting_family() -> AdamsFamily:

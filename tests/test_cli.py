@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import noncommuting_family, seeded_cocycle_start
+from conftest import child_env, noncommuting_family, seeded_cocycle_start
 from lambdaring import cli
 from lambdaring.cli import entry
 from lambdaring.cochain import IDENTITY_NAMES, random_endomorphism
@@ -54,6 +54,7 @@ def run_module(*argv):
         [sys.executable, "-m", "lambdaring.cli", *argv],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
 
 
@@ -288,6 +289,14 @@ class TestInputContract:
         assert process.returncode == 2
         assert process.stdout == ""
         assert f"above the limit {cli.MAX_POLY_BOUND}" in process.stderr
+
+    @pytest.mark.parametrize("indices", [("P", "1"), ("Pij", "2", "1")])
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_poly_bound_below_one(self, capsys, indices, bound):
+        code, out, err = run_cli(capsys, ["poly", *indices, "--bound", bound])
+        assert code == 2
+        assert out == ""
+        assert f"--bound must be at least 1 for poly, got {bound}" in err
 
     def test_dimension_limit_is_named(self, capsys):
         # refused before the ring is read: the file does not exist
@@ -1076,6 +1085,7 @@ class TestModuleEntryPoint:
             [sys.executable, "-m", "lambdaring.cli", "poly", "P", "1"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert process.returncode == 0
         assert process.stdout.strip() == "s1*t1"
@@ -1423,8 +1433,10 @@ class TestOptimizedMode:
         ]
         for command, marker in runs:
             argv = ["-m", "lambdaring.cli", *command, "--format", "json"]
-            plain = subprocess.run([sys.executable, *argv], capture_output=True)
-            optimized = subprocess.run([sys.executable, "-O", *argv], capture_output=True)
+            plain = subprocess.run([sys.executable, *argv], capture_output=True, env=child_env())
+            optimized = subprocess.run(
+                [sys.executable, "-O", *argv], capture_output=True, env=child_env()
+            )
             assert plain.returncode == optimized.returncode == 0, optimized.stderr
             assert marker in plain.stdout
             assert optimized.stdout == plain.stdout

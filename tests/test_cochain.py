@@ -1,6 +1,5 @@
 """The cochain complex: differentials, cofaces, identities."""
 
-import os
 import random
 import subprocess
 import sys
@@ -8,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import nilpotent_family
+from conftest import child_env, nilpotent_family
 from lambdaring import cochain as cochain_module
 from lambdaring.cochain import (
     Cochain,
@@ -311,11 +310,7 @@ class TestArgumentContract:
         assert argument_contract_breaches() == []
 
     def test_outside_arguments_raise_under_dash_o(self):
-        tests = Path(__file__).resolve().parent
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH", "")]
-        )
+        env = child_env(str(Path(__file__).resolve().parent))
         script = "from test_cochain import argument_contract_breaches as b; print(b())"
         process = subprocess.run(
             [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env

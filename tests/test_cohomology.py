@@ -1,10 +1,11 @@
 """Degree-zero and degree-one cohomology with explicit representatives."""
 
+import math
 import random
 
 import pytest
 
-from conftest import kronecker_left, kronecker_right, nilpotent_family
+from conftest import cyclic_family, kronecker_left, kronecker_right, nilpotent_family
 from lambdaring import cohomology
 from lambdaring.cochain import differential, endo_cochain, random_endomorphism
 from lambdaring.cohomology import (
@@ -31,8 +32,7 @@ from lambdaring.exactalg import (
 from lambdaring.rings import (
     AdamsFamily,
     PrimeUniverse,
-    _cyclic_adams_matrix,
-    _cyclic_group_ring,
+    frobenius_compatible,
     preset_family,
 )
 
@@ -307,8 +307,6 @@ class TestCoboundarySolver:
         target = inner_derivation(rc3_family, g)
         witness = solve_coboundary_1(rc3_family, target)
         assert witness is not None
-        from lambdaring.rings import frobenius_compatible
-
         assert frobenius_compatible(witness, rc3_family)
         for p in (2, 3, 5):
             a = rc3_family.generator(p)
@@ -392,12 +390,6 @@ def seed_cocycle_system(family):
     return IntMatrix.from_rows(rows)
 
 
-def cyclic_family(k, primes):
-    spec = _cyclic_group_ring(k, f"ZC{k}")
-    generators = tuple((p, _cyclic_adams_matrix(k, p)) for p in primes)
-    return AdamsFamily(spec, PrimeUniverse(primes), generators)
-
-
 SMALL, WIDE = (2, 3, 5), (2, 3, 5, 7, 11, 13)
 SYSTEM_FAMILIES = [
     *(preset_family(name, primes) for name in ("Z", "RC2", "RC3") for primes in (SMALL, WIDE)),
@@ -447,3 +439,80 @@ class TestCompatibilitySystemMatchesSeed:
             solves.clear()
             solve_coboundary_1(family, target)
             assert solves == [seed_coboundary_system(family, target)]
+
+
+def diagonal_torsion_family() -> AdamsFamily:
+    """Commuting diagonal generators on Z[x]/(x^2 - 1) with H^1 = Z^4 (+) Z/2 (+) Z/4.
+
+    Not Adams data of a lambda-ring, but every step of H^1 needs only
+    commuting generators, and this is the one family here with torsion.
+    """
+    ring = preset_family("RC2", (2, 3)).ring
+    generators = (
+        (2, IntMatrix.from_rows([[2, 0], [0, -2]])),
+        (3, IntMatrix.from_rows([[-5, 0], [0, 7]])),
+    )
+    return AdamsFamily(ring, PrimeUniverse((2, 3)), generators)
+
+
+def oracle_group(family: AdamsFamily) -> AbelianGroup:
+    """H^1 from sympy alone, apart from the elimination engine.
+
+    The cocycles are the kernel of an integer matrix, so they are a
+    saturated sublattice of Z^N (N = |universe| d^2 divided coordinates)
+    and Z^N / B^1 is H^1 plus a free part.  The invariants of H^1 are
+    therefore the torsion of sympy's Smith form of the coboundary images,
+    and its free rank is the cocycle rank less the rank of the images.
+    """
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    from sympy.polys.matrices import DomainMatrix
+
+    def rank_mod(rows, p) -> int:
+        field = sympy.GF(p)
+        shape = (len(rows), len(rows[0]))
+        return DomainMatrix([[field(e) for e in row] for row in rows], shape, field).rank()
+
+    primes = family.universe.primes
+    compatible = frobenius_compatible_basis(family)
+    # the basis spans the compatible lattice: every member lies in it,
+    # and the index of its span is that of the lattice, the product over
+    # p of p^(rank of [Frob_p, -] mod p)
+    assert all(frobenius_compatible(g, family) for g in compatible)
+    index = math.prod(
+        p ** rank_mod(seed_commutator_operator(family.frobenius(p)).entries, p) for p in primes
+    )
+    assert abs(sympy.Matrix([g.flat() for g in compatible]).det()) == index
+
+    images = sympy.Matrix([inner_derivation(family, g).x_coordinates() for g in compatible]).T
+    smith = sympy_snf(images, domain=sympy.ZZ)
+    invariants = [abs(int(smith[i, i])) for i in range(min(smith.shape))]
+    width = len(primes) * family.rank**2
+    cocycle_rank = width - sympy.Matrix(seed_cocycle_system(family).entries).rank()
+    free_rank = cocycle_rank - sum(1 for e in invariants if e)
+    return AbelianGroup(free_rank, tuple(sorted(e for e in invariants if e > 1)))
+
+
+ORACLE_FAMILIES = [
+    *(preset_family(name, SMALL) for name in ("Z", "RC2", "RC3")),
+    cyclic_family(4, SMALL),
+    diagonal_torsion_family(),
+]
+
+
+class TestH1Oracle:
+    def test_the_oracle_sees_torsion(self):
+        assert oracle_group(diagonal_torsion_family()) == AbelianGroup(4, (2, 4))
+
+    @pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=["Z", "RC2", "RC3", "ZC4", "torsion"])
+    def test_group_and_classes_agree_with_the_oracle(self, family):
+        result = compute_H1(family)
+        assert result.group == oracle_group(family)
+        for cls in result.classes:
+            assert cls.derivation.is_cocycle()
+            if cls.order:
+                assert solve_coboundary_1(family, cls.derivation.scale(cls.order)) is not None
+            # not inner at any proper divisor of the order, nor at all when it is infinite
+            proper = [e for e in range(1, cls.order) if cls.order % e == 0] if cls.order else [1]
+            for e in proper:
+                assert solve_coboundary_1(family, cls.derivation.scale(e)) is None, (cls.order, e)

@@ -1,11 +1,12 @@
 """Every demo script runs to completion and prints its walk-through."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -17,12 +18,11 @@ def test_the_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
-    paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
     process = subprocess.run(
         [sys.executable, str(demo)],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+        env=child_env(),
         timeout=120,
     )
     assert process.returncode == 0, process.stderr

@@ -10,8 +10,8 @@ from dataclasses import FrozenInstanceError, dataclass
 
 import pytest
 
-from conftest import kronecker_left, kronecker_right, seeded_cocycle_start
-from lambdaring import deformation, exactalg
+from conftest import cyclic_family, kronecker_left, kronecker_right, seeded_cocycle_start
+from lambdaring import cohomology, deformation, exactalg
 from lambdaring.deformation import try_extend
 from lambdaring.errors import InternalInconsistency, NonIntegralDivision
 from lambdaring.exactalg import (
@@ -28,6 +28,7 @@ from lambdaring.exactalg import (
     smith_normal_form,
     solve_linear,
 )
+from lambdaring.rings import preset_family
 
 
 def random_matrix(rng, rows, cols, bound=9):
@@ -459,6 +460,70 @@ class TestEliminationMatchesSeed:
         fast = solve_linear(system, rhs)
         assert fast is not None
         assert fast == seed_solve_linear(system, rhs)
+
+    def test_a_column_swap_moves_a_cached_least_entry(self, monkeypatch):
+        # step 0 takes the 1 in column 2 and swaps columns 0 and 2, which
+        # moves the least entries of rows 1 and 3 (2 and 4) from column 0
+        # to column 2; step 1 then takes row 1's 2 from its new column
+        a = IntMatrix.from_rows([[3, 0, 1, 4], [2, 5, 0, 7], [0, 3, 0, 6], [4, 0, 0, 9]])
+        fast = self.assert_same_as_seed(a, [a.apply((1, -2, 3, 1)), (1, 0, 2, 0)], "hand case")
+        assert fast[0] is not None
+        swaps = []
+        swap_cols = exactalg._Eliminator.swap_cols
+
+        def record(work, i, j, pivot):
+            swaps.append((i, j))
+            swap_cols(work, i, j, pivot)
+
+        monkeypatch.setattr(exactalg._Eliminator, "swap_cols", record)
+        solve_linear(a, (1, 0, 2, 0))
+        assert swaps[:2] == [(0, 2), (1, 2)]
+
+    def test_a_row_operation_lowers_a_cached_least_entry(self):
+        # the first sweep turns row 2 into (0, 1, 2, 0): its least entry
+        # falls from 2 to 1 while a 2 stays, so step 1 takes it ahead of
+        # row 1, whose least entry is 2, only if its value was recomputed
+        a = IntMatrix.from_rows([[1, 1, 0, 0], [0, 0, 2, 2], [2, 3, 2, 0]])
+        fast = self.assert_same_as_seed(a, [a.apply((1, 2, 3, 4)), (0, 2, 1)], "hand case")
+        assert fast[0] is not None
+
+    # the sparse systems the cohomology jobs solve, from the library's builders
+    @pytest.mark.parametrize(
+        "family",
+        [
+            cyclic_family(4, (2, 3, 5, 7)),
+            cyclic_family(5, (2, 3, 5, 7)),
+            preset_family("RC3", (2, 3, 5, 7, 11, 13)),
+        ],
+        ids=["ZC4", "ZC5", "RC3"],
+    )
+    def test_compatibility_systems_equal_the_reference(self, family):
+        a = cohomology._compatible_system(family, exact=True)
+        rng = random.Random(a.rows)
+        x = tuple(rng.randint(-3, 3) for _ in range(a.cols))
+        noise = tuple(rng.randint(-1, 1) for _ in range(a.rows))
+        right_hand_sides = [(0,) * a.rows, a.apply(x), noise]
+        fast = self.assert_same_as_seed(a, right_hand_sides, family.ring.name)
+        assert fast[0] is not None and fast[1] is not None
+
+    def test_h1_solves_and_relation_matrix_equal_the_reference(self, monkeypatch):
+        solves, relations = [], []
+        solve, quotient = cohomology.solve_linear, cohomology.quotient_with_generators
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                cohomology, "solve_linear", lambda a, rhs: solves.append((a, rhs)) or solve(a, rhs)
+            )
+            patch.setattr(
+                cohomology, "quotient_with_generators", lambda r: relations.append(r) or quotient(r)
+            )
+            cohomology.compute_H1(cyclic_family(5, (2, 3, 5)))
+        assert len(solves) == 25
+        for k, (a, rhs) in enumerate(solves):
+            assert solve_linear(a, rhs) == seed_solve_linear(a, rhs), f"image {k}"
+        (relation,) = relations
+        fast, slow = smith_normal_form(relation), seed_smith_normal_form(relation)
+        for name in ("u", "d", "v", "u_inv", "v_inv"):
+            assert getattr(fast, name) == getattr(slow, name), name
 
     def test_interned_rows_build_the_same_matrix(self):
         rng = random.Random(3)
