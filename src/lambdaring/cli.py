@@ -76,13 +76,16 @@ SCHEMA_VERSION = 1
 # above MAX_DIMENSION or more than MAX_SAMPLE_WORK = samples *
 # (dimension + 2)^2, dimension 2 when none is given (so at most 100,000
 # samples at dimension 0), poly refuses a --bound above MAX_POLY_BOUND,
-# lambda from-adams refuses a --max-degree above MAX_LAMBDA_DEGREE, and
+# lambda from-adams refuses a --max-degree above MAX_LAMBDA_DEGREE,
 # deform refuses a deformation document whose order is above
-# MAX_DEFORMATION_ORDER.  Every --ring, --deformation and --other file is
-# refused when it is longer than MAX_DOCUMENT_BYTES or holds an integer
-# longer than MAX_INTEGER_DIGITS digits (decimal text converts in quadratic
-# time); an order-50 RC3 deformation over six primes, extended from a
-# random cocycle, is about 0.5 MB, with integers of about 650 digits.
+# MAX_DEFORMATION_ORDER, and ring verify, whose checks take rank^5 steps,
+# refuses a ring whose rank is above MAX_RING_RANK (a dense random ring
+# of rank 20 with one-digit structure constants takes about 1 s).  Every
+# --ring, --deformation and --other file is refused when it is longer than
+# MAX_DOCUMENT_BYTES or holds an integer longer than MAX_INTEGER_DIGITS
+# digits (decimal text converts in quadratic time); an order-50 RC3
+# deformation over six primes, extended from a random cocycle, is about
+# 0.5 MB, with integers of about 650 digits.
 MAX_BOX_ENTRIES = 10**6
 MAX_PAIR_WORK = 40_000
 MAX_DIMENSION = 10
@@ -90,6 +93,7 @@ MAX_SAMPLE_WORK = 400_000
 MAX_POLY_BOUND = 12
 MAX_LAMBDA_DEGREE = 1000
 MAX_DEFORMATION_ORDER = 50
+MAX_RING_RANK = 20
 MAX_DOCUMENT_BYTES = 16 * 2**20
 MAX_INTEGER_DIGITS = 10**4
 _READ_PIECE = 2**16
@@ -288,6 +292,11 @@ _Report = tuple[int, Sequence[int], dict, dict, list]
 
 def _cmd_ring_verify(args: argparse.Namespace) -> _Report:
     family = _load_family(args)
+    if family.rank > MAX_RING_RANK:
+        raise LimitExceeded(
+            f"ring verify checks rank^5 products: rank {family.rank} is above the limit "
+            f"{MAX_RING_RANK}"
+        )
     violations = verify_ring(family.ring)
     results = {"violations": violations, "rank": family.rank}
     text = [f"ring rank {family.rank}: " + ("OK" if not violations else "violations")]

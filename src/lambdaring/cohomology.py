@@ -37,40 +37,55 @@ from .errors import (
 )
 from .exactalg import (
     AbelianGroup,
+    FormPacking,
     IntMatrix,
     Vector,
     kernel_basis,
+    operator_norms,
     product_forms,
     quotient_with_generators,
     row_space_basis,
     solve_linear,
-    vec_add,
 )
 from .rings import AdamsFamily, frobenius_compatible
 
 
-def _commutator_forms(a: IntMatrix, forms: Sequence[Vector]) -> list[Vector]:
+def _commutator_forms(a: IntMatrix, forms: Sequence[int]) -> list[int]:
     """The forms of vec(a F - F a) from the d^2 forms of vec F.
 
-    >>> units = divided_blocks([1], 4, 4)[0]
-    >>> _commutator_forms(IntMatrix.from_rows([[0, 1], [0, 0]]), units)
-    [(0, 0, 1, 0), (-1, 0, 0, 1), (0, 0, 0, 0), (0, 0, -1, 0)]
+    If the coefficients of vec F are at most c in absolute value, these
+    are at most ``_commutator_bound(a, c)``.
+
+    >>> packing = FormPacking(4, 2)
+    >>> units = divided_blocks([1], 4, packing)[0]
+    >>> forms = _commutator_forms(IntMatrix.from_rows([[0, 1], [0, 0]]), units)
+    >>> [packing.unpack(f)[0] for f in forms]
+    [[0, 0, 1, 0], [-1, 0, 0, 1], [0, 0, 0, 0], [0, 0, -1, 0]]
     """
     left, right = product_forms(a, forms, True), product_forms(a, forms, False)
-    return [tuple(map(operator.sub, x, y)) for x, y in zip(left, right)]
+    return list(map(operator.sub, left, right))
 
 
-def divided_blocks(primes: Sequence[int], d2: int, width: int) -> list[list[Vector]]:
-    """The forms of vec f(p) = p vec X_p at each of the primes, in their order.
+def _commutator_bound(a: IntMatrix, c: int) -> int:
+    return c * sum(operator_norms(a))
 
-    The unknowns are ``width`` entries that start with the blocks X_p,
-    of ``d2`` entries each, one after another.
+
+def divided_blocks(primes: Sequence[int], d2: int, packing: FormPacking) -> list[list[int]]:
+    """The packed forms of vec f(p) = p vec X_p at each of the primes, in their order.
+
+    The unknowns of ``packing`` start with the blocks X_p, of ``d2``
+    entries each, one after another.
     """
-    zeros = (0,) * width
+    bits = packing.bits
     return [
-        [zeros[:e] + (p,) + zeros[e + 1 :] for e in range(idx * d2, idx * d2 + d2)]
-        for idx, p in enumerate(primes)
+        [p << (bits * e) for e in range(idx * d2, idx * d2 + d2)] for idx, p in enumerate(primes)
     ]
+
+
+def _unpacked_rows(packing: FormPacking, forms: Sequence[int]) -> IntMatrix:
+    """The matrix whose rows are the coefficients of the forms, which have no constant."""
+    rows = tuple(tuple(packing.unpack(form)[0]) for form in forms)
+    return IntMatrix(len(rows), packing.width, rows)
 
 
 def _compatible_system(family: AdamsFamily, exact: bool) -> IntMatrix:
@@ -83,15 +98,19 @@ def _compatible_system(family: AdamsFamily, exact: bool) -> IntMatrix:
     """
     d2 = family.rank * family.rank
     primes = family.universe.primes
-    width = d2 * (1 + len(primes))
-    g, *aux_blocks = divided_blocks((1, *primes), d2, width)
-    rows: list[Vector] = []
+    bound = max(
+        max(_commutator_bound(family.frobenius(p), 1) + p, _commutator_bound(a, 1) if exact else 0)
+        for p, a in family.generators
+    )
+    packing = FormPacking(d2 * (1 + len(primes)), bound)
+    g, *aux_blocks = divided_blocks((1, *primes), d2, packing)
+    forms: list[int] = []
     for p, aux in zip(primes, aux_blocks):
         if exact:
-            rows.extend(_commutator_forms(family.generator(p), g))
+            forms.extend(_commutator_forms(family.generator(p), g))
         commutator = _commutator_forms(family.frobenius(p), g)
-        rows.extend(map(vec_add, commutator, aux))
-    return IntMatrix(len(rows), width, tuple(rows))
+        forms.extend(map(operator.add, commutator, aux))
+    return _unpacked_rows(packing, forms)
 
 
 def _endomorphism_lattice(family: AdamsFamily, exact: bool) -> list[IntMatrix]:
@@ -283,17 +302,18 @@ def _cocycle_kernel(family: AdamsFamily) -> list[Vector]:
     """
     d2 = family.rank * family.rank
     primes = family.universe.primes
-    width = len(primes) * d2
-    values = divided_blocks(primes, d2, width)
-    rows: list[Vector] = []
-    for i, p in enumerate(primes):
-        for q, fq in zip(primes[i + 1 :], values[i + 1 :]):
-            ap_fq = _commutator_forms(family.generator(p), fq)
-            aq_fp = _commutator_forms(family.generator(q), values[i])
-            rows.extend(tuple(map(operator.sub, x, y)) for x, y in zip(ap_fq, aq_fp))
-    if not rows:
-        rows = [(0,) * width]
-    return kernel_basis(IntMatrix.from_rows(rows))
+    pairs = list(combinations(family.generators, 2))
+    bound = max(
+        (_commutator_bound(ap, q) + _commutator_bound(aq, p) for (p, ap), (q, aq) in pairs),
+        default=0,
+    )
+    packing = FormPacking(len(primes) * d2, bound)
+    values = dict(zip(primes, divided_blocks(primes, d2, packing)))
+    forms: list[int] = []
+    for (p, ap), (q, aq) in pairs:
+        ap_fq, aq_fp = _commutator_forms(ap, values[q]), _commutator_forms(aq, values[p])
+        forms.extend(map(operator.sub, ap_fq, aq_fp))
+    return kernel_basis(_unpacked_rows(packing, forms or [0]))
 
 
 @dataclass(frozen=True)

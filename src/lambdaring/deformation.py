@@ -43,7 +43,14 @@ from .errors import (
     NotFrobeniusCompatible,
     PrefixMismatch,
 )
-from .exactalg import IntMatrix, Vector, product_forms, solve_linear
+from .exactalg import (
+    FormPacking,
+    IntMatrix,
+    Vector,
+    _solve_pairs,
+    operator_norms,
+    product_forms,
+)
 from .cohomology import DerivationSpec, divided_blocks, inner_derivation, solve_coboundary_1
 from .rings import (
     AdamsFamily,
@@ -331,80 +338,119 @@ def try_extend(deformation: Deformation, exponent_bound: int = 3) -> ExtensionRe
     the box, while unsolvability of this necessary subset proves
     unsolvability outright.
     """
-    box, system, rhs = _extension_system(deformation, exponent_bound)
-    solution = solve_linear(system, rhs)
-    if solution is None:
-        return ExtensionResult(None, exponent_bound, len(box), system.rows)
+    box, width, pairs = _extension_system(deformation, exponent_bound)
     family = deformation.family
+    equations = len(box) ** 2 * family.rank**2
+    solution = _solve_pairs(equations, width, pairs)
+    if solution is None:
+        return ExtensionResult(None, exponent_bound, len(box), equations)
     top = DerivationSpec.from_x_coordinates(family, solution.particular)
     series = {p: deformation.series(p) + (top.value(p),) for p in family.universe.primes}
     extended = Deformation(family, deformation.order + 1, series)
-    return ExtensionResult(extended, exponent_bound, len(box), system.rows)
+    return ExtensionResult(extended, exponent_bound, len(box), equations)
 
 
 def _extension_system(
     deformation: Deformation, exponent_bound: int
-) -> tuple[tuple[int, ...], IntMatrix, Vector]:
-    """The box and the stacked linear system ``system @ X == rhs`` of try_extend.
+) -> tuple[tuple[int, ...], int, list[tuple[list[int], int, list[int]]]]:
+    """The box, the unknowns and the distinct equations of try_extend's system.
 
-    X stacks the divided top values at the primes.  Each pair (m, n)
-    of the box gives the d*d rows of vec(A_m f(n) - f(mn) + f(m) A_n)
-    == vec(obstruction(m, n)), with f affine in X.  Every vec f(n) and
-    every product with an Adams matrix is held as d*d affine rows of
-    width + 1 entries: the coefficients of X, then the constant last.
+    X stacks the divided top values at the primes, ``width`` unknowns.
+    Each pair (m, n) of the box gives the d*d rows of
+    vec(A_m f(n) - f(mn) + f(m) A_n) == vec(obstruction(m, n)), with f
+    affine in X; the rows of the pairs follow the box order, so the
+    system has |box|^2 d^2 rows.  Its distinct (row, rhs) pairs are
+    returned as ``_Eliminator._solving`` takes them: each with the
+    ascending positions that hold it, in the order of first positions,
+    zero rows included.
+
+    Every entry of f(n), and of each product with an Adams matrix, is
+    one form packed by a ``FormPacking``: X in the slots, the constant
+    above.  A row minus its obstruction value shifted into the constant
+    slot packs (row, -rhs), so the distinct pairs are the distinct ints.
     The values f(n) are filled in one ascending pass over the box of
     twice the bound: it holds every product m*n of two box elements,
     and each element's peeled cofactor comes before it.
+
+    The slot width comes from a bound on the coefficients of the rows.
+    Let beta(n) bound those of f(n), and |A|_oo and |A|_1 be the largest
+    absolute row and column sums.  Then beta(p) = p, and peeling
+    f(p r) = A_p f(r) + f(p) psi(r) - obs(p, r) gives
+    beta(p r) = |A_p|_oo beta(r) + |psi(r)|_1 p.  The row of (m, n) is
+    then bounded by |A_m|_oo beta(n) + beta(mn) + |A_n|_1 beta(m).
     """
     if exponent_bound < 1:
         raise ValueError("the exponent bound must be at least 1")
     family = deformation.family
-    primes = family.universe.primes
+    universe = family.universe
+    primes = universe.primes
     d2 = family.rank * family.rank
     width = len(primes) * d2
     obs = _obstruction_values(deformation)
-    affine = dict(zip(primes, divided_blocks(primes, d2, width + 1)))
+    box = factored_box(universe, exponent_bound, include_one=False)
 
-    # vec(A f(n)) and vec(f(n) A) depend on a pair only through one
-    # Adams matrix and one box element, and the box has few distinct
-    # Adams matrices: each product is formed once.
-    products: dict[tuple[bool, IntMatrix, int], list[Vector]] = {}
+    # Products and norms depend on an Adams matrix only through its value,
+    # and the box has few distinct Adams matrices: each gets an index once,
+    # with its two norms, and the caches are keyed on that index.
+    indices: dict[IntMatrix, int] = {}
+    matrices: list[IntMatrix] = []
+    norms: list[tuple[int, int]] = []
 
-    def product_rows(left: bool, adams: IntMatrix, n: int) -> list[Vector]:
-        key = (left, adams, n)
+    def index(adams: IntMatrix) -> int:
+        k = indices.get(adams)
+        if k is None:
+            k = indices[adams] = len(matrices)
+            matrices.append(adams)
+            norms.append(operator_norms(adams))
+        return k
+
+    beta = dict(zip(primes, primes))
+    peeled = []
+    for n in factored_box(universe, 2 * exponent_bound, include_one=False):
+        if n not in beta:
+            p, rest = universe.peel(n)
+            lead, tail = index(family.generator(p)), index(family.adams_at(rest))
+            beta[n] = norms[lead][0] * beta[rest] + norms[tail][1] * p
+            peeled.append((n, p, rest, lead, tail))
+    kinds = [(m, index(family.adams_at(m))) for m in box]
+    bound = max(
+        norms[km][0] * beta[n] + beta[m * n] + norms[kn][1] * beta[m]
+        for m, km in kinds
+        for n, kn in kinds
+    )
+    packing = FormPacking(width, bound)
+    shift = packing.shift
+    affine = dict(zip(primes, divided_blocks(primes, d2, packing)))
+    products: dict[tuple[bool, int, int], list[int]] = {}
+
+    def product(left: bool, k: int, n: int) -> list[int]:
+        key = (left, k, n)
         if key not in products:
-            products[key] = product_forms(adams, affine[n], left)
+            products[key] = product_forms(matrices[k], affine[n], left)
         return products[key]
 
-    for n in factored_box(family.universe, 2 * exponent_bound, include_one=False):
-        if n not in affine:
-            # peeling: f(p * rest) = A_p f(rest) + f(p) psi(rest) - obs(p, rest)
-            p, rest = family.universe.peel(n)
-            lead = product_rows(True, family.generator(p), rest)
-            tail = product_rows(False, family.adams_at(rest), p)
-            rows = []
-            for x, y, o in zip(lead, tail, obs(p, rest)):
-                row = list(map(operator.add, x, y))
-                row[-1] -= o
-                rows.append(tuple(row))
-            affine[n] = rows
+    for n, p, rest, lead, tail in peeled:
+        terms = zip(product(True, lead, rest), product(False, tail, p), obs(p, rest))
+        affine[n] = [x + y - (o << shift) for x, y, o in terms]
 
-    box = factored_box(family.universe, exponent_bound, include_one=False)
-    rows: list[Vector] = []
-    rhs: list[int] = []
-    # equal rows share one tuple: tall systems repeat a few rows many times
-    intern = {}.setdefault
-    for m in box:
-        am = family.adams_at(m)
-        for n in box:
-            left_rows = product_rows(True, am, n)
-            right_rows = product_rows(False, family.adams_at(n), m)
-            for x, y, z, o in zip(left_rows, affine[m * n], right_rows, obs(m, n)):
-                row = list(map(operator.add, map(operator.sub, x, y), z))
-                rhs.append(o - row.pop())
-                row = tuple(row)
-                rows.append(intern(row, row))
-    return box, IntMatrix(len(rows), width, tuple(rows)), tuple(rhs)
+    positions_of: dict[int, list[int]] = {}
+    position = 0
+    for m, km in kinds:
+        for n, kn in kinds:
+            terms = zip(product(True, km, n), affine[m * n], product(False, kn, m), obs(m, n))
+            for x, y, z, o in terms:
+                key = x - y + z - (o << shift)
+                positions = positions_of.get(key)
+                if positions is None:
+                    positions_of[key] = [position]
+                else:
+                    positions.append(position)
+                position += 1
+    pairs = []
+    for key, positions in positions_of.items():
+        row, constant = packing.unpack(key)
+        pairs.append((row, -constant, positions))
+    return box, width, pairs
 
 
 class FormalAutomorphism:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
+import sys
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -331,12 +332,13 @@ class _Unsolvable(Exception):
 
 
 class _Eliminator:
-    """Shared row/column elimination engine; its mode comes from its input.
+    """Shared row/column elimination engine; its mode comes from its constructor.
 
-    Given a right-hand side it solves: the side gets the row operations
-    and the right transform ``v`` the column operations.  Without one it
-    computes a Smith normal form, tracking ``u``, ``u_inv``, ``v`` and
-    ``v_inv`` and making the diagonal a divisibility chain.  Each
+    Made by ``_solving`` from the distinct pairs of a system, it solves:
+    the right-hand side gets the row operations and the right transform
+    ``v`` the column operations.  Made from a matrix alone, it computes
+    a Smith normal form, tracking ``u``, ``u_inv``, ``v`` and ``v_inv``
+    and making the diagonal a divisibility chain.  Each
     transform is held in the orientation its operations act on: ``u``
     (row operations E) and ``v_inv`` (column operations F, as F^-1 on the
     left) as rows, ``u_inv`` (E^-1 on the right) and ``v`` (F) as
@@ -375,33 +377,43 @@ class _Eliminator:
     with no swap.
     """
 
-    def __init__(self, matrix: IntMatrix, rhs: Optional[Sequence[int]] = None) -> None:
-        self.nrows = matrix.rows
-        self.ncols = matrix.cols
-        self.v = _identity_rows(self.ncols)
-        self.pivots: list[tuple[list[int], int]] = []
-        if rhs is None:
-            self.u = _identity_rows(self.nrows)
-            self.u_inv = _identity_rows(self.nrows)
-            self.v_inv = _identity_rows(self.ncols)
-            self.col_swapped = (self.v, self.v_inv)
-            groups = [
-                [list(row), 0, [i], _least(row)] for i, row in enumerate(matrix.entries) if any(row)
-            ]
-        else:
-            self.u = None
-            self.col_swapped = (self.v,)
-            by_pair: dict[tuple[Vector, int], list] = {}
-            for i, pair in enumerate(zip(matrix.entries, rhs)):
-                group = by_pair.get(pair)
-                if group is None:
-                    by_pair[pair] = [list(pair[0]), pair[1], [i], _least(pair[0])]
-                else:
-                    group[2].append(i)
-            if any(b for row, b in by_pair if not any(row)):
+    def __init__(self, matrix: IntMatrix) -> None:
+        self._start(matrix.rows, matrix.cols)
+        self.u = _identity_rows(self.nrows)
+        self.u_inv = _identity_rows(self.nrows)
+        self.v_inv = _identity_rows(self.ncols)
+        self.col_swapped = (self.v, self.v_inv)
+        self.groups = [
+            [list(row), 0, [i], _least(row)] for i, row in enumerate(matrix.entries) if any(row)
+        ]
+
+    @classmethod
+    def _solving(cls, nrows: int, ncols: int, pairs: Iterable[tuple[list[int], int, list[int]]]):
+        """The engine of a solve, from each distinct (row, rhs) pair of the system.
+
+        A pair comes with the ascending positions that hold it, and the
+        pairs come in the order of their first positions.  Each row is a
+        fresh list, which the elimination changes.  Zero rows join no
+        group; raises ``_Unsolvable`` if one has a nonzero rhs.
+        """
+        work = object.__new__(cls)
+        work._start(nrows, ncols)
+        work.u = None
+        work.col_swapped = (work.v,)
+        work.groups = []
+        for row, rhs, positions in pairs:
+            least = _least(row)
+            if least:
+                work.groups.append([row, rhs, positions, least])
+            elif rhs:
                 raise _Unsolvable
-            groups = [group for group in by_pair.values() if group[3]]
-        self.groups = groups
+        return work
+
+    def _start(self, nrows: int, ncols: int) -> None:
+        self.nrows = nrows
+        self.ncols = ncols
+        self.v = _identity_rows(ncols)
+        self.pivots: list[tuple[list[int], int]] = []
 
     def track_add(self, i: int, j: int, q: int) -> None:
         """Record row_i += q * row_j in u and u_inv."""
@@ -637,8 +649,26 @@ def solve_linear(matrix: IntMatrix, rhs: Sequence[int]) -> Optional[LinearSoluti
     """
     if len(rhs) != matrix.rows:
         raise ValueError("right-hand side length does not match row count")
+    by_pair: dict[tuple[Vector, int], list[int]] = {}
+    for i, pair in enumerate(zip(matrix.entries, rhs)):
+        positions = by_pair.get(pair)
+        if positions is None:
+            by_pair[pair] = [i]
+        else:
+            positions.append(i)
+    pairs = [(list(row), b, positions) for (row, b), positions in by_pair.items()]
+    return _solve_pairs(matrix.rows, matrix.cols, pairs)
+
+
+def _solve_pairs(
+    nrows: int, ncols: int, pairs: Iterable[tuple[list[int], int, list[int]]]
+) -> Optional[LinearSolution]:
+    """``solve_linear`` on the system of ``nrows`` rows given by its distinct pairs.
+
+    The pairs are as ``_Eliminator._solving`` takes them.
+    """
     try:
-        work = _Eliminator(matrix, rhs)
+        work = _Eliminator._solving(nrows, ncols, pairs)
         work.diagonalize()
     except _Unsolvable:
         return None
@@ -774,22 +804,99 @@ def quotient_with_generators(
     return AbelianGroup(free_rank, tuple(torsion)), tuple(generators)
 
 
-def product_forms(a: IntMatrix, forms: Sequence[Vector], left: bool) -> list[Vector]:
+_SLOT_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+class FormPacking:
+    """Affine forms in ``width`` unknowns, each held as one int: a Kronecker substitution.
+
+    The form c_0 x_0 + ... + c_{w-1} x_{w-1} + c is the int
+    sum_e c_e 2^(b e) + c 2^(b w): coefficient e is slot e, a balanced
+    digit of b = ``bits`` bits, and the constant is the unbounded slot
+    above them.  So sums, differences and integer multiples of forms
+    are those of their ints.  An int stands for one form, and unpacks
+    to it, when every coefficient has absolute value below 2^(b-1);
+    the terms summed on the way may exceed that, and the constant may be
+    any integer.  ``bound`` must bound the coefficients of every form
+    that is unpacked or compared.  b is the least power of two from 8
+    on with 2^(b-1) > ``bound``, so that slots are whole bytes and, up
+    to 64 bits, machine integers.
+
+    >>> packing = FormPacking(3, 100)
+    >>> packing.bits
+    8
+    >>> form = packing.pack([5, -50, 0], -7)
+    >>> packing.unpack(3 * form - form)
+    ([10, -100, 0], -14)
+    """
+
+    __slots__ = ("width", "bits", "shift", "_offset", "_mask", "_format")
+
+    def __init__(self, width: int, bound: int) -> None:
+        self.width = width
+        self.bits = max(8, 1 << bound.bit_length().bit_length())
+        self.shift = self.bits * width
+        self._mask = (1 << self.shift) - 1
+        # 2^(b-1) in every coefficient slot
+        self._offset = (self._mask // ((1 << self.bits) - 1)) << (self.bits - 1)
+        self._format = _SLOT_FORMATS.get(self.bits // 8)
+
+    def pack(self, coefficients: Sequence[int], constant: int = 0) -> int:
+        if len(coefficients) != self.width:
+            raise ValueError(f"a form has {self.width} coefficients, got {len(coefficients)}")
+        form = constant
+        for c in reversed(coefficients):
+            form = (form << self.bits) + c
+        return form
+
+    def unpack(self, form: int) -> tuple[list[int], int]:
+        """The coefficients and the constant of a packed form.
+
+        Adding 2^(b-1) to every slot makes each digit c + 2^(b-1), in
+        [0, 2^b), with no carry between slots; flipping its top bit
+        again leaves c in b-bit two's complement.
+        """
+        biased = form + self._offset
+        size = self.bits // 8
+        data = ((biased & self._mask) ^ self._offset).to_bytes(size * self.width, sys.byteorder)
+        if self._format:
+            coefficients = memoryview(data).cast(self._format).tolist()
+        else:
+            coefficients = [
+                int.from_bytes(data[k : k + size], sys.byteorder, signed=True)
+                for k in range(0, len(data), size)
+            ]
+        return coefficients, biased >> self.shift
+
+
+def operator_norms(a: IntMatrix) -> tuple[int, int]:
+    """The largest absolute row sum and the largest absolute column sum of a.
+
+    If every coefficient of the forms of vec F is at most c in absolute
+    value, those of vec(A F) are at most the first times c, and those of
+    vec(F A) the second times c.
+
+    >>> operator_norms(IntMatrix.from_rows([[1, -2], [0, 4]]))
+    (4, 6)
+    """
+    absolute = [list(map(abs, row)) for row in a.entries]
+    return max(map(sum, absolute), default=0), max(map(sum, zip(*absolute)), default=0)
+
+
+def product_forms(a: IntMatrix, forms: Sequence[int], left: bool) -> list[int]:
     """The forms of vec(A F) when ``left``, else of vec(F A), from the d*d forms of vec F.
 
-    A form is the coefficient row of one entry of F in some unknowns,
-    and vec is row-major: entry (i, j) of F is form i*d + j.  A sum whose
-    first nonzero coefficient is 1 starts from that form's own tuple.
+    Forms are ints, packed by a ``FormPacking`` or plain, and vec is
+    row-major: entry (i, j) of F is form i*d + j.
 
     >>> a = IntMatrix.from_rows([[0, 1], [2, 0]])
-    >>> product_forms(a, [(1,), (2,), (3,), (4,)], True)
-    [(3,), (4,), (2,), (4,)]
+    >>> product_forms(a, [1, 2, 3, 4], True)
+    [3, 4, 2, 4]
     """
     d = a.rows
     if a.cols != d or len(forms) != d * d:
         raise ValueError("vec products need a square matrix and d*d forms")
     entries = a.entries
-    zero = (0,) * len(forms[0]) if forms else ()
     out = []
     for i in range(d):
         for j in range(d):
@@ -797,23 +904,27 @@ def product_forms(a: IntMatrix, forms: Sequence[Vector], left: bool) -> list[Vec
                 terms = zip(entries[i], forms[j::d])
             else:  # entry (i, j) of F A is sum_k F[i][k] A[k][j]
                 terms = zip((row[j] for row in entries), forms[i * d : i * d + d])
-            total = zero
+            total = 0
             for c, form in terms:
-                if c == 1 and total is zero:
-                    total = form
-                elif c:
-                    total = tuple([t + c * e for t, e in zip(total, form)])
+                if c:
+                    total += c * form
             out.append(total)
     return out
 
 
+def _operator(a: IntMatrix, left: bool) -> IntMatrix:
+    n = a.rows**2
+    packing = FormPacking(n, max(map(abs, a.flat()), default=0))
+    units = [1 << (packing.bits * e) for e in range(n)]
+    rows = tuple(tuple(packing.unpack(form)[0]) for form in product_forms(a, units, left))
+    return IntMatrix(n, n, rows)
+
+
 def left_multiplication_operator(a: IntMatrix) -> IntMatrix:
     """Operator L with ``L @ vec(M) == vec(A @ M)`` in row-major vec convention."""
-    units = IntMatrix.identity(a.rows**2)
-    return IntMatrix(units.rows, units.cols, tuple(product_forms(a, units.entries, True)))
+    return _operator(a, True)
 
 
 def right_multiplication_operator(b: IntMatrix) -> IntMatrix:
     """Operator R with ``R @ vec(M) == vec(M @ B)`` in row-major vec convention."""
-    units = IntMatrix.identity(b.rows**2)
-    return IntMatrix(units.rows, units.cols, tuple(product_forms(b, units.entries, False)))
+    return _operator(b, False)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from lambdaring.cohomology import cocycle_space_basis
-from lambdaring.deformation import Deformation, make_deformation
+from lambdaring.deformation import Deformation, _extension_system, make_deformation
 from lambdaring.exactalg import IntMatrix
 from lambdaring.rings import (
     AdamsFamily,
@@ -49,6 +49,14 @@ def nilpotent_family(primes=(2, 3, 5)) -> AdamsFamily:
         cols = [(1, 0, 0), image_of_x, image_of_x2]
         generators.append((p, IntMatrix.from_columns(cols, 3)))
     return AdamsFamily(spec, PrimeUniverse(tuple(primes)), tuple(generators))
+
+
+def dual_numbers_family(primes) -> AdamsFamily:
+    """Z[e]/(e^2) with psi_p(a + b e) = a + p b e: Adams matrices diag(1, n) at n."""
+    structure = (((1, 0), (0, 1)), ((0, 1), (0, 0)))
+    spec = RingSpec(rank=2, structure=structure, unit=(1, 0), name="Dual")
+    generators = tuple((p, IntMatrix.from_rows([[1, 0], [0, p]])) for p in primes)
+    return AdamsFamily(spec, PrimeUniverse(tuple(primes)), generators)
 
 
 def cyclic_family(k: int, primes) -> AdamsFamily:
@@ -95,6 +103,27 @@ def kronecker_right(b: IntMatrix) -> IntMatrix:
     r = range(d)  # row (i, j), column (l, k): B[k][j] where l == i
     flat = [b[k, j] * (l == i) for i in r for j in r for l in r for k in r]
     return IntMatrix.from_flat(d * d, d * d, flat)
+
+
+def expanded_extension_system(deformation: Deformation, exponent_bound: int):
+    """The box, matrix and right-hand side of try_extend's whole system.
+
+    Expanded from the distinct pairs the builder gives the engine: row
+    and rhs of each pair at each of its positions.  Every position must
+    be held by exactly one pair.
+    """
+    box, width, pairs = _extension_system(deformation, exponent_bound)
+    size = len(box) ** 2 * deformation.family.rank**2
+    rows, rhs = [None] * size, [None] * size
+    for row, b, positions in pairs:
+        row = tuple(row)
+        for i in positions:
+            if rows[i] is not None:
+                raise ValueError(f"position {i} is held twice")
+            rows[i], rhs[i] = row, b
+    if None in rows:
+        raise ValueError(f"position {rows.index(None)} is held by no pair")
+    return box, IntMatrix(size, width, tuple(rows)), tuple(rhs)
 
 
 def seeded_cocycle_start(preset: str, seed: int) -> Deformation:

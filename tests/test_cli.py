@@ -363,6 +363,28 @@ class TestInputContract:
         assert process.stdout == ""
         assert f"above the limit {cli.MAX_LAMBDA_DEGREE}" in process.stderr
 
+    def test_ring_verify_ends_in_bounded_time(self, tmp_path):
+        # dense random rings: every product is nonzero and most checks fail,
+        # so each runs all rank^5 steps and prints a line per failure
+        limit = cli.MAX_RING_RANK
+        for rank, expected in ((limit, 1), (limit + 1, 2)):
+            rng = random.Random(rank)
+            ring = {
+                "rank": rank,
+                "structure_constants": [rng.randint(-9, 9) for _ in range(rank**3)],
+                "unit": [1] + [0] * (rank - 1),
+                "primes": [2],
+                "adams": {"2": IntMatrix.identity(rank).flat()},
+            }
+            path = write_json(tmp_path / f"dense{rank}.json", ring)
+            process = subprocess.run(
+                [sys.executable, "-m", "lambdaring.cli", "ring", "verify", "--ring", path],
+                capture_output=True, text=True, env=child_env(), timeout=30,
+            )
+            assert process.returncode == expected, process.stderr
+        assert process.stdout == ""
+        assert f"rank {limit + 1} is above the limit {limit}" in process.stderr
+
     def test_deformation_order_limit_is_named(self, capsys, tmp_path):
         # built at this order, the series alone would not fit in memory
         z = deformation_to_dict(trivial_deformation(preset_family("Z", (2, 3, 5)), 1))
@@ -1417,10 +1439,16 @@ class TestOptimizedMode:
     def test_extend_report_is_identical_under_dash_o(self, tmp_path):
         rc2 = preset_family("RC2", (2, 3))
         path = write_json(tmp_path / "rc2.json", deformation_to_dict(trivial_deformation(rc2, 1)))
+        # the packed build of the extension system with nonzero obstructions
+        seeded = write_json(tmp_path / "rc3.json", deformation_to_dict(seeded_cocycle_start("RC3", 1)))
         runs = [
             (
                 ["deform", "extend", "--deformation", path, "--bound", "2"],
                 b'"succeeded": true',
+            ),
+            (
+                ["deform", "extend", "--deformation", seeded, "--bound", "3"],
+                b'"equations": 3249',
             ),
             (
                 ["complex", "check", "cosimplicial", "--preset", "RC3"],

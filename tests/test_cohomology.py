@@ -25,6 +25,7 @@ from lambdaring.errors import (
 )
 from lambdaring.exactalg import (
     AbelianGroup,
+    FormPacking,
     IntMatrix,
     solve_linear,
     vec_scale,
@@ -406,8 +407,12 @@ class TestCompatibilitySystemMatchesSeed:
         for trial in range(60):
             d = trial % 4 + 1
             a = IntMatrix.from_flat(d, d, [rng.randint(-7, 7) for _ in range(d * d)])
-            rows = cohomology._commutator_forms(a, IntMatrix.identity(d * d).entries)
-            assert IntMatrix.from_rows(rows) == seed_commutator_operator(a), trial
+            packing = FormPacking(d * d, 14 * d)
+            units = [packing.pack(row) for row in IntMatrix.identity(d * d).entries]
+            forms = cohomology._commutator_forms(a, units)
+            rows = [packing.unpack(form) for form in forms]
+            assert all(constant == 0 for _, constant in rows), trial
+            assert IntMatrix.from_rows(row for row, _ in rows) == seed_commutator_operator(a), trial
 
     @pytest.mark.parametrize(
         "family", SYSTEM_FAMILIES, ids=lambda f: f"{f.ring.name}-{len(f.universe.primes)}p"

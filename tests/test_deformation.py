@@ -6,6 +6,7 @@ import random
 import pytest
 
 from lambdaring import deformation as deformation_module
+from lambdaring import exactalg
 from lambdaring.cochain import (
     differential,
     factored_box,
@@ -54,7 +55,15 @@ from lambdaring.rings import (
     verify_adams,
 )
 
-from conftest import kronecker_left, kronecker_right, nilpotent_family, noncommuting_family
+from conftest import (
+    dual_numbers_family,
+    expanded_extension_system,
+    kronecker_left,
+    kronecker_right,
+    nilpotent_family,
+    noncommuting_family,
+    seeded_cocycle_start,
+)
 
 
 def scalar(x: int) -> IntMatrix:
@@ -329,22 +338,38 @@ def kronecker_system(deformation, exponent_bound):
     return stack_rows(blocks), tuple(rhs)
 
 
+def cocycle_starts(family):
+    """An order-1 deformation along a sum of cocycles, and its extension at bound 2."""
+    spec = None
+    for c, b in enumerate(cocycle_space_basis(family), start=1):
+        term = b.scale(c if c % 2 else -c)
+        spec = term if spec is None else spec + term
+    start = make_deformation(family, 1, {p: {1: spec.value(p)} for p in family.universe.primes})
+    yield family.ring.name, start
+    extension = try_extend(start, exponent_bound=2)
+    if extension.succeeded:
+        yield family.ring.name, extension.extended
+
+
 def system_test_deformations():
     """Order-1 deformations along a sum of cocycles, and their extensions."""
     families = [preset_family(name, (2, 3, 5)) for name in ("Z", "RC2", "RC3")]
     families.append(nilpotent_family((2, 3, 5)))
     for family in families:
-        spec = None
-        for c, b in enumerate(cocycle_space_basis(family), start=1):
-            term = b.scale(c if c % 2 else -c)
-            spec = term if spec is None else spec + term
-        start = make_deformation(
-            family, 1, {p: {1: spec.value(p)} for p in family.universe.primes}
-        )
-        yield family.ring.name, start
-        extension = try_extend(start, exponent_bound=2)
-        if extension.succeeded:
-            yield family.ring.name, extension.extended
+        yield from cocycle_starts(family)
+
+
+def slot_widths(monkeypatch):
+    """The slot widths of the packings made from now on, in order."""
+    made = []
+    init = exactalg.FormPacking.__init__
+
+    def record(packing, width, bound):
+        init(packing, width, bound)
+        made.append(packing.bits)
+
+    monkeypatch.setattr(exactalg.FormPacking, "__init__", record)
+    return made
 
 
 class TestExtensionSystem:
@@ -354,26 +379,75 @@ class TestExtensionSystem:
         assert stack_rows([a, b]).flat() == (1, 2, 3, 4)
         assert stack_cols([a.transpose(), b.transpose()]).flat() == (1, 3, 2, 4)
 
+    def assert_equals_the_kronecker_reference(self, name, deformation, bound):
+        box, system, rhs = expanded_extension_system(deformation, bound)
+        reference, reference_rhs = kronecker_system(deformation, bound)
+        assert len(box) ** 2 * deformation.family.rank**2 == system.rows
+        assert system == reference, (name, bound)
+        assert rhs == reference_rhs, (name, bound)
+        if name != "Z":  # rank one: the equations hold identically
+            assert any(rhs), (name, bound)
+
     def test_direct_build_equals_the_kronecker_reference(self):
         for name, deformation in system_test_deformations():
             assert verify_deformation(deformation).passed, name
             for bound in (1, 2, 3):
-                box, system, rhs = deformation_module._extension_system(deformation, bound)
-                reference, reference_rhs = kronecker_system(deformation, bound)
-                assert len(box) ** 2 * deformation.family.rank**2 == system.rows
-                assert system == reference, (name, bound)
-                assert rhs == reference_rhs, (name, bound)
-                if name != "Z":  # rank one: the equations hold identically
-                    assert any(rhs), (name, bound)
+                self.assert_equals_the_kronecker_reference(name, deformation, bound)
 
-    def test_equal_rows_share_one_tuple(self, rc3_family):
+    def test_slots_wider_than_a_word_equal_the_kronecker_reference(self, monkeypatch):
+        # the Adams matrices diag(1, n) at n up to 999983^6 need 128-bit slots
+        family = dual_numbers_family((2, 999983))
+        assert not verify_adams(family)
+        starts = list(cocycle_starts(family))
+        assert len(starts) == 2
+        widths = slot_widths(monkeypatch)
+        for name, deformation in starts:
+            widths.clear()
+            for bound in (2, 3):
+                self.assert_equals_the_kronecker_reference(name, deformation, bound)
+            assert widths == [128, 128], (name, widths)
+
+    def test_the_engine_receives_the_distinct_nonzero_pairs(self, rc3_family, monkeypatch):
         deformation = trivial_deformation(rc3_family, 1)
-        _, system, _ = deformation_module._extension_system(deformation, 3)
+        _, system, rhs = expanded_extension_system(deformation, 3)
         assert (system.rows, system.cols) == (3249, 27)
-        distinct = set(system.entries)
-        assert len({id(row) for row in system.entries}) == len(distinct) < 100
-        fresh = IntMatrix(system.rows, system.cols, tuple(tuple(list(r)) for r in system.entries))
-        assert system == fresh and hash(system) == hash(fresh) and repr(system) == repr(fresh)
+        expected: dict = {}
+        for i, pair in enumerate(zip(system.entries, rhs)):
+            expected.setdefault(pair, []).append(i)
+        expected_groups = [
+            [list(row), b, positions, min(abs(e) for e in row if e)]
+            for (row, b), positions in expected.items()
+            if any(row)
+        ]
+        received = []
+        diagonalize = exactalg._Eliminator.diagonalize
+
+        def record(work):
+            received.append([[list(r), b, list(p), least] for r, b, p, least in work.groups])
+            return diagonalize(work)
+
+        monkeypatch.setattr(exactalg._Eliminator, "diagonalize", record)
+        result = try_extend(deformation, 3)
+        assert result.succeeded and result.equations == 3249
+        assert len(expected) == 88
+        assert received == [expected_groups] and len(expected_groups) == 87
+
+    @pytest.mark.parametrize("start", ["trivial", "seeded"])
+    def test_the_extension_is_the_particular_solution_of_the_whole_system(self, start):
+        family = preset_family("RC3", (2, 3, 5))
+        deformation = (
+            trivial_deformation(family, 1) if start == "trivial" else seeded_cocycle_start("RC3", 1)
+        )
+        for bound in (2, 3):
+            box, system, rhs = expanded_extension_system(deformation, bound)
+            result = try_extend(deformation, bound)
+            assert result.box_size == len(box)
+            assert result.equations == system.rows == 9 * len(box) ** 2
+            particular = solve_linear(system, rhs).particular
+            top = [
+                result.extended.series(p)[-1].exact_divide(p).flat() for p in family.universe.primes
+            ]
+            assert tuple(e for block in top for e in block) == particular, (start, bound)
 
     def test_bound_below_one_is_rejected(self, z_family):
         with pytest.raises(ValueError):
@@ -425,7 +499,7 @@ def test_prime_pair_rows_decide_the_box_system():
         assert not verify_adams(family), name
         d2 = family.rank**2
         for bound in (2, 3):
-            box, system, rhs = deformation_module._extension_system(deformation, bound)
+            box, system, rhs = expanded_extension_system(deformation, bound)
             keep = [
                 (i * len(box) + j) * d2 + e
                 for i, m in enumerate(box)
@@ -454,7 +528,7 @@ def test_builds_leave_no_cyclic_garbage(rc3_family):
     gc.collect()
     gc.disable()
     try:
-        deformation_module._extension_system(deformation, 3)
+        expanded_extension_system(deformation, 3)
         assert gc.collect() == 0
         for m in (4, 30, 60, 2**3 * 3**2 * 5):
             spec.extend(m)
