@@ -78,9 +78,10 @@ SCHEMA_VERSION = 1
 # samples at dimension 0), poly refuses a --bound above MAX_POLY_BOUND,
 # lambda from-adams refuses a --max-degree above MAX_LAMBDA_DEGREE,
 # deform refuses a deformation document whose order is above
-# MAX_DEFORMATION_ORDER, and ring verify, whose checks take rank^5 steps,
-# refuses a ring whose rank is above MAX_RING_RANK (a dense random ring
-# of rank 20 with one-digit structure constants takes about 1 s).  Every
+# MAX_DEFORMATION_ORDER, and ring verify, whose checks take rank^5 products,
+# refuses a rank above MAX_RING_RANK or rank^5 * the largest structure
+# constant's bits above MAX_RING_WORK (a dense random ring takes about 1 s
+# at rank 20 with one-digit constants or at rank 4 with 10^4 digits).  Every
 # --ring, --deformation and --other file is refused when it is longer than
 # MAX_DOCUMENT_BYTES or holds an integer longer than MAX_INTEGER_DIGITS
 # digits (decimal text converts in quadratic time); an order-50 RC3
@@ -94,6 +95,7 @@ MAX_POLY_BOUND = 12
 MAX_LAMBDA_DEGREE = 1000
 MAX_DEFORMATION_ORDER = 50
 MAX_RING_RANK = 20
+MAX_RING_WORK = 10**8
 MAX_DOCUMENT_BYTES = 16 * 2**20
 MAX_INTEGER_DIGITS = 10**4
 _READ_PIECE = 2**16
@@ -296,6 +298,12 @@ def _cmd_ring_verify(args: argparse.Namespace) -> _Report:
         raise LimitExceeded(
             f"ring verify checks rank^5 products: rank {family.rank} is above the limit "
             f"{MAX_RING_RANK}"
+        )
+    bits = max(abs(c).bit_length() for row in family.ring.structure for v in row for c in v)
+    if family.rank**5 * bits > MAX_RING_WORK:
+        raise LimitExceeded(
+            f"ring verify checks rank^5 products: rank^5 * bits = {family.rank}^5 * {bits} = "
+            f"{family.rank**5 * bits}, above the limit {MAX_RING_WORK}"
         )
     violations = verify_ring(family.ring)
     results = {"violations": violations, "rank": family.rank}

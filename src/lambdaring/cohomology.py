@@ -40,11 +40,11 @@ from .exactalg import (
     FormPacking,
     IntMatrix,
     Vector,
-    kernel_basis,
     operator_norms,
     product_forms,
     quotient_with_generators,
     row_space_basis,
+    solve_forms,
     solve_linear,
 )
 from .rings import AdamsFamily, frobenius_compatible
@@ -82,19 +82,24 @@ def divided_blocks(primes: Sequence[int], d2: int, packing: FormPacking) -> list
     ]
 
 
-def _unpacked_rows(packing: FormPacking, forms: Sequence[int]) -> IntMatrix:
-    """The matrix whose rows are the coefficients of the forms, which have no constant."""
-    rows = tuple(tuple(packing.unpack(form)[0]) for form in forms)
-    return IntMatrix(len(rows), packing.width, rows)
+def _form_kernel(packing: FormPacking, forms: Sequence[int]) -> tuple[Vector, ...]:
+    """Basis of the integer solutions of forms that have no constant."""
+    solution = solve_forms(packing, forms)
+    if solution is None:
+        raise InternalInconsistency("a homogeneous system reported no solution")
+    return solution.kernel
 
 
-def _compatible_system(family: AdamsFamily, exact: bool) -> IntMatrix:
-    """Rows of the compatibility system in the unknowns vec(g), then e_p per prime.
+def _compatible_system(
+    family: AdamsFamily, exact: bool, target: Optional[DerivationSpec] = None
+) -> tuple[FormPacking, list[int]]:
+    """The forms of the compatibility system in the unknowns vec(g), then e_p per prime.
 
-    Per prime p in universe order: when ``exact``, the d^2 rows
-    [A_p, g] = 0, then the d^2 rows [Frob_p, g] + p * e_p = 0, where
-    the auxiliary unknown e_p absorbs the multiple of p that Frobenius
-    compatibility allows.
+    Per prime p in universe order: when ``exact``, the d^2 forms
+    [A_p, g] - target(p), with a zero target when none is given, then
+    the d^2 forms [Frob_p, g] + p * e_p, where the auxiliary unknown e_p
+    absorbs the multiple of p that Frobenius compatibility allows.  The
+    target goes into the constant slot, which the slot bound leaves free.
     """
     d2 = family.rank * family.rank
     primes = family.universe.primes
@@ -107,16 +112,18 @@ def _compatible_system(family: AdamsFamily, exact: bool) -> IntMatrix:
     forms: list[int] = []
     for p, aux in zip(primes, aux_blocks):
         if exact:
-            forms.extend(_commutator_forms(family.generator(p), g))
+            values = target.value(p).flat() if target is not None else (0,) * d2
+            commutator = _commutator_forms(family.generator(p), g)
+            forms.extend(f - (v << packing.shift) for f, v in zip(commutator, values))
         commutator = _commutator_forms(family.frobenius(p), g)
         forms.extend(map(operator.add, commutator, aux))
-    return _unpacked_rows(packing, forms)
+    return packing, forms
 
 
 def _endomorphism_lattice(family: AdamsFamily, exact: bool) -> list[IntMatrix]:
     """Kernel of the compatibility system, projected onto vec(g) and re-echelonized."""
     d = family.rank
-    kernel = kernel_basis(_compatible_system(family, exact))
+    kernel = _form_kernel(*_compatible_system(family, exact))
     return [
         IntMatrix.from_flat(d, d, v)
         for v in row_space_basis((v[: d * d] for v in kernel), d * d)
@@ -288,13 +295,10 @@ def compute_H0(family: AdamsFamily) -> H0Result:
 
 def cocycle_space_basis(family: AdamsFamily) -> list[DerivationSpec]:
     """Basis of the degree-one cocycles, as derivation specs."""
-    return [
-        DerivationSpec.from_x_coordinates(family, v)
-        for v in _cocycle_kernel(family)
-    ]
+    return [DerivationSpec.from_x_coordinates(family, v) for v in _cocycle_kernel(family)]
 
 
-def _cocycle_kernel(family: AdamsFamily) -> list[Vector]:
+def _cocycle_kernel(family: AdamsFamily) -> tuple[Vector, ...]:
     """Kernel of the pairwise relations in the divided coordinates.
 
     Unknown X_p satisfies f(p) = p X_p; the relation for p < q reads
@@ -313,7 +317,7 @@ def _cocycle_kernel(family: AdamsFamily) -> list[Vector]:
     for (p, ap), (q, aq) in pairs:
         ap_fq, aq_fp = _commutator_forms(ap, values[q]), _commutator_forms(aq, values[p])
         forms.extend(map(operator.sub, ap_fq, aq_fp))
-    return kernel_basis(_unpacked_rows(packing, forms or [0]))
+    return _form_kernel(packing, forms)
 
 
 @dataclass(frozen=True)
@@ -343,9 +347,7 @@ def compute_H1(family: AdamsFamily) -> H1Result:
     """
     cocycles = _cocycle_kernel(family)
     rank = len(cocycles)
-    specs = tuple(
-        DerivationSpec.from_x_coordinates(family, v) for v in cocycles
-    )
+    specs = tuple(DerivationSpec.from_x_coordinates(family, v) for v in cocycles)
     images = [
         inner_derivation(family, g).x_coordinates() for g in frobenius_compatible_basis(family)
     ]
@@ -362,15 +364,11 @@ def compute_H1(family: AdamsFamily) -> H1Result:
     classes = []
     for gen in generators:
         coords = basis_matrix.apply(gen.vector)
-        classes.append(
-            H1Class(gen.order, DerivationSpec.from_x_coordinates(family, coords))
-        )
+        classes.append(H1Class(gen.order, DerivationSpec.from_x_coordinates(family, coords)))
     return H1Result(group, tuple(classes), specs)
 
 
-def solve_coboundary_1(
-    family: AdamsFamily, target: DerivationSpec
-) -> Optional[IntMatrix]:
+def solve_coboundary_1(family: AdamsFamily, target: DerivationSpec) -> Optional[IntMatrix]:
     """A compatible endomorphism whose coboundary is the target, if any.
 
     One combined system: exact commutator equations against each Adams
@@ -378,13 +376,8 @@ def solve_coboundary_1(
     auxiliary unknowns.  Returns None when the target is not an inner
     derivation, which is a certificate relative to this universe.
     """
-    d = family.rank
-    d2 = d * d
-    rhs: list[int] = []
-    for p in family.universe.primes:
-        rhs.extend(target.value(p).flat())
-        rhs.extend([0] * d2)
-    solution = solve_linear(_compatible_system(family, exact=True), tuple(rhs))
+    solution = solve_forms(*_compatible_system(family, exact=True, target=target))
     if solution is None:
         return None
-    return IntMatrix.from_flat(d, d, solution.particular[:d2])
+    d = family.rank
+    return IntMatrix.from_flat(d, d, solution.particular[: d * d])

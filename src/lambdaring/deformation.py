@@ -43,14 +43,7 @@ from .errors import (
     NotFrobeniusCompatible,
     PrefixMismatch,
 )
-from .exactalg import (
-    FormPacking,
-    IntMatrix,
-    Vector,
-    _solve_pairs,
-    operator_norms,
-    product_forms,
-)
+from .exactalg import FormPacking, IntMatrix, Vector, operator_norms, product_forms, solve_forms
 from .cohomology import DerivationSpec, divided_blocks, inner_derivation, solve_coboundary_1
 from .rings import (
     AdamsFamily,
@@ -338,39 +331,35 @@ def try_extend(deformation: Deformation, exponent_bound: int = 3) -> ExtensionRe
     the box, while unsolvability of this necessary subset proves
     unsolvability outright.
     """
-    box, width, pairs = _extension_system(deformation, exponent_bound)
+    box, packing, forms = _extension_system(deformation, exponent_bound)
     family = deformation.family
-    equations = len(box) ** 2 * family.rank**2
-    solution = _solve_pairs(equations, width, pairs)
+    solution = solve_forms(packing, forms)
     if solution is None:
-        return ExtensionResult(None, exponent_bound, len(box), equations)
+        return ExtensionResult(None, exponent_bound, len(box), len(forms))
     top = DerivationSpec.from_x_coordinates(family, solution.particular)
     series = {p: deformation.series(p) + (top.value(p),) for p in family.universe.primes}
     extended = Deformation(family, deformation.order + 1, series)
-    return ExtensionResult(extended, exponent_bound, len(box), equations)
+    return ExtensionResult(extended, exponent_bound, len(box), len(forms))
 
 
 def _extension_system(
     deformation: Deformation, exponent_bound: int
-) -> tuple[tuple[int, ...], int, list[tuple[list[int], int, list[int]]]]:
-    """The box, the unknowns and the distinct equations of try_extend's system.
+) -> tuple[tuple[int, ...], FormPacking, list[int]]:
+    """The box, and the packing and forms of try_extend's system.
 
-    X stacks the divided top values at the primes, ``width`` unknowns.
-    Each pair (m, n) of the box gives the d*d rows of
+    X stacks the divided top values at the primes, the unknowns of the
+    packing.  Each pair (m, n) of the box gives the d*d equations
     vec(A_m f(n) - f(mn) + f(m) A_n) == vec(obstruction(m, n)), with f
-    affine in X; the rows of the pairs follow the box order, so the
-    system has |box|^2 d^2 rows.  Its distinct (row, rhs) pairs are
-    returned as ``_Eliminator._solving`` takes them: each with the
-    ascending positions that hold it, in the order of first positions,
-    zero rows included.
+    affine in X; the equations of the pairs follow the box order, so the
+    system has |box|^2 d^2 of them.
 
     Every entry of f(n), and of each product with an Adams matrix, is
     one form packed by a ``FormPacking``: X in the slots, the constant
-    above.  A row minus its obstruction value shifted into the constant
-    slot packs (row, -rhs), so the distinct pairs are the distinct ints.
-    The values f(n) are filled in one ascending pass over the box of
-    twice the bound: it holds every product m*n of two box elements,
-    and each element's peeled cofactor comes before it.
+    above, and an equation is its row minus its obstruction value
+    shifted into the constant slot.  The values f(n) are filled in one
+    ascending pass over the box of twice the bound: it holds every
+    product m*n of two box elements, and each element's peeled cofactor
+    comes before it.
 
     The slot width comes from a bound on the coefficients of the rows.
     Let beta(n) bound those of f(n), and |A|_oo and |A|_1 be the largest
@@ -385,7 +374,6 @@ def _extension_system(
     universe = family.universe
     primes = universe.primes
     d2 = family.rank * family.rank
-    width = len(primes) * d2
     obs = _obstruction_values(deformation)
     box = factored_box(universe, exponent_bound, include_one=False)
 
@@ -418,7 +406,7 @@ def _extension_system(
         for m, km in kinds
         for n, kn in kinds
     )
-    packing = FormPacking(width, bound)
+    packing = FormPacking(len(primes) * d2, bound)
     shift = packing.shift
     affine = dict(zip(primes, divided_blocks(primes, d2, packing)))
     products: dict[tuple[bool, int, int], list[int]] = {}
@@ -433,24 +421,15 @@ def _extension_system(
         terms = zip(product(True, lead, rest), product(False, tail, p), obs(p, rest))
         affine[n] = [x + y - (o << shift) for x, y, o in terms]
 
-    positions_of: dict[int, list[int]] = {}
-    position = 0
-    for m, km in kinds:
-        for n, kn in kinds:
-            terms = zip(product(True, km, n), affine[m * n], product(False, kn, m), obs(m, n))
-            for x, y, z, o in terms:
-                key = x - y + z - (o << shift)
-                positions = positions_of.get(key)
-                if positions is None:
-                    positions_of[key] = [position]
-                else:
-                    positions.append(position)
-                position += 1
-    pairs = []
-    for key, positions in positions_of.items():
-        row, constant = packing.unpack(key)
-        pairs.append((row, -constant, positions))
-    return box, width, pairs
+    forms = [
+        x - y + z - (o << shift)
+        for m, km in kinds
+        for n, kn in kinds
+        for x, y, z, o in zip(
+            product(True, km, n), affine[m * n], product(False, kn, m), obs(m, n)
+        )
+    ]
+    return box, packing, forms
 
 
 class FormalAutomorphism:

@@ -3,10 +3,11 @@
 Everything here runs on arbitrary-precision Python ints; no floating
 point is used anywhere in the library.  The two workhorses are the
 Smith normal form with unimodular transforms tracked on both sides, and
-an exact linear solver built on the same elimination.  Quotients of
-free abelian groups by integer relation lattices come out as canonical
-invariant-factor presentations with explicit generator bookkeeping, so
-cohomology classes can be printed, not just counted.
+an exact linear solver built on the same elimination, which every system
+the library builds enters through ``solve_forms`` as packed forms.
+Quotients of free abelian groups by integer relation lattices come out
+as canonical invariant-factor presentations with explicit generator
+bookkeeping, so cohomology classes can be printed, not just counted.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import itertools
 import operator
 import sys
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InternalInconsistency, NonIntegralDivision
 
@@ -334,8 +335,9 @@ class _Unsolvable(Exception):
 class _Eliminator:
     """Shared row/column elimination engine; its mode comes from its constructor.
 
-    Made by ``_solving`` from the distinct pairs of a system, it solves:
-    the right-hand side gets the row operations and the right transform
+    Made by ``_solving`` from the distinct equations of a system, which
+    ``solve_forms`` and ``solve_linear`` give as keys, it solves: the
+    right-hand side gets the row operations and the right transform
     ``v`` the column operations.  Made from a matrix alone, it computes
     a Smith normal form, tracking ``u``, ``u_inv``, ``v`` and ``v_inv``
     and making the diagonal a divisibility chain.  Each
@@ -388,20 +390,29 @@ class _Eliminator:
         ]
 
     @classmethod
-    def _solving(cls, nrows: int, ncols: int, pairs: Iterable[tuple[list[int], int, list[int]]]):
-        """The engine of a solve, from each distinct (row, rhs) pair of the system.
+    def _solving(cls, nrows: int, ncols: int, keys: Iterable, equation: Callable):
+        """The engine of a solve of equations 0.., one group per distinct key.
 
-        A pair comes with the ascending positions that hold it, and the
-        pairs come in the order of their first positions.  Each row is a
-        fresh list, which the elimination changes.  Zero rows join no
-        group; raises ``_Unsolvable`` if one has a nonzero rhs.
+        Key i stands for equation i, and equal keys for equal equations;
+        ``equation(key)`` gives the row, a fresh list that the elimination
+        changes, and the rhs.  The groups come in the order of their first
+        positions.  Zero rows join no group; raises ``_Unsolvable`` if one
+        has a nonzero rhs.
         """
+        positions_of: dict = {}
+        for i, key in enumerate(keys):
+            positions = positions_of.get(key)
+            if positions is None:
+                positions_of[key] = [i]
+            else:
+                positions.append(i)
         work = object.__new__(cls)
         work._start(nrows, ncols)
         work.u = None
         work.col_swapped = (work.v,)
         work.groups = []
-        for row, rhs, positions in pairs:
+        for key, positions in positions_of.items():
+            row, rhs = equation(key)
             least = _least(row)
             if least:
                 work.groups.append([row, rhs, positions, least])
@@ -649,26 +660,34 @@ def solve_linear(matrix: IntMatrix, rhs: Sequence[int]) -> Optional[LinearSoluti
     """
     if len(rhs) != matrix.rows:
         raise ValueError("right-hand side length does not match row count")
-    by_pair: dict[tuple[Vector, int], list[int]] = {}
-    for i, pair in enumerate(zip(matrix.entries, rhs)):
-        positions = by_pair.get(pair)
-        if positions is None:
-            by_pair[pair] = [i]
-        else:
-            positions.append(i)
-    pairs = [(list(row), b, positions) for (row, b), positions in by_pair.items()]
-    return _solve_pairs(matrix.rows, matrix.cols, pairs)
+    pairs = zip(matrix.entries, rhs)
+    return _solve(matrix.rows, matrix.cols, pairs, lambda pair: (list(pair[0]), pair[1]))
 
 
-def _solve_pairs(
-    nrows: int, ncols: int, pairs: Iterable[tuple[list[int], int, list[int]]]
-) -> Optional[LinearSolution]:
-    """``solve_linear`` on the system of ``nrows`` rows given by its distinct pairs.
+def solve_forms(packing: FormPacking, forms: Sequence[int]) -> Optional[LinearSolution]:
+    """All integer solutions of "every form is zero", or None.
 
-    The pairs are as ``_Eliminator._solving`` takes them.
+    A form packs row . x + c by ``packing``, so its equation is
+    row . x == -c, and ``packing``'s bound must bound every row.  Two
+    forms are then equal ints exactly when their equations are equal,
+    so only the distinct ints are unpacked.
+
+    >>> packing = FormPacking(2, 3)
+    >>> solve_forms(packing, [packing.pack([2, 0], -4), packing.pack([0, 3], -9)] * 2)
+    LinearSolution(particular=(2, 3), kernel=())
     """
+
+    def equation(form: int) -> tuple[list[int], int]:
+        row, constant = packing.unpack(form)
+        return row, -constant
+
+    return _solve(len(forms), packing.width, forms, equation)
+
+
+def _solve(nrows: int, ncols: int, keys: Iterable, equation: Callable) -> Optional[LinearSolution]:
+    """The solutions of ``nrows`` equations, given as ``_Eliminator._solving`` takes them."""
     try:
-        work = _Eliminator._solving(nrows, ncols, pairs)
+        work = _Eliminator._solving(nrows, ncols, keys, equation)
         work.diagonalize()
     except _Unsolvable:
         return None

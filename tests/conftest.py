@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from lambdaring.cohomology import cocycle_space_basis
-from lambdaring.deformation import Deformation, _extension_system, make_deformation
-from lambdaring.exactalg import IntMatrix
+from lambdaring.deformation import Deformation, _extension_system, infinitesimal, make_deformation
+from lambdaring.exactalg import FormPacking, IntMatrix
 from lambdaring.rings import (
     AdamsFamily,
     PrimeUniverse,
@@ -105,25 +105,37 @@ def kronecker_right(b: IntMatrix) -> IntMatrix:
     return IntMatrix.from_flat(d * d, d * d, flat)
 
 
-def expanded_extension_system(deformation: Deformation, exponent_bound: int):
-    """The box, matrix and right-hand side of try_extend's whole system.
+def expand_forms(packing: FormPacking, forms):
+    """The matrix and right-hand side of the system "every form is zero".
 
-    Expanded from the distinct pairs the builder gives the engine: row
-    and rhs of each pair at each of its positions.  Every position must
-    be held by exactly one pair.
+    A form packs row . x + c, so it gives the row and the right-hand side
+    -c.  Equal forms share one row tuple.
     """
-    box, width, pairs = _extension_system(deformation, exponent_bound)
-    size = len(box) ** 2 * deformation.family.rank**2
-    rows, rhs = [None] * size, [None] * size
-    for row, b, positions in pairs:
-        row = tuple(row)
-        for i in positions:
-            if rows[i] is not None:
-                raise ValueError(f"position {i} is held twice")
-            rows[i], rhs[i] = row, b
-    if None in rows:
-        raise ValueError(f"position {rows.index(None)} is held by no pair")
-    return box, IntMatrix(size, width, tuple(rows)), tuple(rhs)
+    pairs = {}
+    for form in set(forms):
+        row, constant = packing.unpack(form)
+        pairs[form] = tuple(row), -constant
+    rows = tuple(pairs[form][0] for form in forms)
+    return IntMatrix(len(rows), packing.width, rows), tuple(pairs[form][1] for form in forms)
+
+
+def expanded_extension_system(deformation: Deformation, exponent_bound: int):
+    """The box, matrix and right-hand side of try_extend's whole system."""
+    box, packing, forms = _extension_system(deformation, exponent_bound)
+    return (box, *expand_forms(packing, forms))
+
+
+def rc3_start_off_the_cocycles() -> Deformation:
+    """An order-1 RC3 start over {2, 3} whose t-coefficient is not a cocycle."""
+    family = preset_family("RC3", (2, 3))
+    rng = random.Random(7)
+    terms = {
+        p: {1: p * IntMatrix.from_flat(3, 3, [rng.randint(-2, 2) for _ in range(9)])}
+        for p in (2, 3)
+    }
+    start = make_deformation(family, 1, terms)
+    assert not infinitesimal(start).is_cocycle()
+    return start
 
 
 def seeded_cocycle_start(preset: str, seed: int) -> Deformation:

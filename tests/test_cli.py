@@ -14,14 +14,18 @@ from pathlib import Path
 
 import pytest
 
-from conftest import child_env, noncommuting_family, seeded_cocycle_start
+from conftest import (
+    child_env,
+    noncommuting_family,
+    rc3_start_off_the_cocycles,
+    seeded_cocycle_start,
+)
 from lambdaring import cli
 from lambdaring.cli import entry
 from lambdaring.cochain import IDENTITY_NAMES, random_endomorphism
 from lambdaring.cohomology import inner_derivation
 from lambdaring.deformation import (
     deformation_to_dict,
-    infinitesimal,
     make_deformation,
     trivial_deformation,
 )
@@ -366,22 +370,43 @@ class TestInputContract:
     def test_ring_verify_ends_in_bounded_time(self, tmp_path):
         # dense random rings: every product is nonzero and most checks fail,
         # so each runs all rank^5 steps and prints a line per failure
-        limit = cli.MAX_RING_RANK
-        for rank, expected in ((limit, 1), (limit + 1, 2)):
+        limit, work = cli.MAX_RING_RANK, cli.MAX_RING_WORK
+
+        def verify(name, rank, big=0, digits=1):
+            # one-digit constants, then ``big`` of them at random places
+            # replaced by constants of ``digits`` digits; written as text,
+            # since an int of more than 4300 digits has no str by default
             rng = random.Random(rank)
-            ring = {
-                "rank": rank,
-                "structure_constants": [rng.randint(-9, 9) for _ in range(rank**3)],
-                "unit": [1] + [0] * (rank - 1),
-                "primes": [2],
-                "adams": {"2": IntMatrix.identity(rank).flat()},
-            }
-            path = write_json(tmp_path / f"dense{rank}.json", ring)
-            process = subprocess.run(
-                [sys.executable, "-m", "lambdaring.cli", "ring", "verify", "--ring", path],
+            constants = [str(rng.randint(-9, 9)) for _ in range(rank**3)]
+            pool = ["".join(rng.choices("0123456789", k=digits - 1)) for _ in range(8)]
+            for k in rng.sample(range(rank**3), big):
+                constants[k] = rng.choice(("", "-")) + str(rng.randint(1, 9)) + rng.choice(pool)
+            unit = ", ".join(["1"] + ["0"] * (rank - 1))
+            adams = json.dumps(IntMatrix.identity(rank).flat())
+            path = tmp_path / f"{name}.json"
+            path.write_text(
+                f'{{"rank": {rank}, "structure_constants": [{", ".join(constants)}], '
+                f'"unit": [{unit}], "primes": [2], "adams": {{"2": {adams}}}}}'
+            )
+            assert path.stat().st_size <= cli.MAX_DOCUMENT_BYTES, name
+            return subprocess.run(
+                [sys.executable, "-m", "lambdaring.cli", "ring", "verify", "--ring", str(path)],
                 capture_output=True, text=True, env=child_env(), timeout=30,
             )
-            assert process.returncode == expected, process.stderr
+
+        for name, rank, big, digits, expected in (
+            ("dense", limit, 0, 1, 1),
+            ("wide digits, small rank", 4, 4**3, 10**4, 1),
+            ("wide digits at the rank limit", limit, 1600, 10**4, 2),
+            ("long digits at the rank limit", limit, 800, 2000, 2),
+        ):
+            process = verify(name, rank, big, digits)
+            assert process.returncode == expected, (name, process.stderr)
+            if expected == 2:
+                assert process.stdout == "", name
+                assert f"above the limit {work}" in process.stderr, name
+        process = verify("dense above the rank limit", limit + 1)
+        assert process.returncode == 2, process.stderr
         assert process.stdout == ""
         assert f"rank {limit + 1} is above the limit {limit}" in process.stderr
 
@@ -970,15 +995,7 @@ class TestRingFiles:
 
 class TestDeformWorkflows:
     def test_extend_reports_that_no_extension_exists(self, capsys, tmp_path):
-        # an order-1 start whose t-coefficient is not a cocycle
-        family = preset_family("RC3", (2, 3))
-        rng = random.Random(7)
-        terms = {
-            p: {1: p * IntMatrix.from_flat(3, 3, [rng.randint(-2, 2) for _ in range(9)])}
-            for p in (2, 3)
-        }
-        start = make_deformation(family, 1, terms)
-        assert not infinitesimal(start).is_cocycle()
+        start = rc3_start_off_the_cocycles()
         path = write_json(tmp_path / "start.json", deformation_to_dict(start))
         argv = ["deform", "extend", "--deformation", path, "--bound", "2"]
         code, out, err = run_cli(capsys, argv)

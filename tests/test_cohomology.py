@@ -5,7 +5,13 @@ import random
 
 import pytest
 
-from conftest import cyclic_family, kronecker_left, kronecker_right, nilpotent_family
+from conftest import (
+    cyclic_family,
+    expand_forms,
+    kronecker_left,
+    kronecker_right,
+    nilpotent_family,
+)
 from lambdaring import cohomology
 from lambdaring.cochain import differential, endo_cochain, random_endomorphism
 from lambdaring.cohomology import (
@@ -418,32 +424,32 @@ class TestCompatibilitySystemMatchesSeed:
         "family", SYSTEM_FAMILIES, ids=lambda f: f"{f.ring.name}-{len(f.universe.primes)}p"
     )
     def test_systems_and_right_hand_sides(self, family, monkeypatch):
-        assert cohomology._compatible_system(family, exact=False) == seed_frobenius_system(family)
-        h0_system, _ = seed_coboundary_system(family)
-        assert cohomology._compatible_system(family, exact=True) == h0_system
+        system, rhs = expand_forms(*cohomology._compatible_system(family, exact=False))
+        assert system == seed_frobenius_system(family)
+        assert rhs == (0,) * system.rows
+        h0 = expand_forms(*cohomology._compatible_system(family, exact=True))
+        assert h0 == seed_coboundary_system(family)
 
-        solves, kernels = [], []
-        solve, kernel = cohomology.solve_linear, cohomology.kernel_basis
+        systems = []
+        solve = cohomology.solve_forms
 
-        def record_solve(matrix, rhs):
-            solves.append((matrix, tuple(rhs)))
-            return solve(matrix, rhs)
+        def record(packing, forms):
+            systems.append(expand_forms(packing, forms))
+            return solve(packing, forms)
 
-        def record_kernel(matrix):
-            kernels.append(matrix)
-            return kernel(matrix)
-
-        monkeypatch.setattr(cohomology, "solve_linear", record_solve)
-        monkeypatch.setattr(cohomology, "kernel_basis", record_kernel)
+        monkeypatch.setattr(cohomology, "solve_forms", record)
         cocycles = cocycle_space_basis(family)
-        assert kernels == [seed_cocycle_system(family)]
+        relations = seed_cocycle_system(family)
+        assert systems == [(relations, (0,) * relations.rows)]
+        systems.clear()
         compatible = frobenius_compatible_basis(family)
+        assert systems == [(system, rhs)]
         targets = [inner_derivation(family, g) for g in compatible[:3]]
         targets.append(sum(cocycles[1:], cocycles[0]))
         for target in targets:
-            solves.clear()
+            systems.clear()
             solve_coboundary_1(family, target)
-            assert solves == [seed_coboundary_system(family, target)]
+            assert systems == [seed_coboundary_system(family, target)]
 
 
 def diagonal_torsion_family() -> AdamsFamily:

@@ -12,13 +12,22 @@ import pytest
 
 from conftest import (
     cyclic_family,
+    expand_forms,
     expanded_extension_system,
     kronecker_left,
     kronecker_right,
+    rc3_start_off_the_cocycles,
     seeded_cocycle_start,
 )
-from lambdaring import cohomology, exactalg
-from lambdaring.cohomology import DerivationSpec
+from lambdaring import cohomology, deformation, exactalg
+from lambdaring.cohomology import (
+    DerivationSpec,
+    cocycle_space_basis,
+    compute_H0,
+    frobenius_compatible_basis,
+    inner_derivation,
+    solve_coboundary_1,
+)
 from lambdaring.deformation import try_extend
 from lambdaring.errors import InternalInconsistency, NonIntegralDivision
 from lambdaring.exactalg import (
@@ -34,6 +43,7 @@ from lambdaring.exactalg import (
     right_multiplication_operator,
     row_space_basis,
     smith_normal_form,
+    solve_forms,
     solve_linear,
 )
 from lambdaring.rings import preset_family
@@ -507,7 +517,7 @@ class TestEliminationMatchesSeed:
         ids=["ZC4", "ZC5", "RC3"],
     )
     def test_compatibility_systems_equal_the_reference(self, family):
-        a = cohomology._compatible_system(family, exact=True)
+        a, _ = expand_forms(*cohomology._compatible_system(family, exact=True))
         rng = random.Random(a.rows)
         x = tuple(rng.randint(-3, 3) for _ in range(a.cols))
         noise = tuple(rng.randint(-1, 1) for _ in range(a.rows))
@@ -624,6 +634,120 @@ def same(lean, ref) -> bool:
         and hash(lean) == hash(ref)
         and repr(lean) == repr(ref).replace("SeedIntMatrix", "IntMatrix")
     )
+
+
+@pytest.fixture
+def checked_solves(monkeypatch):
+    """The library's solve_forms calls, each checked against solve_linear.
+
+    solve_linear runs on the expanded matrix and right-hand side, and
+    the two must give equal LinearSolutions or both None.  Each call
+    records its number of forms and whether it had a solution.
+    """
+    calls = []
+
+    def checked(packing, forms):
+        solution = solve_forms(packing, forms)
+        assert solution == solve_linear(*expand_forms(packing, forms))
+        calls.append((len(forms), solution is not None))
+        return solution
+
+    for module in (cohomology, deformation):
+        monkeypatch.setattr(module, "solve_forms", checked)
+    return calls
+
+
+class TestSolveFormsMatchesSolveLinear:
+    """Every system the library builds solves alike as forms and as a matrix."""
+
+    def test_random_forms_with_repeats(self):
+        rng = random.Random(20261021)
+        outcomes = set()
+        for trial in range(120):
+            width, bound = rng.randint(0, 6), rng.choice([1, 9, 200, 2**40])
+            packing = FormPacking(width, bound)
+            x = [rng.randint(-3, 3) for _ in range(width)]
+            distinct = []
+            for _ in range(rng.randint(1, 8)):
+                row = [rng.choice((0, rng.randint(-bound, bound))) for _ in range(width)]
+                rhs = sum(map(operator.mul, row, x)) + (rng.random() < 0.1) * rng.randint(-2, 2)
+                distinct.append(packing.pack(row, -rhs))
+            forms = [rng.choice(distinct) for _ in range(rng.randint(0, 30))]
+            solution = solve_forms(packing, forms)
+            assert solution == solve_linear(*expand_forms(packing, forms)), trial
+            outcomes.add(solution is None)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            preset_family("Z", (2,)),
+            preset_family("RC3", (2, 3, 5)),
+            preset_family("RC3", (2, 3, 5, 7, 11, 13)),
+            cyclic_family(4, (2, 3, 5, 7)),
+            cyclic_family(5, (2, 3, 5)),
+            cyclic_family(5, (2, 3, 5, 7)),
+        ],
+        ids=["Z-1p", "RC3-3p", "RC3-6p", "ZC4-4p", "ZC5-3p", "ZC5-4p"],
+    )
+    def test_frobenius_and_h0_systems(self, family, checked_solves):
+        frobenius_compatible_basis(family)
+        compute_H0(family)
+        d2, k = family.rank**2, len(family.universe.primes)
+        assert checked_solves == [(k * d2, True), (2 * k * d2, True)]
+
+    @pytest.mark.parametrize("primes", [(2,), (2, 3, 5), (2, 3, 5, 7)])
+    def test_cocycle_relations(self, primes, checked_solves):
+        # one prime has no pair of primes, so no relation at all
+        for family in (preset_family("RC3", primes), cyclic_family(4, primes)):
+            checked_solves.clear()
+            assert len(cocycle_space_basis(family)) >= len(primes)
+            pairs = len(primes) * (len(primes) - 1) // 2
+            assert checked_solves == [(pairs * family.rank**2, True)]
+
+    @pytest.mark.parametrize(
+        "family", [preset_family("RC3", (2, 3, 5)), cyclic_family(4, (2, 3, 5))], ids=["RC3", "ZC4"]
+    )
+    def test_coboundary_solves(self, family, checked_solves):
+        huge = 10**9999 + 1  # 10^4 digits
+        compatible = frobenius_compatible_basis(family)
+        inner = inner_derivation(family, sum(compatible[1:], compatible[0]))
+        rng = random.Random(family.rank)
+        off = DerivationSpec(
+            family,
+            {
+                p: p * IntMatrix.from_flat(
+                    family.rank, family.rank, [rng.randint(-2, 2) for _ in range(family.rank**2)]
+                )
+                for p in family.universe.primes
+            },
+        )
+        assert not off.is_cocycle()
+        targets = [inner, inner.scale(huge), off, off.scale(huge)]
+        targets += [c.scale(e) for c in cocycle_space_basis(family) for e in (1, huge)]
+        checked_solves.clear()
+        witnesses = [solve_coboundary_1(family, target) for target in targets]
+        assert [w is not None for w in witnesses[:4]] == [True, True, False, False]
+        assert None in witnesses[4:]
+        assert [solved for _, solved in checked_solves] == [w is not None for w in witnesses]
+        for target, witness in zip(targets, witnesses):
+            if witness is not None:
+                assert inner_derivation(family, witness) == target
+
+    @pytest.mark.parametrize("bound", [2, 3, 4])
+    def test_extension_systems(self, bound, checked_solves):
+        starts = [seeded_cocycle_start("RC3", seed) for seed in (1, 2)]
+        checked_solves.clear()
+        for start in starts:
+            result = try_extend(start, bound)
+            assert result.succeeded
+        assert checked_solves == [(result.equations, True)] * 2
+
+    def test_an_extension_start_off_the_cocycles(self, checked_solves):
+        start = rc3_start_off_the_cocycles()
+        for bound in (2, 3):
+            assert not try_extend(start, bound).succeeded
+        assert checked_solves == [(225, False), (9 * 9**2, False)]
 
 
 class TestLeanCoreMatchesSeed:
@@ -811,6 +935,16 @@ class TestInternalChecks:
         monkeypatch.setattr(exactalg, "solve_linear", lambda matrix, rhs: None)
         with pytest.raises(InternalInconsistency):
             kernel_basis(IntMatrix.identity(2))
+
+    def test_homogeneous_forms_with_no_solution_raise(self, monkeypatch):
+        family = preset_family("RC2", (2, 3))
+        target = inner_derivation(family, IntMatrix.identity(2))
+        monkeypatch.setattr(cohomology, "solve_forms", lambda packing, forms: None)
+        for homogeneous in (compute_H0, frobenius_compatible_basis, cocycle_space_basis):
+            with pytest.raises(InternalInconsistency):
+                homogeneous(family)
+        # a coboundary solve is not homogeneous: no solution means no witness
+        assert solve_coboundary_1(family, target) is None
 
 
 class TestIntMatrix:

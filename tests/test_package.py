@@ -108,6 +108,23 @@ def test_library_modules_use_every_import():
     assert unused == []
 
 
+
+def test_library_modules_import_no_private_names():
+    """No module imports an underscore name from another: private names stay home."""
+    private = []
+    for path in sorted(Path(lambdaring.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "lambdaring"
+            ):
+                private += [
+                    f"{path.name}: {node.module}.{alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert private == []
+
 def library_state() -> dict:
     """Every attribute of every lambdaring module and class, by identity."""
     modules = [lambdaring, lambdaring.cli, cochain, cohomology, deformation, exactalg, rings, symfun]
