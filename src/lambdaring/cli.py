@@ -79,9 +79,12 @@ SCHEMA_VERSION = 1
 # lambda from-adams refuses a --max-degree above MAX_LAMBDA_DEGREE,
 # deform refuses a deformation document whose order is above
 # MAX_DEFORMATION_ORDER, and ring verify, whose checks take rank^5 products,
-# refuses a rank above MAX_RING_RANK or rank^5 * the largest structure
-# constant's bits above MAX_RING_WORK (a dense random ring takes about 1 s
-# at rank 20 with one-digit constants or at rank 4 with 10^4 digits).  Every
+# refuses a rank above MAX_RING_RANK or rank^5 * (RING_STEP_OVERHEAD +
+# bits^1.6) above MAX_RING_WORK, where bits are those of the largest
+# structure constant: a product of b-bit ints takes about b^1.6 steps, and
+# each check step costs the interpreter about as much as 5,000 of them (a
+# dense random ring takes about 1 s at rank 20 with one- to twenty-digit
+# constants or at rank 4 with 10^4 digits).  Every
 # --ring, --deformation and --other file is refused when it is longer than
 # MAX_DOCUMENT_BYTES or holds an integer longer than MAX_INTEGER_DIGITS
 # digits (decimal text converts in quadratic time); an order-50 RC3
@@ -95,7 +98,8 @@ MAX_POLY_BOUND = 12
 MAX_LAMBDA_DEGREE = 1000
 MAX_DEFORMATION_ORDER = 50
 MAX_RING_RANK = 20
-MAX_RING_WORK = 10**8
+MAX_RING_WORK = 2 * 10**10
+RING_STEP_OVERHEAD = 5000
 MAX_DOCUMENT_BYTES = 16 * 2**20
 MAX_INTEGER_DIGITS = 10**4
 _READ_PIECE = 2**16
@@ -292,6 +296,13 @@ def _group_dict(group) -> dict:
 _Report = tuple[int, Sequence[int], dict, dict, list]
 
 
+def _verdict(name: str, violations: Sequence[str], primes: Sequence[int], results: dict) -> _Report:
+    """The report of a verify command: exit code 1 and one indented line per violation, if any."""
+    text = [f"{name}: " + ("violations" if violations else "OK")]
+    text += [f"  {v}" for v in violations]
+    return int(bool(violations)), primes, {}, results, text
+
+
 def _cmd_ring_verify(args: argparse.Namespace) -> _Report:
     family = _load_family(args)
     if family.rank > MAX_RING_RANK:
@@ -300,25 +311,23 @@ def _cmd_ring_verify(args: argparse.Namespace) -> _Report:
             f"{MAX_RING_RANK}"
         )
     bits = max(abs(c).bit_length() for row in family.ring.structure for v in row for c in v)
-    if family.rank**5 * bits > MAX_RING_WORK:
+    work = family.rank**5 * (RING_STEP_OVERHEAD + round(bits**1.6))
+    if work > MAX_RING_WORK:
         raise LimitExceeded(
-            f"ring verify checks rank^5 products: rank^5 * bits = {family.rank}^5 * {bits} = "
-            f"{family.rank**5 * bits}, above the limit {MAX_RING_WORK}"
+            f"ring verify checks rank^5 products: rank^5 * ({RING_STEP_OVERHEAD} + bits^1.6) = "
+            f"{family.rank}^5 * ({RING_STEP_OVERHEAD} + {bits}^1.6) = {work}, "
+            f"above the limit {MAX_RING_WORK}"
         )
     violations = verify_ring(family.ring)
     results = {"violations": violations, "rank": family.rank}
-    text = [f"ring rank {family.rank}: " + ("OK" if not violations else "violations")]
-    text += [f"  {v}" for v in violations]
-    return int(bool(violations)), family.universe.primes, {}, results, text
+    return _verdict(f"ring rank {family.rank}", violations, family.universe.primes, results)
 
 
 def _cmd_adams_verify(args: argparse.Namespace) -> _Report:
     family = _check_pair_work(_load_family(args))
     violations = verify_adams(family)
     results = {"violations": violations, "primes": list(family.universe.primes)}
-    text = ["Adams data: " + ("OK" if not violations else "violations")]
-    text += [f"  {v}" for v in violations]
-    return int(bool(violations)), family.universe.primes, {}, results, text
+    return _verdict("Adams data", violations, family.universe.primes, results)
 
 
 def _cmd_lambda_from_adams(args: argparse.Namespace) -> _Report:
@@ -464,13 +473,8 @@ def _cmd_deform_verify(args: argparse.Namespace) -> _Report:
     # the product law is sampled on every pair of the box of exponent sum 2
     _check_box(deformation.family, 2, "the product law's exponent sum 2")
     report = verify_deformation(deformation)
-    results = report.to_dict()
-    text = [
-        f"deformation of order {deformation.order}: "
-        + ("OK" if report.passed else "violations")
-    ]
-    text += [f"  {f}" for f in report.failures]
-    return int(not report.passed), deformation.family.universe.primes, {}, results, text
+    name = f"deformation of order {deformation.order}"
+    return _verdict(name, report.failures, deformation.family.universe.primes, report.to_dict())
 
 
 def _cmd_deform_infinitesimal(args: argparse.Namespace) -> _Report:

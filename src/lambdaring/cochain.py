@@ -168,7 +168,7 @@ def differential(f: Cochain) -> Cochain:
         for i in range(1, n + 2):
             op = operator.sub if i % 2 else operator.add
             rows = [tuple(map(op, a, b)) for a, b in zip(rows, _coface_term(f, i, args).entries)]
-        return IntMatrix._trusted(d, d, tuple(rows))
+        return IntMatrix(d, d, tuple(rows))
 
     return Cochain(f.family, n + 1, evaluate)
 
@@ -233,7 +233,7 @@ def random_cochain(family: AdamsFamily, dimension: int, seed: int) -> Cochain:
                     r = getrandbits(3)
                 row.append(r - 3)
             rows.append(tuple(row))
-        return IntMatrix._trusted(d, d, tuple(rows))
+        return IntMatrix(d, d, tuple(rows))
 
     return Cochain(family, dimension, evaluate)
 

@@ -71,7 +71,7 @@ def _product_sum(pairs, rank: int, op=operator.add) -> IntMatrix:
     rows = ((0,) * rank,) * rank
     for x, y in pairs:
         rows = [tuple(map(op, r, s)) for r, s in zip(rows, (x @ y).entries)]
-    return IntMatrix._trusted(rank, rank, tuple(rows))
+    return IntMatrix(rank, rank, tuple(rows))
 
 
 def series_mul(a: Sequence[IntMatrix], b: Sequence[IntMatrix], order: int) -> Series:

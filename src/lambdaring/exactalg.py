@@ -320,45 +320,55 @@ def _combine(row: list[int], pivot: list[int], q: int, support: list[int]) -> li
 
 
 def _least(row: list[int]) -> int:
-    """The least nonzero absolute value in the row; 0 for a zero row."""
-    return min(map(abs, filter(None, row)), default=0)
+    """The least nonzero absolute value among the row's coefficients; 0 if they are all zero.
+
+    The coefficients are every entry but the last, the right-hand side,
+    which is taken off for the scan and put back, to copy nothing.
+    """
+    rhs = row.pop()
+    least = min(map(abs, filter(None, row)), default=0)
+    row.append(rhs)
+    return least
 
 
-_POSITIONS = operator.itemgetter(2)
-_LEAST = operator.itemgetter(3)
+_POSITIONS = operator.itemgetter(1)
+_LEAST = operator.itemgetter(2)
 
 
 class _Unsolvable(Exception):
-    """A row of the system is zero and its right-hand side is not."""
+    """A row's coefficients are all zero and its right-hand side is not."""
 
 
 class _Eliminator:
-    """Shared row/column elimination engine; its mode comes from its constructor.
+    """Shared row/column elimination engine.
 
-    Made by ``_solving`` from the distinct equations of a system, which
-    ``solve_forms`` and ``solve_linear`` give as keys, it solves: the
-    right-hand side gets the row operations and the right transform
-    ``v`` the column operations.  Made from a matrix alone, it computes
-    a Smith normal form, tracking ``u``, ``u_inv``, ``v`` and ``v_inv``
-    and making the diagonal a divisibility chain.  Each
-    transform is held in the orientation its operations act on: ``u``
-    (row operations E) and ``v_inv`` (column operations F, as F^-1 on the
-    left) as rows, ``u_inv`` (E^-1 on the right) and ``v`` (F) as
-    columns, so every update swaps two lists or adds a multiple of one
-    list to another.
+    Built from a system of ``nrows`` equations in ``ncols`` unknowns,
+    given by keys: key i stands for equation i, and equal keys for equal
+    equations.  ``equation(key)`` gives the row of an equation, a fresh
+    list that the elimination changes: its ``ncols`` coefficients, then
+    its right-hand side.  So the right-hand side gets every row
+    operation, and the right transform ``v`` gets the column operations,
+    which solves the system.  ``smith_normal_form`` builds it from the
+    rows of a matrix, each ending in 0, then also tracks ``u``, ``u_inv``
+    and ``v_inv``, which makes ``diagonalize`` turn the diagonal into a
+    divisibility chain.  Each transform is held in the orientation its
+    operations act on: ``u`` (row operations E) and ``v_inv`` (column
+    operations F, as F^-1 on the left) as rows, ``u_inv`` (E^-1 on the
+    right) and ``v`` (F) as columns, so every update swaps two lists or
+    adds a multiple of one list to another.
 
-    The rows below the pivots are held in groups ``[row, rhs,
-    positions, least]``: one row list, one right-hand side, the
-    ascending positions that hold that pair, and the least nonzero
-    absolute value in the row.  Zero rows belong to no group, and a
-    zero row with a nonzero right-hand side means there is no solution.
-    A solve starts with one group per distinct pair; a Smith form starts
-    with every position in its own group, because ``u`` and ``u_inv``
-    differ per position, and keeps it so.  Scans, row operations and
-    right-hand-side updates run once per group, so a tall system costs
-    about as much as its distinct rows.  The pivot of step t (position
-    t) is held apart; ``pivots`` keeps the row and right-hand side of
-    each finished step.
+    The rows below the pivots are held in groups ``[row, positions,
+    least]``: one row list, the ascending positions that hold that row,
+    and the least nonzero absolute value among its coefficients, so a
+    right-hand side is never a pivot.  A row whose coefficients are all
+    zero belongs to no group, and one whose right-hand side is not zero
+    means there is no solution.  The engine starts with one group per
+    distinct key, in the order of their first positions, so a Smith
+    form, keyed by position because ``u`` and ``u_inv`` differ per
+    position, keeps every position in its own group.  Scans and row
+    operations run once per group, so a tall system costs about as much
+    as its distinct rows.  The pivot of step t (position t) is held
+    apart; ``pivots`` keeps the row of each finished step.
 
     Each step costs what it changes.  ``least`` is computed once, when
     the group's row list is made, and stays exact: a row operation
@@ -379,26 +389,7 @@ class _Eliminator:
     with no swap.
     """
 
-    def __init__(self, matrix: IntMatrix) -> None:
-        self._start(matrix.rows, matrix.cols)
-        self.u = _identity_rows(self.nrows)
-        self.u_inv = _identity_rows(self.nrows)
-        self.v_inv = _identity_rows(self.ncols)
-        self.col_swapped = (self.v, self.v_inv)
-        self.groups = [
-            [list(row), 0, [i], _least(row)] for i, row in enumerate(matrix.entries) if any(row)
-        ]
-
-    @classmethod
-    def _solving(cls, nrows: int, ncols: int, keys: Iterable, equation: Callable):
-        """The engine of a solve of equations 0.., one group per distinct key.
-
-        Key i stands for equation i, and equal keys for equal equations;
-        ``equation(key)`` gives the row, a fresh list that the elimination
-        changes, and the rhs.  The groups come in the order of their first
-        positions.  Zero rows join no group; raises ``_Unsolvable`` if one
-        has a nonzero rhs.
-        """
+    def __init__(self, nrows: int, ncols: int, keys: Iterable, equation: Callable) -> None:
         positions_of: dict = {}
         for i, key in enumerate(keys):
             positions = positions_of.get(key)
@@ -406,25 +397,20 @@ class _Eliminator:
                 positions_of[key] = [i]
             else:
                 positions.append(i)
-        work = object.__new__(cls)
-        work._start(nrows, ncols)
-        work.u = None
-        work.col_swapped = (work.v,)
-        work.groups = []
-        for key, positions in positions_of.items():
-            row, rhs = equation(key)
-            least = _least(row)
-            if least:
-                work.groups.append([row, rhs, positions, least])
-            elif rhs:
-                raise _Unsolvable
-        return work
-
-    def _start(self, nrows: int, ncols: int) -> None:
         self.nrows = nrows
         self.ncols = ncols
+        self.u = None
         self.v = _identity_rows(ncols)
-        self.pivots: list[tuple[list[int], int]] = []
+        self.col_swapped = (self.v,)
+        self.pivots: list[list[int]] = []
+        self.groups = []
+        for key, positions in positions_of.items():
+            row = equation(key)
+            least = _least(row)
+            if least:
+                self.groups.append([row, positions, least])
+            elif row[-1]:
+                raise _Unsolvable
 
     def track_add(self, i: int, j: int, q: int) -> None:
         """Record row_i += q * row_j in u and u_inv."""
@@ -450,36 +436,36 @@ class _Eliminator:
             lists[i], lists[j] = lists[j], lists[i]
 
     def diagonalize(self) -> int:
-        """Clear the matrix to diagonal form; returns the diagonal length used.
+        """Clear the coefficients to diagonal form; returns the diagonal length used.
 
         Each step t takes a pivot, then alternates row sweeps, which clear
         column t below t, with column operations, which clear row t to
-        the right of t, until both are clear.  Without a right-hand side,
-        a last step per pivot makes it divide the rest of the block.
+        the right of t, until both are clear.  When ``u`` is tracked, a
+        last step per pivot makes it divide the rest of the block.
 
-        The pivot is the least entry in absolute value, of the earliest
-        first position holding it, in the first column holding it; the
-        search reads each group's cached ``least``.  ``col_from`` marks
-        the entries t+1.. of the pivot row already zero; it resets after
-        each row sweep and each divisibility step, the two that may
+        The pivot is the least coefficient in absolute value, of the
+        earliest first position holding it, in the first column holding
+        it; the search reads each group's cached ``least``.  ``col_from``
+        marks the entries t+1.. of the pivot row already zero; it resets
+        after each row sweep and each divisibility step, the two that may
         change the pivot row by more than a column operation.
 
         In step t the rows below are zero in the columns before t, and
         the pivots above are zero from column t on.  So a row operation
-        needs only the columns from t on, and a column operation, which
-        runs once column t is zero below t, changes the pivot alone.  No
-        operation turns a zero row into a nonzero one, and no column
-        operation makes a nonzero row zero, so the groups hold every row
-        that a scan over the positions from t on could find nonzero.
-        Raises ``_Unsolvable`` as soon as a row becomes zero while its
-        right-hand side does not.
+        needs only the entries from column t on, the right-hand side
+        included, and a column operation, which runs once column t is
+        zero below t, changes the pivot alone.  No operation turns a zero
+        row into a nonzero one, and no column operation makes a nonzero
+        row zero, so the groups hold every row that a scan over the
+        positions from t on could find nonzero.  Raises ``_Unsolvable`` as
+        soon as a row's coefficients become zero while its right-hand
+        side does not.
         """
         ncols = self.ncols
         divisibility_step = self.u is not None
         t, limit = 0, min(self.nrows, ncols)
         while t < limit and self.groups:
-            pivot, pivot_rhs = self.take_pivot(t)
-            pivot, pivot_rhs = self.sweep(t, pivot, pivot_rhs)
+            pivot = self.sweep(t, self.take_pivot(t))
             col_from = t + 1
             while True:
                 p = pivot[t]
@@ -495,7 +481,7 @@ class _Eliminator:
                             _add_multiple(self.v_inv, t, j, -q)
                     if pivot[j]:
                         self.swap_cols(t, j, pivot)
-                        pivot, pivot_rhs = self.sweep(t, pivot, pivot_rhs)
+                        pivot = self.sweep(t, pivot)
                         col_from = t + 1
                     continue
                 if not divisibility_step:
@@ -510,24 +496,24 @@ class _Eliminator:
                 # Pull the offending row into the pivot; the next column
                 # pass shrinks the pivot toward the gcd of the whole block.
                 pivot = _combine(pivot, stray[0], 1, _support(stray[0], t))
-                self.track_add(t, stray[2][0], 1)
+                self.track_add(t, stray[1][0], 1)
                 col_from = t + 1
-            self.pivots.append((pivot, pivot_rhs))
+            self.pivots.append(pivot)
             t += 1
         return t
 
-    def take_pivot(self, t: int) -> tuple[list[int], int]:
+    def take_pivot(self, t: int) -> list[int]:
         """Move the pivot's row to position t and its column to t; a positive pivot."""
         groups = self.groups
         groups.sort(key=_POSITIONS)
         leasts = list(map(_LEAST, groups))
         best = min(leasts)
         pick = leasts.index(best)
-        row, rhs, positions, _ = groups[pick]
+        row, positions, _ = groups[pick]
         i = positions[0]
-        if i != t and groups[0][2][0] == t:
+        if i != t and groups[0][1][0] == t:
             # the row at position t moves to position i
-            held = groups[0][2]
+            held = groups[0][1]
             del held[0]
             bisect.insort(held, i)
         self.track_swap(t, i)
@@ -538,42 +524,41 @@ class _Eliminator:
             del groups[pick]
         self.swap_cols(t, list(map(abs, row)).index(best, t), row)
         if row[t] < 0:
-            row, rhs = [-a for a in row], -rhs
+            row = [-a for a in row]
             if self.u is not None:
                 _add_multiple(self.u, t, t, -2)
                 _add_multiple(self.u_inv, t, t, -2)
-        return row, rhs
+        return row
 
-    def sweep(self, t: int, pivot: list[int], pivot_rhs: int) -> tuple[list[int], int]:
-        """Clear column t below t; returns the pivot row and right-hand side it ends with.
+    def sweep(self, t: int, pivot: list[int]) -> list[int]:
+        """Clear column t below t; returns the pivot row it ends with.
 
         Euclid runs at each first position in position order, swapping
         its row with the pivot while a remainder is left.  The pivot in
         force after each first position that changed it starts a new
         epoch.  The other positions of a group then move as blocks, one
-        new row and right-hand side per epoch; in the epoch of a first
-        position that kept the pivot, they join its result.
+        new row per epoch; in the epoch of a first position that kept the
+        pivot, they join its result.
         """
         self.groups.sort(key=_POSITIONS)
         staying, moving = [], []
         for group in self.groups:
             (moving if group[0][t] else staying).append(group)
         if not moving:
-            return pivot, pivot_rhs
+            return pivot
         support = _support(pivot, t)
         starts = [-1]  # the position after which each epoch's pivot is in force
-        epochs = [(pivot, pivot_rhs, support)]
+        epochs = [(pivot, support)]
         firsts = []
-        for row, rhs, positions, _ in moving:
+        for row, positions, _ in moving:
             i = positions[0]
             while True:
                 q = -(row[t] // pivot[t])
-                row, rhs = _combine(row, pivot, q, support), rhs + q * pivot_rhs
+                row = _combine(row, pivot, q, support)
                 self.track_add(i, t, q)
                 if not row[t]:
                     break
                 pivot, row = row, pivot
-                pivot_rhs, rhs = rhs, pivot_rhs
                 support = _support(pivot, t)
                 self.track_swap(t, i)
             if pivot is epochs[-1][0]:
@@ -581,32 +566,31 @@ class _Eliminator:
             else:
                 own = None
                 starts.append(i)
-                epochs.append((pivot, pivot_rhs, support))
-            firsts.append((own, [row, rhs, [i]]))
+                epochs.append((pivot, support))
+            firsts.append((own, [row, [i]]))
 
-        def keep(row: list[int], rhs: int, positions: list[int]) -> None:
+        def keep(row: list[int], positions: list[int]) -> None:
             least = _least(row)
             if least:
-                staying.append([row, rhs, positions, least])
-            elif rhs:
+                staying.append([row, positions, least])
+            elif row[-1]:
                 raise _Unsolvable
 
-        for (row, rhs, positions, _), (own, first) in zip(moving, firsts):
+        for (row, positions, _), (own, first) in zip(moving, firsts):
             lo, n = 1, len(positions)
             while lo < n:
                 e = bisect.bisect_left(starts, positions[lo]) - 1
                 hi = n if e + 1 == len(starts) else bisect.bisect_left(positions, starts[e + 1], lo)
                 if e == own:
-                    first[2].extend(positions[lo:hi])
+                    first[1].extend(positions[lo:hi])
                 else:
-                    epoch_pivot, epoch_rhs, epoch_support = epochs[e]
+                    epoch_pivot, epoch_support = epochs[e]
                     q = -(row[t] // epoch_pivot[t])
-                    moved = _combine(row, epoch_pivot, q, epoch_support)
-                    keep(moved, rhs + q * epoch_rhs, positions[lo:hi])
+                    keep(_combine(row, epoch_pivot, q, epoch_support), positions[lo:hi])
                 lo = hi
             keep(*first)
         self.groups = staying
-        return pivot, pivot_rhs
+        return pivot
 
 
 def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
@@ -621,12 +605,16 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     >>> s.u @ s.u_inv == IntMatrix.identity(2)
     True
     """
-    work = _Eliminator(matrix)
+    n, m = matrix.rows, matrix.cols
+    work = _Eliminator(n, m, range(n), lambda i: [*matrix.entries[i], 0])
+    work.u = _identity_rows(n)
+    work.u_inv = _identity_rows(n)
+    work.v_inv = _identity_rows(m)
+    work.col_swapped = (work.v, work.v_inv)
     used = work.diagonalize()
-    n, m = work.nrows, work.ncols
     decomposition = SmithDecomposition(
         u=IntMatrix.from_flat(n, n, [e for r in work.u for e in r]),
-        d=IntMatrix(n, m, tuple(tuple(r) for r, _ in work.pivots) + ((0,) * m,) * (n - used)),
+        d=IntMatrix(n, m, tuple(tuple(r[:m]) for r in work.pivots) + ((0,) * m,) * (n - used)),
         v=IntMatrix.from_columns(work.v, m),
         u_inv=IntMatrix.from_columns(work.u_inv, n),
         v_inv=IntMatrix.from_flat(m, m, [e for r in work.v_inv for e in r]),
@@ -661,7 +649,7 @@ def solve_linear(matrix: IntMatrix, rhs: Sequence[int]) -> Optional[LinearSoluti
     if len(rhs) != matrix.rows:
         raise ValueError("right-hand side length does not match row count")
     pairs = zip(matrix.entries, rhs)
-    return _solve(matrix.rows, matrix.cols, pairs, lambda pair: (list(pair[0]), pair[1]))
+    return _solve(matrix.rows, matrix.cols, pairs, lambda pair: [*pair[0], pair[1]])
 
 
 def solve_forms(packing: FormPacking, forms: Sequence[int]) -> Optional[LinearSolution]:
@@ -677,25 +665,26 @@ def solve_forms(packing: FormPacking, forms: Sequence[int]) -> Optional[LinearSo
     LinearSolution(particular=(2, 3), kernel=())
     """
 
-    def equation(form: int) -> tuple[list[int], int]:
+    def equation(form: int) -> list[int]:
         row, constant = packing.unpack(form)
-        return row, -constant
+        row.append(-constant)
+        return row
 
     return _solve(len(forms), packing.width, forms, equation)
 
 
 def _solve(nrows: int, ncols: int, keys: Iterable, equation: Callable) -> Optional[LinearSolution]:
-    """The solutions of ``nrows`` equations, given as ``_Eliminator._solving`` takes them."""
+    """The solutions of ``nrows`` equations, given as ``_Eliminator`` takes them."""
     try:
-        work = _Eliminator._solving(nrows, ncols, keys, equation)
+        work = _Eliminator(nrows, ncols, keys, equation)
         work.diagonalize()
     except _Unsolvable:
         return None
     # x = v y with d y = u rhs, where each pivot d[k][k] is positive; the
     # columns of v past the pivots span the kernel
     y = []
-    for k, (pivot, c) in enumerate(work.pivots):
-        quotient, remainder = divmod(c, pivot[k])
+    for k, pivot in enumerate(work.pivots):
+        quotient, remainder = divmod(pivot[-1], pivot[k])
         if remainder:
             return None
         y.append(quotient)

@@ -396,7 +396,9 @@ class TestInputContract:
 
         for name, rank, big, digits, expected in (
             ("dense", limit, 0, 1, 1),
+            ("ten-digit constants at the rank limit", limit, limit**3, 10, 1),
             ("wide digits, small rank", 4, 4**3, 10**4, 1),
+            ("wide digits, one rank up", 5, 5**3, 10**4, 2),
             ("wide digits at the rank limit", limit, 1600, 10**4, 2),
             ("long digits at the rank limit", limit, 800, 2000, 2),
         ):

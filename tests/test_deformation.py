@@ -416,8 +416,9 @@ class TestExtensionSystem:
         expected: dict = {}
         for i, pair in enumerate(zip(system.entries, rhs)):
             expected.setdefault(pair, []).append(i)
+        # each group's row ends in its right-hand side, which its least entry skips
         expected_groups = [
-            [list(row), b, positions, min(abs(e) for e in row if e)]
+            [[*row, b], positions, min(abs(e) for e in row if e)]
             for (row, b), positions in expected.items()
             if any(row)
         ]
@@ -425,7 +426,7 @@ class TestExtensionSystem:
         diagonalize = exactalg._Eliminator.diagonalize
 
         def record(work):
-            received.append([[list(r), b, list(p), least] for r, b, p, least in work.groups])
+            received.append([[list(r), list(p), least] for r, p, least in work.groups])
             return diagonalize(work)
 
         monkeypatch.setattr(exactalg._Eliminator, "diagonalize", record)
