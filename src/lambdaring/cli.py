@@ -79,11 +79,12 @@ SCHEMA_VERSION = 1
 # lambda from-adams refuses a --max-degree above MAX_LAMBDA_DEGREE,
 # deform refuses a deformation document whose order is above
 # MAX_DEFORMATION_ORDER, and ring verify, whose checks take rank^5 products,
-# refuses a rank above MAX_RING_RANK or rank^5 * (RING_STEP_OVERHEAD +
-# bits^1.6) above MAX_RING_WORK, where bits are those of the largest
-# structure constant: a product of b-bit ints takes about b^1.6 steps, and
-# each check step costs the interpreter about as much as 5,000 of them (a
-# dense random ring takes about 1 s at rank 20 with one- to twenty-digit
+# refuses a rank above MAX_RING_RANK or rank^2 times the sum over the
+# rank^3 structure constants of RING_STEP_OVERHEAD + bits^1.6 above
+# MAX_RING_WORK: each constant enters about rank^2 of the checks'
+# products, a product of b-bit ints takes about b^1.6 steps, and each
+# check step costs the interpreter about as much as 5,000 of them (a dense
+# random ring takes about 1 s at rank 20 with one- to twenty-digit
 # constants or at rank 4 with 10^4 digits).  Every
 # --ring, --deformation and --other file is refused when it is longer than
 # MAX_DOCUMENT_BYTES or holds an integer longer than MAX_INTEGER_DIGITS
@@ -310,12 +311,13 @@ def _cmd_ring_verify(args: argparse.Namespace) -> _Report:
             f"ring verify checks rank^5 products: rank {family.rank} is above the limit "
             f"{MAX_RING_RANK}"
         )
-    bits = max(abs(c).bit_length() for row in family.ring.structure for v in row for c in v)
-    work = family.rank**5 * (RING_STEP_OVERHEAD + round(bits**1.6))
+    constants = [c for row in family.ring.structure for v in row for c in v]
+    total = sum(RING_STEP_OVERHEAD + round(abs(c).bit_length() ** 1.6) for c in constants)
+    work = family.rank**2 * total
     if work > MAX_RING_WORK:
         raise LimitExceeded(
-            f"ring verify checks rank^5 products: rank^5 * ({RING_STEP_OVERHEAD} + bits^1.6) = "
-            f"{family.rank}^5 * ({RING_STEP_OVERHEAD} + {bits}^1.6) = {work}, "
+            f"ring verify checks rank^5 products: rank^2 * the sum over the structure constants "
+            f"of ({RING_STEP_OVERHEAD} + bits^1.6) = {family.rank}^2 * {total} = {work}, "
             f"above the limit {MAX_RING_WORK}"
         )
     violations = verify_ring(family.ring)

@@ -895,29 +895,37 @@ def product_forms(a: IntMatrix, forms: Sequence[int], left: bool) -> list[int]:
     """The forms of vec(A F) when ``left``, else of vec(F A), from the d*d forms of vec F.
 
     Forms are ints, packed by a ``FormPacking`` or plain, and vec is
-    row-major: entry (i, j) of F is form i*d + j.
+    row-major: entry (i, j) of F is form i*d + j.  An A whose every
+    column is a unit vector is applied as ``IntMatrix.__matmul__``
+    applies it: on the right it gathers entries of each row of F, on
+    the left it sums rows of F.
 
     >>> a = IntMatrix.from_rows([[0, 1], [2, 0]])
     >>> product_forms(a, [1, 2, 3, 4], True)
     [3, 4, 2, 4]
+    >>> u = IntMatrix.from_rows([[0, 0], [1, 1]])
+    >>> product_forms(u, [1, 2, 3, 4], True), product_forms(u, [1, 2, 3, 4], False)
+    ([0, 0, 4, 6], [2, 2, 4, 4])
     """
     d = a.rows
     if a.cols != d or len(forms) != d * d:
         raise ValueError("vec products need a square matrix and d*d forms")
-    entries = a.entries
-    out = []
-    for i in range(d):
-        for j in range(d):
-            if left:  # entry (i, j) of A F is sum_k A[i][k] F[k][j]
-                terms = zip(entries[i], forms[j::d])
-            else:  # entry (i, j) of F A is sum_k F[i][k] A[k][j]
-                terms = zip((row[j] for row in entries), forms[i * d : i * d + d])
-            total = 0
-            for c, form in terms:
-                if c:
-                    total += c * form
-            out.append(total)
-    return out
+    pattern = a._unit_pattern()
+    if pattern is not None:
+        if not left:  # entry (i, j) of F A is F[i][pattern[j]]
+            return [forms[i * d + k] for i in range(d) for k in pattern]
+        # row i of A F sums the rows k of F with pattern[k] == i
+        zero = (0,) * d
+        rows = [zero] * d
+        for k, i in enumerate(pattern):
+            row = forms[k * d : k * d + d]
+            rows[i] = row if rows[i] is zero else tuple(map(operator.add, rows[i], row))
+        return [form for row in rows for form in row]
+    if left:  # entry (i, j) of A F is row i of A times column j of F
+        lefts, rights = a.entries, [forms[j::d] for j in range(d)]
+    else:  # entry (i, j) of F A is row i of F times column j of A
+        lefts, rights = [forms[i * d : i * d + d] for i in range(d)], list(zip(*a.entries))
+    return [sum(map(operator.mul, x, y)) for x in lefts for y in rights]
 
 
 def _operator(a: IntMatrix, left: bool) -> IntMatrix:

@@ -399,6 +399,9 @@ class TestInputContract:
             ("ten-digit constants at the rank limit", limit, limit**3, 10, 1),
             ("wide digits, small rank", 4, 4**3, 10**4, 1),
             ("wide digits, one rank up", 5, 5**3, 10**4, 2),
+            # each constant is charged its own size, so one wide constant is cheap
+            ("one wide constant", 10, 1, 10**4, 1),
+            ("one 100-digit constant at the rank limit", limit, 1, 100, 1),
             ("wide digits at the rank limit", limit, 1600, 10**4, 2),
             ("long digits at the rank limit", limit, 800, 2000, 2),
         ):
@@ -1471,6 +1474,14 @@ class TestOptimizedMode:
             ),
             (
                 ["complex", "check", "cosimplicial", "--preset", "RC3"],
+                b'"passed": true',
+            ),
+            (
+                ["complex", "check", "leibniz", "--preset", "RC3"],
+                b'"passed": true',
+            ),
+            (
+                ["complex", "check", "d-squared", "--preset", "RC2"],
                 b'"passed": true',
             ),
             (

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import child_env, nilpotent_family
+from conftest import child_env, dual_numbers_family, nilpotent_family
 from lambdaring import cochain as cochain_module
 from lambdaring.cochain import (
     Cochain,
@@ -182,6 +182,21 @@ def seed_differential(f: Cochain) -> Cochain:
     return Cochain(family, n + 1, evaluate)
 
 
+def seed_coface(i: int, f: Cochain) -> Cochain:
+    """The i-th coface with one validated matrix product, the reference for ``coface``."""
+    family = f.family
+    n = f.dimension
+
+    def evaluate(args):
+        if i == 0:
+            return family.adams_at(args[0]) @ f.at(*args[1:])
+        if i == n + 1:
+            return f.at(*args[:-1]) @ family.adams_at(args[-1])
+        return f.at(*args[: i - 1], args[i - 1] * args[i], *args[i + 1 :])
+
+    return Cochain(family, n + 1, evaluate)
+
+
 def seed_random_value(dimension: int, seed: int, args: tuple, rank: int) -> IntMatrix:
     """A fresh generator per value and ``randint(-3, 3)`` per entry.
 
@@ -264,6 +279,40 @@ class TestEvaluationMatchesSeed:
                 if n > 1:
                     p, rest = universe.peel(m * n)
                     assert p == factor(m * n)[0][0] and p * rest == m * n
+
+    @pytest.mark.parametrize(
+        "family", [nilpotent_family(), dual_numbers_family((2, 3, 5))], ids=lambda f: f.ring.name
+    )
+    def test_adams_matrices_without_unit_patterns(self, family):
+        # psi_2 of Z[x]/(x^3) and diag(1, p) are not unit patterns, so the Adams
+        # products at arguments other than 1 take the general loop of product_forms
+        assert any(m._unit_pattern() is None for _, m in family.generators)
+        for dim in (0, 1, 2):
+            for seed in (1, 2):
+                if dim == 0:
+                    f = endo_cochain(family, random_endomorphism(family, seed))
+                else:
+                    f = random_cochain(family, dim, seed=seed)
+                g = random_cochain(family, 1, seed=seed + 10)
+                h = random_cochain(family, dim, seed=seed + 20) if dim else f.scale(2)
+                pairs = [(differential(f), seed_differential(f))]
+                pairs += [(coface(i, f), seed_coface(i, f)) for i in range(dim + 2)]
+                for i in range(dim - 1):
+                    unit_at_i = Cochain(family, dim - 1, lambda a, i=i: f.at(*a[:i], 1, *a[i:]))
+                    pairs.append((codegeneracy(i, f), unit_at_i))
+                pairs += [
+                    (f.compose(g), Cochain(family, dim + 1, lambda a: f.at(*a[:dim]) @ g.at(a[dim]))),
+                    (f + h, Cochain(family, dim, lambda a: f.at(*a) + h.at(*a))),
+                    (f - h, Cochain(family, dim, lambda a: f.at(*a) - h.at(*a))),
+                    (f.scale(-3), Cochain(family, dim, lambda a: -3 * f.at(*a))),
+                ]
+                for got, want in pairs:
+                    for args in box_tuples(family, got.dimension, 20, seed=seed, exponent=3):
+                        assert got.at(*args) == want.at(*args), (dim, got.dimension, args)
+        for identity in IDENTITY_NAMES:
+            for dim in (0, 1, 2):
+                report = run_identity_check(family, identity, dim, 25, seed=dim + 3)
+                assert report.passed, (identity, dim, report.failures[:3])
 
     def test_cache_hit_skips_coercion_but_keeps_the_arity_check(self, rc2_family):
         f = random_cochain(rc2_family, 2, seed=4)
@@ -392,7 +441,7 @@ class TestIdentities:
 
         def broken(f, i, args):
             value = term(f, i, args)
-            return 2 * value if i == 1 else value
+            return tuple(2 * e for e in value) if i == 1 else value
 
         monkeypatch.setattr(cochain_module, "_coface_term", broken)
 
@@ -402,6 +451,13 @@ class TestIdentities:
         report = run_identity_check(rc2_family, "cosimplicial", 1, 5, seed=0)
         assert "codegeneracy section fails at index 0" in report.failures
         assert "codegeneracy section fails at index 1" in report.failures
+
+    def test_a_broken_differential_fails_d_squared(self, rc2_family, monkeypatch):
+        assert run_identity_check(rc2_family, "d-squared", 1, 10, seed=0).passed
+        self.break_coface_one(monkeypatch)
+        report = run_identity_check(rc2_family, "d-squared", 1, 10, seed=0)
+        assert report.failures
+        assert all(f.startswith("d(d(f)) nonzero at (") for f in report.failures)
 
     def test_a_broken_coface_fails_the_leibniz_rule(self, rc2_family, monkeypatch):
         assert run_identity_check(rc2_family, "leibniz", 1, 10, seed=0).passed

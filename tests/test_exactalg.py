@@ -1276,6 +1276,28 @@ class TestMultiplicationOperators:
                 assert IntMatrix.from_rows(row for row, _ in got) == want @ forms, (trial, left)
                 assert tuple(c for _, c in got) == want.apply(constants), (trial, left)
 
+    def test_unit_patterns_give_the_general_loop_ints(self):
+        # an A whose every column is a unit vector takes the shortcut; the same
+        # entries with the pattern slot set to None take the general loop
+        rng = random.Random(20)
+        for trial in range(60):
+            d, width = rng.randint(1, 4), rng.randint(1, 5)
+            ones = [rng.randrange(d) for _ in range(d)]
+            a = IntMatrix.from_columns([[int(i == r) for i in range(d)] for r in ones], d)
+            assert a._unit_pattern() == tuple(ones)
+            general = IntMatrix(d, d, a.entries)
+            exactalg._set_unit_rows(general, None)
+            packing = FormPacking(width, 3 * d)
+            packed = [
+                packing.pack([rng.randint(-3, 3) for _ in range(width)], rng.randint(-10**30, 10**30))
+                for _ in range(d * d)
+            ]
+            plain = [rng.randint(-9, 9) for _ in range(d * d)]
+            for forms in (packed, plain):
+                for left in (True, False):
+                    got = product_forms(a, forms, left)
+                    assert got == product_forms(general, forms, left), (trial, left)
+
     def test_plain_ints_are_forms(self):
         # one unknown: vec(A F) and vec(F A) of an integer matrix F
         rng = random.Random(19)
