@@ -93,7 +93,7 @@ class Cochain:
         value = self._cache.get(args)
         if value is None:
             d = self.family.rank
-            value = self._cache[args] = IntMatrix.from_flat(d, d, self._value(args))
+            value = self._cache[args] = IntMatrix(d, d, self._value(args))
         return value
 
     def _value(self, args: tuple[int, ...]) -> tuple[int, ...]:

@@ -66,12 +66,12 @@ def series_identity(rank: int, order: int) -> Series:
 def _product_sum(pairs, rank: int, op=operator.add) -> IntMatrix:
     """The sum of x @ y over the pairs, or minus it with ``op=operator.sub``.
 
-    The products are summed row by row into one buffer.
+    The flat entries of the products are summed in turn.
     """
-    rows = ((0,) * rank,) * rank
+    total = (0,) * (rank * rank)
     for x, y in pairs:
-        rows = [tuple(map(op, r, s)) for r, s in zip(rows, (x @ y).entries)]
-    return IntMatrix(rank, rank, tuple(rows))
+        total = tuple(map(op, total, (x @ y).entries))
+    return IntMatrix(rank, rank, total)
 
 
 def series_mul(a: Sequence[IntMatrix], b: Sequence[IntMatrix], order: int) -> Series:
@@ -294,9 +294,9 @@ def _obstruction_values(deformation: Deformation) -> Callable[[int, int], Vector
     def factor(m: int) -> tuple:
         if m not in factors:
             top = deformation.at(m)[1:]
-            rows = tuple(tuple(chain.from_iterable(c.entries[i] for c in top)) for i in range(d))
-            columns = tuple(zip(*chain.from_iterable(c.entries for c in reversed(top))))
-            factors[m] = rows, columns or ((),) * d
+            rows = tuple(tuple(chain.from_iterable(c.row(i) for c in top)) for i in range(d))
+            columns = tuple(tuple(chain.from_iterable(c.column(j) for c in top[::-1])) for j in range(d))
+            factors[m] = rows, columns
         return factors[m]
 
     def value(m: int, n: int) -> Vector:

@@ -39,18 +39,24 @@ def vec_zero(n: int) -> Vector:
 
 
 class IntMatrix:
-    """Immutable integer matrix with row-major entries.
+    """Immutable integer matrix.
 
-    ``entries`` is a tuple of row tuples.  The constructor and the
-    ``from_*``, ``identity`` and ``zeros`` builders validate the shape;
-    the arithmetic builds its results with ``_trusted``, which skips the
-    checks because each result's shape is known.
+    ``entries`` is the flat row-major tuple of its rows*cols ints:
+    entry (i, j) is ``entries[i * cols + j]``, and ``exactalg`` alone
+    does that index arithmetic.  The constructor checks the shape,
+    ``from_rows`` also rejects ragged rows, and ``from_flat`` and
+    ``from_columns`` coerce outside input to int; the arithmetic builds
+    its results with ``_trusted``, which skips the checks because each
+    result's shape is known.  ``m[i, j]``, ``row`` and ``column`` take
+    negative indices and raise IndexError outside the range, as
+    indexing a tuple of row tuples would.
 
-    A product with a factor whose every column is a unit vector, such
-    as an Adams matrix of a monoid ring, is formed without arithmetic:
-    on the right such a factor gathers entries of each row, on the left
-    it sums rows of the other factor.  The factor's pattern is read off
-    it on first use and kept in a private slot.
+    Every product, here and in ``product_forms``, is formed by one
+    kernel.  A factor whose every column is a unit vector, such as an
+    Adams matrix of a monoid ring, takes no arithmetic there: on the
+    right it gathers entries of each row, on the left it sums rows of
+    the other factor.  Its pattern is read off it on first use and
+    kept in a private slot.
 
     >>> m = IntMatrix.from_rows([[1, 2], [3, 4]])
     >>> m @ IntMatrix.identity(2) == m
@@ -59,30 +65,29 @@ class IntMatrix:
     True
     >>> m.apply((1, 0))
     (1, 3)
+    >>> m.row(-1), m.column(1), m[1, 0]
+    ((3, 4), (2, 4), 3)
     >>> m
-    IntMatrix(rows=2, cols=2, entries=((1, 2), (3, 4)))
+    IntMatrix(rows=2, cols=2, entries=(1, 2, 3, 4))
     """
 
     __slots__ = ("rows", "cols", "entries", "_unit_rows")
 
     rows: int
     cols: int
-    entries: tuple[tuple[int, ...], ...]
+    entries: tuple[int, ...]
 
-    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> None:
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]) -> None:
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(entries) != rows:
-            raise ValueError("row count does not match entries")
-        for row in entries:
-            if len(row) != cols:
-                raise ValueError("ragged matrix rows")
+        if len(entries) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
         _set_rows(self, rows)
         _set_cols(self, cols)
         _set_entries(self, entries)
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+    def _trusted(cls, rows: int, cols: int, entries: tuple[int, ...]) -> "IntMatrix":
         """Build without validation; the caller guarantees the shape."""
         m = object.__new__(cls)
         _set_rows(m, rows)
@@ -112,27 +117,25 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        data = tuple(tuple(int(e) for e in row) for row in rows)
+        data = [tuple(int(e) for e in row) for row in rows]
         if not data:
             raise ValueError("from_rows needs at least one row; use zeros()")
-        return IntMatrix(len(data), len(data[0]), data)
+        cols = len(data[0])
+        if any(len(row) != cols for row in data):
+            raise ValueError("ragged matrix rows")
+        return IntMatrix._trusted(len(data), cols, tuple(itertools.chain.from_iterable(data)))
 
     @staticmethod
     def from_flat(rows: int, cols: int, flat: Sequence[int]) -> "IntMatrix":
-        if len(flat) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(flat)}")
-        data = tuple(
-            tuple(int(e) for e in flat[i * cols : (i + 1) * cols]) for i in range(rows)
-        )
-        return IntMatrix(rows, cols, data)
+        return IntMatrix(rows, cols, tuple(int(e) for e in flat))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        return IntMatrix(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
+        return IntMatrix(rows, cols, (0,) * (rows * cols))
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence[int]], height: int) -> "IntMatrix":
@@ -140,51 +143,45 @@ class IntMatrix:
         for c in cols:
             if len(c) != height:
                 raise ValueError("column height mismatch")
-        data = tuple(tuple(int(c[i]) for c in cols) for i in range(height))
-        return IntMatrix(height, len(cols), data)
+        return IntMatrix(height, len(cols), tuple(int(c[i]) for i in range(height) for c in cols))
 
     def flat(self) -> Vector:
-        return tuple(e for row in self.entries for e in row)
+        return self.entries
 
+    # range(n)[i] is the position of index i, counted from the end when
+    # negative, and raises IndexError outside -n..n-1, as a tuple does
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
-        return self.entries[i][j]
+        return self.entries[range(self.rows)[i] * self.cols + range(self.cols)[j]]
 
     def row(self, i: int) -> Vector:
-        return self.entries[i]
+        start = range(self.rows)[i] * self.cols
+        return self.entries[start : start + self.cols]
 
     def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
+        return self.entries[range(self.cols)[j] :: self.cols]
 
     def transpose(self) -> "IntMatrix":
-        data = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        data = tuple(itertools.chain.from_iterable(map(self.column, range(self.cols))))
         return IntMatrix._trusted(self.cols, self.rows, data)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_shape(other)
         return IntMatrix._trusted(
-            self.rows,
-            self.cols,
-            tuple(tuple(map(operator.add, r, s)) for r, s in zip(self.entries, other.entries)),
+            self.rows, self.cols, tuple(map(operator.add, self.entries, other.entries))
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_shape(other)
         return IntMatrix._trusted(
-            self.rows,
-            self.cols,
-            tuple(tuple(map(operator.sub, r, s)) for r, s in zip(self.entries, other.entries)),
+            self.rows, self.cols, tuple(map(operator.sub, self.entries, other.entries))
         )
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix._trusted(
-            self.rows, self.cols, tuple(tuple(map(operator.neg, r)) for r in self.entries)
-        )
+        return IntMatrix._trusted(self.rows, self.cols, tuple(map(operator.neg, self.entries)))
 
     def __rmul__(self, k: int) -> "IntMatrix":
-        return IntMatrix._trusted(
-            self.rows, self.cols, tuple(tuple(k * a for a in r) for r in self.entries)
-        )
+        return IntMatrix._trusted(self.rows, self.cols, tuple(k * a for a in self.entries))
 
     def _unit_pattern(self) -> Optional[tuple[int, ...]]:
         """The row of the 1 in each column, or None unless every column is a unit vector."""
@@ -195,7 +192,7 @@ class IntMatrix:
         pattern = None
         others = self.rows - 1
         found = []
-        for column in zip(*self.entries) if self.rows else ((),) * self.cols:
+        for column in map(self.column, range(self.cols)):
             if column.count(0) != others or 1 not in column:
                 break
             found.append(column.index(1))
@@ -207,36 +204,23 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        pattern = other._unit_pattern()
-        if pattern is not None:
-            # column j of the product is column pattern[j] of self
-            data = tuple([tuple([row[k] for k in pattern]) for row in self.entries])
-        elif (pattern := self._unit_pattern()) is not None:
-            # row i of the product sums the rows k of other with pattern[k] == i
-            zero = (0,) * other.cols
-            rows = [zero] * self.rows
-            for i, row in zip(pattern, other.entries):
-                rows[i] = row if rows[i] is zero else tuple(map(operator.add, rows[i], row))
-            data = tuple(rows)
-        else:
-            columns = tuple(zip(*other.entries)) if other.rows else ((),) * other.cols
-            data = tuple(
-                [tuple([sum(map(operator.mul, row, col)) for col in columns]) for row in self.entries]
-            )
-        return IntMatrix._trusted(self.rows, other.cols, data)
+        right = other._unit_pattern()
+        left = self._unit_pattern() if right is None else None
+        data = _product(self.entries, other.entries, self.rows, self.cols, other.cols, left, right)
+        return IntMatrix._trusted(self.rows, other.cols, tuple(data))
 
     def apply(self, vector: Sequence[int]) -> Vector:
         """Matrix times column vector."""
         if len(vector) != self.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum(map(operator.mul, row, vector)) for row in self.entries)
+        return tuple(_product(self.entries, vector, self.rows, self.cols, 1, None, None))
 
     @property
     def is_zero(self) -> bool:
-        return all(a == 0 for row in self.entries for a in row)
+        return not any(self.entries)
 
     def is_divisible_by(self, k: int) -> bool:
-        return all(a % k == 0 for row in self.entries for a in row)
+        return all(a % k == 0 for a in self.entries)
 
     def exact_divide(self, k: int) -> "IntMatrix":
         """Divide every entry by k, raising NonIntegralDivision on remainders."""
@@ -244,22 +228,44 @@ class IntMatrix:
             raise ZeroDivisionError("exact_divide by zero")
         if not self.is_divisible_by(k):
             raise NonIntegralDivision(f"matrix is not divisible by {k}")
-        return IntMatrix._trusted(
-            self.rows, self.cols, tuple(tuple(a // k for a in r) for r in self.entries)
-        )
+        return IntMatrix._trusted(self.rows, self.cols, tuple(a // k for a in self.entries))
 
     def _check_shape(self, other: "IntMatrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("matrix shapes differ")
 
     def __str__(self) -> str:
-        return "[" + "; ".join(" ".join(str(a) for a in row) for row in self.entries) + "]"
+        return "[" + "; ".join(" ".join(map(str, self.row(i))) for i in range(self.rows)) + "]"
 
 
 _set_rows = IntMatrix.rows.__set__
 _set_cols = IntMatrix.cols.__set__
 _set_entries = IntMatrix.entries.__set__
 _set_unit_rows = IntMatrix._unit_rows.__set__
+
+
+def _product(
+    x: Sequence, y: Sequence, n: int, k: int, m: int, left: Optional[Vector], right: Optional[Vector]
+) -> list:
+    """The flat row-major product of x, n x k, and y, k x m, both flat row-major.
+
+    Entries may be ints or packed forms.  ``left`` and ``right`` are
+    the unit patterns of x and y, or None; a factor with a pattern is
+    applied with no arithmetic, the right one first.
+    """
+    if right is not None:  # entry (i, j) is x[i, right[j]]
+        return [x[i * k + c] for i in range(n) for c in right]
+    if left is not None:  # row i sums the rows c of y with left[c] == i
+        zero = (0,) * m
+        sums = [zero] * n
+        for c, i in enumerate(left):
+            row = y[c * m : c * m + m]
+            sums[i] = row if sums[i] is zero else tuple(map(operator.add, sums[i], row))
+        return list(itertools.chain.from_iterable(sums))
+    # the rows of x, k entries at a time; n empty rows when k is 0
+    rows = zip(*[iter(x)] * k) if k else [()] * n
+    columns = [y[j::m] for j in range(m)]
+    return [sum(map(operator.mul, row, column)) for row in rows for column in columns]
 
 
 @dataclass(frozen=True)
@@ -606,18 +612,18 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     True
     """
     n, m = matrix.rows, matrix.cols
-    work = _Eliminator(n, m, range(n), lambda i: [*matrix.entries[i], 0])
+    work = _Eliminator(n, m, range(n), lambda i: [*matrix.row(i), 0])
     work.u = _identity_rows(n)
     work.u_inv = _identity_rows(n)
     work.v_inv = _identity_rows(m)
     work.col_swapped = (work.v, work.v_inv)
     used = work.diagonalize()
     decomposition = SmithDecomposition(
-        u=IntMatrix.from_flat(n, n, [e for r in work.u for e in r]),
-        d=IntMatrix(n, m, tuple(tuple(r[:m]) for r in work.pivots) + ((0,) * m,) * (n - used)),
+        u=IntMatrix(n, n, tuple(itertools.chain.from_iterable(work.u))),
+        d=IntMatrix(n, m, tuple(e for r in work.pivots for e in r[:m]) + (0,) * (m * (n - used))),
         v=IntMatrix.from_columns(work.v, m),
         u_inv=IntMatrix.from_columns(work.u_inv, n),
-        v_inv=IntMatrix.from_flat(m, m, [e for r in work.v_inv for e in r]),
+        v_inv=IntMatrix(m, m, tuple(itertools.chain.from_iterable(work.v_inv))),
     )
     if decomposition.u @ matrix @ decomposition.v != decomposition.d:
         raise InternalInconsistency("Smith transforms do not reproduce the diagonal form")
@@ -648,7 +654,7 @@ def solve_linear(matrix: IntMatrix, rhs: Sequence[int]) -> Optional[LinearSoluti
     """
     if len(rhs) != matrix.rows:
         raise ValueError("right-hand side length does not match row count")
-    pairs = zip(matrix.entries, rhs)
+    pairs = zip(map(matrix.row, range(matrix.rows)), rhs)
     return _solve(matrix.rows, matrix.cols, pairs, lambda pair: [*pair[0], pair[1]])
 
 
@@ -887,18 +893,18 @@ def operator_norms(a: IntMatrix) -> tuple[int, int]:
     >>> operator_norms(IntMatrix.from_rows([[1, -2], [0, 4]]))
     (4, 6)
     """
-    absolute = [list(map(abs, row)) for row in a.entries]
-    return max(map(sum, absolute), default=0), max(map(sum, zip(*absolute)), default=0)
+    absolute = IntMatrix._trusted(a.rows, a.cols, tuple(map(abs, a.entries)))
+    rows, columns = map(absolute.row, range(a.rows)), map(absolute.column, range(a.cols))
+    return max(map(sum, rows), default=0), max(map(sum, columns), default=0)
 
 
 def product_forms(a: IntMatrix, forms: Sequence[int], left: bool) -> list[int]:
     """The forms of vec(A F) when ``left``, else of vec(F A), from the d*d forms of vec F.
 
     Forms are ints, packed by a ``FormPacking`` or plain, and vec is
-    row-major: entry (i, j) of F is form i*d + j.  An A whose every
-    column is a unit vector is applied as ``IntMatrix.__matmul__``
-    applies it: on the right it gathers entries of each row of F, on
-    the left it sums rows of F.
+    row-major: entry (i, j) of F is form i*d + j, as in ``IntMatrix``,
+    so the product is formed by the kernel of ``IntMatrix.__matmul__``,
+    with the unit pattern of A.
 
     >>> a = IntMatrix.from_rows([[0, 1], [2, 0]])
     >>> product_forms(a, [1, 2, 3, 4], True)
@@ -910,30 +916,17 @@ def product_forms(a: IntMatrix, forms: Sequence[int], left: bool) -> list[int]:
     d = a.rows
     if a.cols != d or len(forms) != d * d:
         raise ValueError("vec products need a square matrix and d*d forms")
-    pattern = a._unit_pattern()
-    if pattern is not None:
-        if not left:  # entry (i, j) of F A is F[i][pattern[j]]
-            return [forms[i * d + k] for i in range(d) for k in pattern]
-        # row i of A F sums the rows k of F with pattern[k] == i
-        zero = (0,) * d
-        rows = [zero] * d
-        for k, i in enumerate(pattern):
-            row = forms[k * d : k * d + d]
-            rows[i] = row if rows[i] is zero else tuple(map(operator.add, rows[i], row))
-        return [form for row in rows for form in row]
-    if left:  # entry (i, j) of A F is row i of A times column j of F
-        lefts, rights = a.entries, [forms[j::d] for j in range(d)]
-    else:  # entry (i, j) of F A is row i of F times column j of A
-        lefts, rights = [forms[i * d : i * d + d] for i in range(d)], list(zip(*a.entries))
-    return [sum(map(operator.mul, x, y)) for x in lefts for y in rights]
+    if left:
+        return _product(a.entries, forms, d, d, d, a._unit_pattern(), None)
+    return _product(forms, a.entries, d, d, d, None, a._unit_pattern())
 
 
 def _operator(a: IntMatrix, left: bool) -> IntMatrix:
     n = a.rows**2
     packing = FormPacking(n, max(map(abs, a.flat()), default=0))
     units = [1 << (packing.bits * e) for e in range(n)]
-    rows = tuple(tuple(packing.unpack(form)[0]) for form in product_forms(a, units, left))
-    return IntMatrix(n, n, rows)
+    rows = (packing.unpack(form)[0] for form in product_forms(a, units, left))
+    return IntMatrix(n, n, tuple(itertools.chain.from_iterable(rows)))
 
 
 def left_multiplication_operator(a: IntMatrix) -> IntMatrix:

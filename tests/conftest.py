@@ -105,18 +105,46 @@ def kronecker_right(b: IntMatrix) -> IntMatrix:
     return IntMatrix.from_flat(d * d, d * d, flat)
 
 
+def elementary_product(rank: int, steps):
+    """g, the product of the I + c E_ij for the (i, j, c) in steps, and its inverse.
+
+    Each factor is unimodular, with inverse I - c E_ij, so g is too.
+    """
+    g = g_inv = IntMatrix.identity(rank)
+    for i, j, c in steps:
+        shear = IntMatrix.from_flat(rank, rank, [c * (k == i * rank + j) for k in range(rank**2)])
+        g = g @ (IntMatrix.identity(rank) + shear)
+        g_inv = (IntMatrix.identity(rank) - shear) @ g_inv
+    return g, g_inv
+
+
+def change_of_basis(family: AdamsFamily, g: IntMatrix, g_inv: IntMatrix) -> AdamsFamily:
+    """The same lambda-ring in the basis f_k = sum_i g[i, k] e_i, for a unimodular g.
+
+    A vector with new coordinates y has old coordinates g y, so the
+    product f_a f_b has new coordinates g^-1 (f_a f_b), the unit is
+    g^-1 u, and the Adams matrix A_p becomes g^-1 A_p g.
+    """
+    spec = family.ring
+    basis = [g.column(k) for k in range(spec.rank)]
+    structure = tuple(tuple(g_inv.apply(spec.mul(x, y)) for y in basis) for x in basis)
+    ring = RingSpec(rank=spec.rank, structure=structure, unit=g_inv.apply(spec.unit), name=spec.name)
+    generators = tuple((p, g_inv @ a @ g) for p, a in family.generators)
+    return AdamsFamily(ring, family.universe, generators)
+
+
 def expand_forms(packing: FormPacking, forms):
     """The matrix and right-hand side of the system "every form is zero".
 
     A form packs row . x + c, so it gives the row and the right-hand side
-    -c.  Equal forms share one row tuple.
+    -c.
     """
     pairs = {}
     for form in set(forms):
         row, constant = packing.unpack(form)
-        pairs[form] = tuple(row), -constant
-    rows = tuple(pairs[form][0] for form in forms)
-    return IntMatrix(len(rows), packing.width, rows), tuple(pairs[form][1] for form in forms)
+        pairs[form] = row, -constant
+    entries = tuple(e for form in forms for e in pairs[form][0])
+    return IntMatrix(len(forms), packing.width, entries), tuple(pairs[form][1] for form in forms)
 
 
 def expanded_extension_system(deformation: Deformation, exponent_bound: int):

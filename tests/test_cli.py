@@ -1488,6 +1488,15 @@ class TestOptimizedMode:
                 ["cohomology", "h1", "--preset", "RC3"],
                 b'"rendered": "Z^9"',
             ),
+            # the Smith self-check multiplies rectangular matrices
+            (
+                ["cohomology", "h1", "--preset", "RC3", "--primes", "2,3,5,7,11,13"],
+                b'"rendered": "Z^18"',
+            ),
+            (
+                ["cohomology", "h0", "--preset", "RC3"],
+                b'"rendered": "Z^3"',
+            ),
         ]
         for command, marker in runs:
             argv = ["-m", "lambdaring.cli", *command, "--format", "json"]
@@ -1498,3 +1507,26 @@ class TestOptimizedMode:
             assert plain.returncode == optimized.returncode == 0, optimized.stderr
             assert marker in plain.stdout
             assert optimized.stdout == plain.stdout
+
+    def test_smith_check_raises_under_dash_o(self):
+        # a corrupted transform must still be caught by u @ matrix @ v == d
+        script = (
+            "from lambdaring import exactalg\n"
+            "from lambdaring.errors import InternalInconsistency\n"
+            "original = exactalg._Eliminator.diagonalize\n"
+            "def corrupted(work):\n"
+            "    used = original(work)\n"
+            "    work.v[1][0] += 1\n"
+            "    return used\n"
+            "exactalg._Eliminator.diagonalize = corrupted\n"
+            "matrix = exactalg.IntMatrix.from_rows([[2, 4, 1], [6, 8, 3]])\n"
+            "try:\n"
+            "    exactalg.smith_normal_form(matrix)\n"
+            "except InternalInconsistency:\n"
+            "    print('caught')\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, env=child_env()
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == b"caught\n"

@@ -205,9 +205,7 @@ def seed_random_value(dimension: int, seed: int, args: tuple, rank: int) -> IntM
     """
     key = f"cochain:{seed}:{dimension}:" + ",".join(str(m) for m in args)
     rng = random.Random(key)
-    return IntMatrix(
-        rank, rank, tuple(tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(rank))
-    )
+    return IntMatrix(rank, rank, tuple(rng.randint(-3, 3) for _ in range(rank * rank)))
 
 
 SIX_PRIMES = (2, 3, 5, 7, 11, 13)

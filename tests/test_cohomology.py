@@ -6,14 +6,22 @@ import random
 import pytest
 
 from conftest import (
+    change_of_basis,
     cyclic_family,
+    elementary_product,
     expand_forms,
     kronecker_left,
     kronecker_right,
     nilpotent_family,
 )
 from lambdaring import cohomology
-from lambdaring.cochain import differential, endo_cochain, random_endomorphism
+from lambdaring.cochain import (
+    IDENTITY_NAMES,
+    differential,
+    endo_cochain,
+    random_endomorphism,
+    run_identity_check,
+)
 from lambdaring.cohomology import (
     DerivationSpec,
     cocycle_space_basis,
@@ -41,6 +49,8 @@ from lambdaring.rings import (
     PrimeUniverse,
     frobenius_compatible,
     preset_family,
+    verify_adams,
+    verify_ring,
 )
 
 
@@ -414,7 +424,8 @@ class TestCompatibilitySystemMatchesSeed:
             d = trial % 4 + 1
             a = IntMatrix.from_flat(d, d, [rng.randint(-7, 7) for _ in range(d * d)])
             packing = FormPacking(d * d, 14 * d)
-            units = [packing.pack(row) for row in IntMatrix.identity(d * d).entries]
+            identity = IntMatrix.identity(d * d)
+            units = [packing.pack(identity.row(i)) for i in range(d * d)]
             forms = cohomology._commutator_forms(a, units)
             rows = [packing.unpack(form) for form in forms]
             assert all(constant == 0 for _, constant in rows), trial
@@ -479,10 +490,10 @@ def oracle_group(family: AdamsFamily) -> AbelianGroup:
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
     from sympy.polys.matrices import DomainMatrix
 
-    def rank_mod(rows, p) -> int:
+    def rank_mod(matrix, p) -> int:
         field = sympy.GF(p)
-        shape = (len(rows), len(rows[0]))
-        return DomainMatrix([[field(e) for e in row] for row in rows], shape, field).rank()
+        rows = [[field(e) for e in matrix.row(i)] for i in range(matrix.rows)]
+        return DomainMatrix(rows, (matrix.rows, matrix.cols), field).rank()
 
     primes = family.universe.primes
     compatible = frobenius_compatible_basis(family)
@@ -491,7 +502,7 @@ def oracle_group(family: AdamsFamily) -> AbelianGroup:
     # p of p^(rank of [Frob_p, -] mod p)
     assert all(frobenius_compatible(g, family) for g in compatible)
     index = math.prod(
-        p ** rank_mod(seed_commutator_operator(family.frobenius(p)).entries, p) for p in primes
+        p ** rank_mod(seed_commutator_operator(family.frobenius(p)), p) for p in primes
     )
     assert abs(sympy.Matrix([g.flat() for g in compatible]).det()) == index
 
@@ -499,7 +510,8 @@ def oracle_group(family: AdamsFamily) -> AbelianGroup:
     smith = sympy_snf(images, domain=sympy.ZZ)
     invariants = [abs(int(smith[i, i])) for i in range(min(smith.shape))]
     width = len(primes) * family.rank**2
-    cocycle_rank = width - sympy.Matrix(seed_cocycle_system(family).entries).rank()
+    relations = seed_cocycle_system(family)
+    cocycle_rank = width - sympy.Matrix(relations.rows, relations.cols, relations.entries).rank()
     free_rank = cocycle_rank - sum(1 for e in invariants if e)
     return AbelianGroup(free_rank, tuple(sorted(e for e in invariants if e > 1)))
 
@@ -527,3 +539,48 @@ class TestH1Oracle:
             proper = [e for e in range(1, cls.order) if cls.order % e == 0] if cls.order else [1]
             for e in proper:
                 assert solve_coboundary_1(family, cls.derivation.scale(e)) is None, (cls.order, e)
+
+
+CHANGE_OF_BASIS_FAMILIES = [
+    preset_family("RC2", (2, 3)),
+    preset_family("RC3", (2, 3)),
+    cyclic_family(4, (2, 3)),
+]
+
+
+class TestChangeOfBasis:
+    """A unimodular change of basis gives the same lambda-ring, so the same answers.
+
+    The conjugated Adams matrices g^-1 A_p g have, in general, no unit
+    pattern, so their products take the general loop of the product
+    kernel through the whole stack.
+    """
+
+    @pytest.mark.parametrize("family", CHANGE_OF_BASIS_FAMILIES, ids=lambda f: f.ring.name)
+    def test_axioms_cohomology_and_identities_survive(self, family):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        d = family.rank
+        h0, h1 = compute_H0(family).group, compute_H1(family).group
+        # (i, j, c) with i != j: the shear I + c E_ij
+        shear = st.tuples(st.integers(0, d - 1), st.integers(1, d - 1), st.integers(-2, 2)).map(
+            lambda t: (t[0], (t[0] + t[1]) % d, t[2])
+        )
+
+        @hypothesis.settings(max_examples=8, deadline=None, derandomize=True)
+        @hypothesis.given(st.lists(shear, max_size=4))
+        def check(steps):
+            g, g_inv = elementary_product(d, steps)
+            assert g @ g_inv == IntMatrix.identity(d)
+            moved = change_of_basis(family, g, g_inv)
+            assert verify_ring(moved.ring) == []
+            assert verify_adams(moved) == []
+            assert compute_H0(moved).group == h0
+            assert compute_H1(moved).group == h1
+            for identity in IDENTITY_NAMES:
+                for dimension in (0, 1):
+                    report = run_identity_check(moved, identity, dimension, 10, 0)
+                    assert report.passed, (identity, dimension, report.failures)
+
+        check()

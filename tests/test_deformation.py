@@ -267,12 +267,12 @@ def stack_rows(blocks):
     if not blocks:
         raise ValueError("nothing to stack")
     cols = blocks[0].cols
-    rows = []
+    entries = []
     for b in blocks:
         if b.cols != cols:
             raise ValueError("column counts differ")
-        rows.extend(b.entries)
-    return IntMatrix(sum(b.rows for b in blocks), cols, tuple(rows))
+        entries.extend(b.entries)
+    return IntMatrix(sum(b.rows for b in blocks), cols, tuple(entries))
 
 
 def vec_sub(x, y):
@@ -287,7 +287,7 @@ def stack_cols(blocks):
     for b in blocks:
         if b.rows != nrows:
             raise ValueError("row counts differ")
-    data = tuple(tuple(e for b in blocks for e in b.entries[i]) for i in range(nrows))
+    data = tuple(e for i in range(nrows) for b in blocks for e in b.row(i))
     return IntMatrix(nrows, sum(b.cols for b in blocks), data)
 
 
@@ -414,7 +414,7 @@ class TestExtensionSystem:
         system, rhs = expand_forms(packing, forms)
         assert (system.rows, system.cols) == (3249, 27)
         expected: dict = {}
-        for i, pair in enumerate(zip(system.entries, rhs)):
+        for i, pair in enumerate(zip(map(system.row, range(system.rows)), rhs)):
             expected.setdefault(pair, []).append(i)
         # each group's row ends in its right-hand side, which its least entry skips
         expected_groups = [
@@ -512,7 +512,7 @@ def test_prime_pair_rows_decide_the_box_system():
                 if n in family.universe
                 for e in range(d2)
             ]
-            pairs = IntMatrix(len(keep), system.cols, tuple(system.entries[r] for r in keep))
+            pairs = IntMatrix(len(keep), system.cols, tuple(e for r in keep for e in system.row(r)))
             pairs_rhs = tuple(rhs[r] for r in keep)
             full = solve_linear(system, rhs)
             small = solve_linear(pairs, pairs_rhs)

@@ -88,7 +88,7 @@ class SeedEliminator:
         identity = lambda n: [[int(i == j) for j in range(n)] for i in range(n)]
         self.nrows = matrix.rows
         self.ncols = matrix.cols
-        self.d = [list(row) for row in matrix.entries]
+        self.d = [list(matrix.row(i)) for i in range(matrix.rows)]
         self.u = identity(self.nrows) if track_u else None
         self.u_inv = identity(self.nrows) if track_u else None
         self.v = identity(self.ncols)
@@ -210,7 +210,7 @@ def seed_smith_normal_form(matrix):
     n, m = work.nrows, work.ncols
     decomposition = SmithDecomposition(
         u=IntMatrix.from_flat(n, n, [e for r in work.u for e in r]),
-        d=IntMatrix(n, m, tuple(tuple(r) for r in work.d)),
+        d=IntMatrix.from_flat(n, m, [e for r in work.d for e in r]),
         v=IntMatrix.from_flat(m, m, [e for r in work.v for e in r]),
         u_inv=IntMatrix.from_flat(n, n, [e for r in work.u_inv for e in r]),
         v_inv=IntMatrix.from_flat(m, m, [e for r in work.v_inv for e in r]),
@@ -277,7 +277,7 @@ def comparison_matrices():
         yield rank_deficient_matrix(rng, rng.randint(2, 30), rng.randint(2, 8))
 
 
-def extend_shaped_matrix(rng, rows, cols):
+def extend_shaped_rows(rng, rows, cols):
     """Tall, like the extension systems: a few distinct rows, repeated, among many zero rows.
 
     Equal rows are one shared tuple, as the interned system rows are.
@@ -287,10 +287,20 @@ def extend_shaped_matrix(rng, rows, cols):
         for _ in range(rng.randint(1, 5))
     ]
     zero = (0,) * cols
-    entries = tuple(
-        zero if rng.random() < 0.5 else rng.choice(distinct) for _ in range(rows)
-    )
-    return IntMatrix(rows, cols, entries)
+    return tuple(zero if rng.random() < 0.5 else rng.choice(distinct) for _ in range(rows))
+
+
+def extend_shaped_matrix(rng, rows, cols):
+    return matrix_of_rows(cols, extend_shaped_rows(rng, rows, cols))
+
+
+def matrix_of_rows(cols, rows):
+    """The matrix with the given rows, of ``cols`` entries each; zero rows allowed."""
+    return IntMatrix(len(rows), cols, tuple(e for row in rows for e in row))
+
+
+def row_tuples(a):
+    return tuple(map(a.row, range(a.rows)))
 
 
 def swapped_in_zero_row_matrices():
@@ -308,24 +318,24 @@ def shared_row_matrices():
     n = tuple(-a for a in r)
     # copies of the pivot row below it, equal and negated, with the pivot
     # row itself first as it is and then negated
-    yield IntMatrix(8, 4, (r, o, r, n, (0,) * 4, r, n, w))
-    yield IntMatrix(7, 4, (n, r, o, n, r, w, n))
+    yield matrix_of_rows(4, (r, o, r, n, (0,) * 4, r, n, w))
+    yield matrix_of_rows(4, (n, r, o, n, r, w, n))
     # pivot 2 with copies of a row whose entry is 3: the first copy's
     # remainder is swapped into the pivot position, so the later copies
     # get other multipliers than the first
     a, b, c = (2, 0, 4), (3, 5, 0), (0, 6, 7)
-    yield IntMatrix(7, 3, (a, b, c, b, b, c, b))
-    yield IntMatrix(6, 3, (c, b, a, b, c, b))
+    yield matrix_of_rows(3, (a, b, c, b, b, c, b))
+    yield matrix_of_rows(3, (c, b, a, b, c, b))
     # the divisibility step pulls a shared row into the pivot row
     p, s, q = (2, 0, 0), (0, 3, 0), (0, 0, 9)
-    yield IntMatrix(6, 3, (p, s, s, q, s, q))
+    yield matrix_of_rows(3, (p, s, s, q, s, q))
     s = (0, 6, 0, 0)
-    yield IntMatrix(5, 4, ((4, 0, 0, 0), s, s, (0, 0, 10, 15), s))
+    yield matrix_of_rows(4, ((4, 0, 0, 0), s, s, (0, 0, 10, 15), s))
     # in the first sweep Euclid changes the pivot at the first copy of a
     # below the pivot and again at the first copy of c: the copy of a
     # between them clears against the pivot in force there, not the last
     a, b, c = (9, -6, -6, -6), (-7, 5, -8, -4), (4, 8, -6, 9)
-    yield IntMatrix(7, 4, (a, b, b, a, c, c, a))
+    yield matrix_of_rows(4, (a, b, b, a, c, c, a))
 
 
 def small_shared_row_matrices(rng, count):
@@ -338,7 +348,7 @@ def small_shared_row_matrices(rng, count):
         cols = rng.randint(2, 4)
         distinct = [tuple(rng.randint(-6, 6) for _ in range(cols)) for _ in range(rng.randint(2, 4))]
         rows = tuple(rng.choice(distinct) for _ in range(rng.randint(len(distinct) + 1, 8)))
-        yield IntMatrix(len(rows), cols, rows)
+        yield matrix_of_rows(cols, rows)
 
 
 def repeated_row_matrix(rng, cols):
@@ -352,13 +362,13 @@ def repeated_row_matrix(rng, cols):
     distinct = [tuple(rng.choice(values) for _ in range(cols)) for _ in range(rng.randint(2, 6))]
     rows = [row for row in distinct for _ in range(rng.randint(1, 40))]
     rng.shuffle(rows)
-    return IntMatrix(len(rows), cols, tuple(rows))
+    return matrix_of_rows(cols, rows)
 
 
 def with_fresh_copies(rng, a, share):
     """The same matrix with some rows replaced by content-equal separate tuples."""
-    entries = tuple(tuple(list(r)) if rng.random() >= share else r for r in a.entries)
-    return IntMatrix(a.rows, a.cols, entries)
+    rows = tuple(tuple(list(r)) if rng.random() >= share else r for r in row_tuples(a))
+    return matrix_of_rows(a.cols, rows)
 
 
 def degenerate_matrices():
@@ -398,7 +408,7 @@ class TestEliminationMatchesSeed:
             x = tuple(rng.randint(-3, 3) for _ in range(a.cols))
             right_hand_sides = [
                 a.apply(x),
-                tuple(rng.randint(-1, 1) if any(row) else 0 for row in a.entries),
+                tuple(rng.randint(-1, 1) if any(row) else 0 for row in row_tuples(a)),
                 tuple(rng.randint(-1, 1) for _ in range(a.rows)),
             ]
             fast = self.assert_same_as_seed(a, right_hand_sides, f"trial {trial}")
@@ -439,7 +449,7 @@ class TestEliminationMatchesSeed:
             shared_row_matrices(), small_shared_row_matrices(random.Random(20261021), 80)
         )
         for k, a in enumerate(cases):
-            assert len({id(r) for r in a.entries}) < a.rows
+            assert len(set(row_tuples(a))) < a.rows
             x = tuple(range(2, a.cols + 2))
             right_hand_sides = [a.apply(x), tuple(range(a.rows))]
             fast = self.assert_same_as_seed(a, right_hand_sides, f"case {k}")
@@ -475,7 +485,7 @@ class TestEliminationMatchesSeed:
     @pytest.mark.parametrize("preset, seed, bound", [("RC3", 2, 3), ("RC3", 3, 3), ("RC2", 1, 4)])
     def test_extension_systems_solve_like_the_seed(self, preset, seed, bound):
         _, system, rhs = expanded_extension_system(seeded_cocycle_start(preset, seed), bound)
-        assert len({id(r) for r in system.entries}) < system.rows
+        assert len(set(row_tuples(system))) < system.rows
         fast = solve_linear(system, rhs)
         assert fast is not None
         assert fast == seed_solve_linear(system, rhs)
@@ -547,10 +557,10 @@ class TestEliminationMatchesSeed:
     def test_interned_rows_build_the_same_matrix(self):
         rng = random.Random(3)
         for _ in range(10):
-            shared = extend_shaped_matrix(rng, 40, 6)
-            copies = tuple(tuple(list(r)) for r in shared.entries)
-            fresh = IntMatrix(shared.rows, shared.cols, copies)
-            assert len({id(r) for r in shared.entries}) < len({id(r) for r in fresh.entries})
+            rows = extend_shaped_rows(rng, 40, 6)
+            copies = tuple(tuple(list(r)) for r in rows)
+            shared, fresh = matrix_of_rows(6, rows), matrix_of_rows(6, copies)
+            assert len({id(r) for r in rows}) < len({id(r) for r in copies})
             assert shared == fresh
             assert hash(shared) == hash(fresh)
             assert repr(shared) == repr(fresh)
@@ -624,15 +634,17 @@ class SeedIntMatrix:
 def matrix_pair(rng, rows, cols, bound=9):
     """The same random entries as a lean and as a reference matrix."""
     data = tuple(tuple(rng.randint(-bound, bound) for _ in range(cols)) for _ in range(rows))
-    return IntMatrix(rows, cols, data), SeedIntMatrix(rows, cols, data)
+    return matrix_of_rows(cols, data), SeedIntMatrix(rows, cols, data)
 
 
 def same(lean, ref) -> bool:
+    """The lean matrix holds the reference's fields, its entries read row-major."""
+    fields = (ref.rows, ref.cols, tuple(e for row in ref.entries for e in row))
     return (
         type(lean) is IntMatrix
-        and (lean.rows, lean.cols, lean.entries) == (ref.rows, ref.cols, ref.entries)
-        and hash(lean) == hash(ref)
-        and repr(lean) == repr(ref).replace("SeedIntMatrix", "IntMatrix")
+        and (lean.rows, lean.cols, lean.entries) == fields
+        and hash(lean) == hash(fields)
+        and repr(lean) == "IntMatrix(rows={!r}, cols={!r}, entries={!r})".format(*fields)
     )
 
 
@@ -775,7 +787,7 @@ class TestLeanCoreMatchesSeed:
             assert a.apply(x) == ra.apply(x), trial
             divisor = rng.choice((-2, 1, 3))
             assert same((divisor * a).exact_divide(divisor), (divisor * ra).exact_divide(divisor))
-            if any(e % 4 for row in a.entries for e in row):
+            if any(e % 4 for e in a.entries):
                 with pytest.raises(NonIntegralDivision):
                     a.exact_divide(4)
                 with pytest.raises(NonIntegralDivision):
@@ -785,9 +797,9 @@ class TestLeanCoreMatchesSeed:
 
     def test_equality_and_hash_follow_the_entries(self):
         a = IntMatrix.from_rows([[1, 2], [3, 4]])
-        assert a == IntMatrix(2, 2, ((1, 2), (3, 4)))
+        assert a == IntMatrix(2, 2, (1, 2, 3, 4))
         assert a != a.transpose()
-        assert a != SeedIntMatrix(2, 2, a.entries)
+        assert a != SeedIntMatrix(2, 2, row_tuples(a))
         assert IntMatrix.zeros(0, 3) != IntMatrix.zeros(3, 0)
         assert len({a, a @ IntMatrix.identity(2), a.transpose()}) == 2
         assert pickle.loads(pickle.dumps(a)) == a
@@ -798,11 +810,11 @@ class TestLeanCoreMatchesSeed:
             IntMatrix(-1, 0, ())
         with pytest.raises(ValueError, match="nonnegative"):
             IntMatrix.zeros(2, -1)
-        with pytest.raises(ValueError, match="row count"):
-            IntMatrix(2, 1, ((1,),))
+        with pytest.raises(ValueError, match="expected 2 entries"):
+            IntMatrix(2, 1, (1,))
+        with pytest.raises(ValueError, match="expected 4 entries"):
+            IntMatrix(2, 2, (1, 2, 3))
         with pytest.raises(ValueError, match="ragged"):
-            IntMatrix(2, 2, ((1, 2), (3,)))
-        with pytest.raises(ValueError):
             IntMatrix.from_rows([[1, 2], [3]])
         with pytest.raises(ValueError):
             IntMatrix.from_flat(2, 2, [1, 2, 3])
@@ -827,19 +839,19 @@ def unit_column_pair(rng, rows, cols):
     """
     ones = [rng.randrange(rows) for _ in range(cols)] if rows else []
     data = tuple(tuple(int(ones[j] == i) for j in range(cols)) for i in range(rows))
-    return IntMatrix(rows, cols, data), SeedIntMatrix(rows, cols, data)
+    return matrix_of_rows(cols, data), SeedIntMatrix(rows, cols, data)
 
 
 def near_miss(matrix, rng, kind):
     """The matrix with one column one entry away from a unit vector."""
-    rows = [list(row) for row in matrix.entries]
+    rows = [list(row) for row in row_tuples(matrix)]
     j = rng.randrange(matrix.cols)
     i = next(i for i in range(matrix.rows) if rows[i][j] == 1)
     if kind == "second 1":
         i = rng.choice([k for k in range(matrix.rows) if k != i])
     rows[i][j] = {"0": 0, "-1": -1, "2": 2, "second 1": 1}[kind]
     data = tuple(tuple(row) for row in rows)
-    return IntMatrix(matrix.rows, matrix.cols, data), SeedIntMatrix(matrix.rows, matrix.cols, data)
+    return matrix_of_rows(matrix.cols, data), SeedIntMatrix(matrix.rows, matrix.cols, data)
 
 
 class TestUnitColumnProducts:
@@ -885,9 +897,9 @@ class TestUnitColumnProducts:
             assert same(a @ b, ra @ rb), (rows, inner, cols)
             assert same(b.transpose() @ a.transpose(), rb.transpose() @ ra.transpose())
         for entry in (-2, -1, 0, 1, 2):
-            one, ref_one = IntMatrix(1, 1, ((entry,),)), SeedIntMatrix(1, 1, ((entry,),))
+            one, ref_one = IntMatrix(1, 1, (entry,)), SeedIntMatrix(1, 1, ((entry,),))
             for other in (-3, 0, 1, 5):
-                b, rb = IntMatrix(1, 1, ((other,),)), SeedIntMatrix(1, 1, ((other,),))
+                b, rb = IntMatrix(1, 1, (other,)), SeedIntMatrix(1, 1, ((other,),))
                 assert same(one @ b, ref_one @ rb), (entry, other)
                 assert same(b @ one, rb @ ref_one), (entry, other)
 
@@ -966,6 +978,33 @@ class TestIntMatrix:
         assert not m.is_divisible_by(3)
         assert m.exact_divide(2).flat() == (1, 2, 3, 4)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (2, 2), (1, 4)])
+    def test_indices_read_as_a_tuple_of_rows_would(self, shape):
+        # the flat layout must not let an index past a row's end read the
+        # next row, nor an index past the last row read nothing
+        rows, cols = shape
+        nested = tuple(tuple(range(i * cols + 1, i * cols + cols + 1)) for i in range(rows))
+        m = IntMatrix.from_rows(nested)
+
+        def outcome(read):
+            try:
+                return read()
+            except IndexError:
+                return IndexError
+
+        indices = (-rows - 1, -cols - 1, -1, 0, 1, rows, cols)
+        for i in indices:
+            assert outcome(lambda: m.row(i)) == outcome(lambda: nested[i]), i
+            for j in indices:
+                want = outcome(lambda: nested[i][j])
+                assert outcome(lambda: m[i, j]) == want, (i, j)
+        for j in indices:
+            want = outcome(lambda: tuple(row[j] for row in nested))
+            assert outcome(lambda: m.column(j)) == want, j
+        assert outcome(lambda: m[0, cols]) is IndexError
+        assert outcome(lambda: m.row(rows)) is IndexError
+        assert outcome(lambda: m.column(cols)) is IndexError
+
     def test_shape_errors(self):
         a = IntMatrix.from_rows([[1, 2]])
         b = IntMatrix.from_rows([[1], [2]])
@@ -1035,7 +1074,7 @@ class TestSmithNormalForm:
                     [[(i + 2) * e for e in a.row(i)] for i in range(a.rows)]
                 )
             ours = smith_normal_form(a).diagonal
-            reference = sympy_snf(sympy.Matrix(a.entries), domain=sympy.ZZ)
+            reference = sympy_snf(sympy.Matrix(a.rows, a.cols, a.entries), domain=sympy.ZZ)
             theirs = tuple(abs(int(reference[i, i])) for i in range(min(a.rows, a.cols)))
             assert ours == theirs, f"trial {trial}: {a.entries}"
 
@@ -1111,7 +1150,7 @@ class TestSolveLinear:
             else:
                 rhs = tuple(rng.choice((0, 0, 1, -2)) for _ in range(a.rows))
             ours = solve_linear(a, rhs)
-            rows = [list(r) for r in a.entries]
+            rows = [list(r) for r in row_tuples(a)]
             expected = rank_and_divisor(rows) == rank_and_divisor(
                 [r + [b] for r, b in zip(rows, rhs)]
             )
@@ -1269,7 +1308,7 @@ class TestMultiplicationOperators:
             constants = [rng.randint(-10**30, 10**30) for _ in range(d * d)]
             # every coefficient of a product is at most 2 * d * 3
             packing = FormPacking(width, 6 * d)
-            packed = [packing.pack(row, c) for row, c in zip(forms.entries, constants)]
+            packed = [packing.pack(row, c) for row, c in zip(row_tuples(forms), constants)]
             for left, operator_of in ((True, kronecker_left), (False, kronecker_right)):
                 got = [packing.unpack(f) for f in product_forms(a, packed, left)]
                 want = operator_of(a)

@@ -109,6 +109,23 @@ def test_library_modules_use_every_import():
     assert unused == []
 
 
+def test_only_exactalg_indexes_matrix_entries():
+    """``IntMatrix.entries`` is flat and row-major; every other module reads
+    entries through ``m[i, j]``, ``row``, ``column`` or ``flat``."""
+    indexed = []
+    for path in sorted(Path(lambdaring.__file__).parent.glob("*.py")):
+        if path.name == "exactalg.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        indexed += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "entries"
+        ]
+    assert indexed == []
+
 
 def test_library_modules_import_no_private_names():
     """No module imports an underscore name from another, or reads one off a
