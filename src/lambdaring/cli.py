@@ -79,13 +79,14 @@ SCHEMA_VERSION = 1
 # lambda from-adams refuses a --max-degree above MAX_LAMBDA_DEGREE,
 # deform refuses a deformation document whose order is above
 # MAX_DEFORMATION_ORDER, and ring verify, whose checks take rank^5 products,
-# refuses a rank above MAX_RING_RANK or rank^2 times the sum over the
-# rank^3 structure constants of RING_STEP_OVERHEAD + bits^1.6 above
-# MAX_RING_WORK: each constant enters about rank^2 of the checks'
-# products, a product of b-bit ints takes about b^1.6 steps, and each
-# check step costs the interpreter about as much as 5,000 of them (a dense
-# random ring takes about 1 s at rank 20 with one- to twenty-digit
-# constants or at rank 4 with 10^4 digits).  Every
+# refuses a rank above MAX_RING_RANK or a cost above MAX_RING_WORK.  The
+# associativity checks multiply each constant with output index a by each
+# constant of row a (structure[a]), and a product of a b-bit and a c-bit
+# int takes about max(b, c) * min(b, c)^0.6 steps; so the cost is
+# RING_STEP_OVERHEAD * rank^5, for the interpreter's work per product, plus,
+# for each a, (sum b)(sum c^0.6) + (sum c)(sum b^0.6) over those two sets
+# of bit lengths (a dense random ring takes 1-2 s at rank 20 with one- to
+# twenty-digit constants or at rank 4 with 10^4 digits).  Every
 # --ring, --deformation and --other file is refused when it is longer than
 # MAX_DOCUMENT_BYTES or holds an integer longer than MAX_INTEGER_DIGITS
 # digits (decimal text converts in quadratic time); an order-50 RC3
@@ -99,8 +100,8 @@ MAX_POLY_BOUND = 12
 MAX_LAMBDA_DEGREE = 1000
 MAX_DEFORMATION_ORDER = 50
 MAX_RING_RANK = 20
-MAX_RING_WORK = 2 * 10**10
-RING_STEP_OVERHEAD = 5000
+MAX_RING_WORK = 5 * 10**10
+RING_STEP_OVERHEAD = 10_000
 MAX_DOCUMENT_BYTES = 16 * 2**20
 MAX_INTEGER_DIGITS = 10**4
 _READ_PIECE = 2**16
@@ -306,23 +307,24 @@ def _verdict(name: str, violations: Sequence[str], primes: Sequence[int], result
 
 def _cmd_ring_verify(args: argparse.Namespace) -> _Report:
     family = _load_family(args)
-    if family.rank > MAX_RING_RANK:
+    structure, rank = family.ring.structure, family.rank
+    if rank > MAX_RING_RANK:
         raise LimitExceeded(
-            f"ring verify checks rank^5 products: rank {family.rank} is above the limit "
-            f"{MAX_RING_RANK}"
+            f"ring verify checks rank^5 products: rank {rank} is above the limit {MAX_RING_RANK}"
         )
-    constants = [c for row in family.ring.structure for v in row for c in v]
-    total = sum(RING_STEP_OVERHEAD + round(abs(c).bit_length() ** 1.6) for c in constants)
-    work = family.rank**2 * total
+    work = RING_STEP_OVERHEAD * rank**5
+    for a in range(rank):
+        # the bit lengths of the constants with output index a, and of those of row a
+        b = [abs(v[a]).bit_length() for row in structure for v in row]
+        c = [abs(x).bit_length() for v in structure[a] for x in v]
+        work += sum(b) * sum(x**0.6 for x in c) + sum(c) * sum(x**0.6 for x in b)
     if work > MAX_RING_WORK:
         raise LimitExceeded(
-            f"ring verify checks rank^5 products: rank^2 * the sum over the structure constants "
-            f"of ({RING_STEP_OVERHEAD} + bits^1.6) = {family.rank}^2 * {total} = {work}, "
-            f"above the limit {MAX_RING_WORK}"
+            f"ring verify's rank^5 products cost {round(work)}, above the limit {MAX_RING_WORK}"
         )
     violations = verify_ring(family.ring)
-    results = {"violations": violations, "rank": family.rank}
-    return _verdict(f"ring rank {family.rank}", violations, family.universe.primes, results)
+    results = {"violations": violations, "rank": rank}
+    return _verdict(f"ring rank {rank}", violations, family.universe.primes, results)
 
 
 def _cmd_adams_verify(args: argparse.Namespace) -> _Report:

@@ -2,7 +2,7 @@
 
 Everything here runs on arbitrary-precision Python ints; no floating
 point is used anywhere in the library.  The two workhorses are the
-Smith normal form with unimodular transforms tracked on both sides, and
+Smith normal form with a unimodular transform tracked on each side, and
 an exact linear solver built on the same elimination, which every system
 the library builds enters through ``solve_forms`` as packed forms.
 Quotients of free abelian groups by integer relation lattices come out
@@ -17,6 +17,7 @@ import itertools
 import operator
 import sys
 from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InternalInconsistency, NonIntegralDivision
@@ -270,18 +271,27 @@ def _product(
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """Invertible change of basis ``u @ matrix @ v == d`` with d diagonal.
+    """Invertible change of basis ``matrix @ v == u_inv @ d`` with d diagonal.
 
     The diagonal is nonnegative and each entry divides the next.  The
-    inverses of both transforms are carried along so generator
-    bookkeeping downstream never has to re-invert anything.
+    elimination tracks ``v`` and ``u_inv``, the transforms that solving
+    and generator bookkeeping read.  ``u``, with ``u @ matrix @ v == d``,
+    and ``v_inv`` are their inverses, solved for on first read and kept:
+    a read costs one solve per column, which on the large H1 relation
+    matrices takes far longer than the Smith form itself.
     """
 
-    u: IntMatrix
     d: IntMatrix
     v: IntMatrix
     u_inv: IntMatrix
-    v_inv: IntMatrix
+
+    @cached_property
+    def u(self) -> IntMatrix:
+        return _inverse(self.u_inv)
+
+    @cached_property
+    def v_inv(self) -> IntMatrix:
+        return _inverse(self.v)
 
     @property
     def diagonal(self) -> Vector:
@@ -355,13 +365,11 @@ class _Eliminator:
     its right-hand side.  So the right-hand side gets every row
     operation, and the right transform ``v`` gets the column operations,
     which solves the system.  ``smith_normal_form`` builds it from the
-    rows of a matrix, each ending in 0, then also tracks ``u``, ``u_inv``
-    and ``v_inv``, which makes ``diagonalize`` turn the diagonal into a
-    divisibility chain.  Each transform is held in the orientation its
-    operations act on: ``u`` (row operations E) and ``v_inv`` (column
-    operations F, as F^-1 on the left) as rows, ``u_inv`` (E^-1 on the
-    right) and ``v`` (F) as columns, so every update swaps two lists or
-    adds a multiple of one list to another.
+    rows of a matrix, each ending in 0, then also tracks ``u_inv``, which
+    makes ``diagonalize`` turn the diagonal into a divisibility chain.
+    Both transforms are held as columns, ``v`` (column operations F) and
+    ``u_inv`` (row operations E, as E^-1 on the right), so every update
+    swaps two lists or adds a multiple of one list to another.
 
     The rows below the pivots are held in groups ``[row, positions,
     least]``: one row list, the ascending positions that hold that row,
@@ -370,8 +378,8 @@ class _Eliminator:
     zero belongs to no group, and one whose right-hand side is not zero
     means there is no solution.  The engine starts with one group per
     distinct key, in the order of their first positions, so a Smith
-    form, keyed by position because ``u`` and ``u_inv`` differ per
-    position, keeps every position in its own group.  Scans and row
+    form, keyed by position because ``u_inv`` differs per position,
+    keeps every position in its own group.  Scans and row
     operations run once per group, so a tall system costs about as much
     as its distinct rows.  The pivot of step t (position t) is held
     apart; ``pivots`` keeps the row of each finished step.
@@ -405,9 +413,8 @@ class _Eliminator:
                 positions.append(i)
         self.nrows = nrows
         self.ncols = ncols
-        self.u = None
+        self.u_inv = None
         self.v = _identity_rows(ncols)
-        self.col_swapped = (self.v,)
         self.pivots: list[list[int]] = []
         self.groups = []
         for key, positions in positions_of.items():
@@ -419,16 +426,14 @@ class _Eliminator:
                 raise _Unsolvable
 
     def track_add(self, i: int, j: int, q: int) -> None:
-        """Record row_i += q * row_j in u and u_inv."""
-        if self.u is not None and q:
-            _add_multiple(self.u, i, j, q)
+        """Record row_i += q * row_j in u_inv, as col_j -= q * col_i."""
+        if self.u_inv is not None and q:
             _add_multiple(self.u_inv, j, i, -q)
 
     def track_swap(self, i: int, j: int) -> None:
-        """Record the exchange of rows i and j in u and u_inv."""
-        if self.u is not None and i != j:
-            for lists in (self.u, self.u_inv):
-                lists[i], lists[j] = lists[j], lists[i]
+        """Record the exchange of rows i and j in u_inv."""
+        if self.u_inv is not None and i != j:
+            self.u_inv[i], self.u_inv[j] = self.u_inv[j], self.u_inv[i]
 
     def swap_cols(self, i: int, j: int, pivot: list[int]) -> None:
         """Exchange columns i, j >= t; the pivots before t are zero in both."""
@@ -438,16 +443,15 @@ class _Eliminator:
             row = group[0]
             row[i], row[j] = row[j], row[i]
         pivot[i], pivot[j] = pivot[j], pivot[i]
-        for lists in self.col_swapped:
-            lists[i], lists[j] = lists[j], lists[i]
+        self.v[i], self.v[j] = self.v[j], self.v[i]
 
     def diagonalize(self) -> int:
         """Clear the coefficients to diagonal form; returns the diagonal length used.
 
         Each step t takes a pivot, then alternates row sweeps, which clear
         column t below t, with column operations, which clear row t to
-        the right of t, until both are clear.  When ``u`` is tracked, a
-        last step per pivot makes it divide the rest of the block.
+        the right of t, until both are clear.  When ``u_inv`` is tracked,
+        a last step per pivot makes it divide the rest of the block.
 
         The pivot is the least coefficient in absolute value, of the
         earliest first position holding it, in the first column holding
@@ -468,7 +472,7 @@ class _Eliminator:
         side does not.
         """
         ncols = self.ncols
-        divisibility_step = self.u is not None
+        divisibility_step = self.u_inv is not None
         t, limit = 0, min(self.nrows, ncols)
         while t < limit and self.groups:
             pivot = self.sweep(t, self.take_pivot(t))
@@ -483,8 +487,6 @@ class _Eliminator:
                     if q:
                         pivot[j] += q * p
                         _add_multiple(self.v, j, t, q)
-                        if divisibility_step:
-                            _add_multiple(self.v_inv, t, j, -q)
                     if pivot[j]:
                         self.swap_cols(t, j, pivot)
                         pivot = self.sweep(t, pivot)
@@ -531,8 +533,7 @@ class _Eliminator:
         self.swap_cols(t, list(map(abs, row)).index(best, t), row)
         if row[t] < 0:
             row = [-a for a in row]
-            if self.u is not None:
-                _add_multiple(self.u, t, t, -2)
+            if self.u_inv is not None:
                 _add_multiple(self.u_inv, t, t, -2)
         return row
 
@@ -600,32 +601,30 @@ class _Eliminator:
 
 
 def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with both unimodular transforms and inverses.
+    """Smith normal form, tracking the unimodular transforms ``v`` and ``u_inv``.
+
+    The result is checked against ``matrix @ v == u_inv @ d``;
+    ``u`` and ``v_inv`` are solved for only when read.
 
     >>> m = IntMatrix.from_rows([[2, 4], [6, 8]])
     >>> s = smith_normal_form(m)
     >>> s.diagonal
     (2, 4)
-    >>> s.u @ m @ s.v == s.d
+    >>> m @ s.v == s.u_inv @ s.d
     True
-    >>> s.u @ s.u_inv == IntMatrix.identity(2)
+    >>> s.u @ m @ s.v == s.d
     True
     """
     n, m = matrix.rows, matrix.cols
     work = _Eliminator(n, m, range(n), lambda i: [*matrix.row(i), 0])
-    work.u = _identity_rows(n)
     work.u_inv = _identity_rows(n)
-    work.v_inv = _identity_rows(m)
-    work.col_swapped = (work.v, work.v_inv)
     used = work.diagonalize()
     decomposition = SmithDecomposition(
-        u=IntMatrix(n, n, tuple(itertools.chain.from_iterable(work.u))),
         d=IntMatrix(n, m, tuple(e for r in work.pivots for e in r[:m]) + (0,) * (m * (n - used))),
         v=IntMatrix.from_columns(work.v, m),
         u_inv=IntMatrix.from_columns(work.u_inv, n),
-        v_inv=IntMatrix(m, m, tuple(itertools.chain.from_iterable(work.v_inv))),
     )
-    if decomposition.u @ matrix @ decomposition.v != decomposition.d:
+    if matrix @ decomposition.v != decomposition.u_inv @ decomposition.d:
         raise InternalInconsistency("Smith transforms do not reproduce the diagonal form")
     return decomposition
 
@@ -697,6 +696,15 @@ def _solve(nrows: int, ncols: int, keys: Iterable, equation: Callable) -> Option
     particular = tuple(sum(map(operator.mul, row, y)) for row in zip(*work.v))
     kernel = tuple(tuple(column) for column in work.v[len(y):])
     return LinearSolution(particular=particular, kernel=kernel)
+
+
+def _inverse(matrix: IntMatrix) -> IntMatrix:
+    """The inverse of a unimodular matrix: column k solves ``matrix @ x == e_k``."""
+    n = matrix.rows
+    solutions = [_solve(n, n, range(n), lambda i: [*matrix.row(i), int(i == k)]) for k in range(n)]
+    if None in solutions:
+        raise InternalInconsistency("a Smith transform is not invertible over the integers")
+    return IntMatrix.from_columns([s.particular for s in solutions], n)
 
 
 def kernel_basis(matrix: IntMatrix) -> tuple[Vector, ...]:

@@ -133,6 +133,70 @@ def change_of_basis(family: AdamsFamily, g: IntMatrix, g_inv: IntMatrix) -> Adam
     return AdamsFamily(ring, family.universe, generators)
 
 
+def tensor_product(first: AdamsFamily, second: AdamsFamily) -> AdamsFamily:
+    """R tensor S over the universe of both, with basis e_i f_k at index i * rank(S) + k.
+
+    (e_i f_k)(e_j f_l) = (e_i e_j)(f_k f_l), so the structure constants
+    and the unit are Kronecker products of those of R and S, and psi_p
+    of the product is psi_p tensor psi_p, the Kronecker product of the
+    Adams matrices.
+    """
+    assert first.universe == second.universe
+    r, s = first.ring, second.ring
+
+    def kronecker(x, y):
+        return tuple(a * b for a in x for b in y)
+
+    pairs = [(i, k) for i in range(r.rank) for k in range(s.rank)]
+    structure = tuple(
+        tuple(kronecker(r.structure[i][j], s.structure[k][l]) for j, l in pairs) for i, k in pairs
+    )
+    n = len(pairs)
+    ring = RingSpec(
+        rank=n, structure=structure, unit=kronecker(r.unit, s.unit), name=f"{r.name}(x){s.name}"
+    )
+    generators = tuple(
+        (p, IntMatrix.from_flat(n, n, [a[i, j] * b[k, l] for i, k in pairs for j, l in pairs]))
+        for (p, a), b in zip(first.generators, map(second.generator, first.universe.primes))
+    )
+    return AdamsFamily(ring, first.universe, generators)
+
+
+def direct_product(first: AdamsFamily, second: AdamsFamily) -> AdamsFamily:
+    """R x S over the universe of both, with the basis of R, then that of S.
+
+    Products across the two factors are zero, the unit is the pair of
+    units, and psi_p acts on each factor: its matrix is block-diagonal.
+    """
+    assert first.universe == second.universe
+    r, s = first.ring, second.ring
+    d, n = r.rank, r.rank + s.rank
+
+    def block_diagonal(top_left, bottom_right, zero):
+        """The n x n table of the blocks top_left(i, j) and bottom_right(i, j), else zero."""
+        return tuple(
+            tuple(
+                top_left(i, j) if i < d and j < d
+                else bottom_right(i - d, j - d) if i >= d and j >= d
+                else zero
+                for j in range(n)
+            )
+            for i in range(n)
+        )
+
+    structure = block_diagonal(
+        lambda i, j: r.structure[i][j] + (0,) * s.rank,
+        lambda i, j: (0,) * d + s.structure[i][j],
+        (0,) * n,
+    )
+    ring = RingSpec(rank=n, structure=structure, unit=r.unit + s.unit, name=f"{r.name}x{s.name}")
+    generators = tuple(
+        (p, IntMatrix.from_rows(block_diagonal(lambda i, j: a[i, j], lambda i, j: b[i, j], 0)))
+        for (p, a), b in zip(first.generators, map(second.generator, first.universe.primes))
+    )
+    return AdamsFamily(ring, first.universe, generators)
+
+
 def expand_forms(packing: FormPacking, forms):
     """The matrix and right-hand side of the system "every form is zero".
 

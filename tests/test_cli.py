@@ -404,6 +404,11 @@ class TestInputContract:
             ("one 100-digit constant at the rank limit", limit, 1, 100, 1),
             ("wide digits at the rank limit", limit, 1600, 10**4, 2),
             ("long digits at the rank limit", limit, 800, 2000, 2),
+            # a wide constant is charged by its partners' sizes too, and
+            # most of them are one-digit
+            ("fifty wide constants", 10, 50, 10**4, 1),
+            ("twenty long constants at the rank limit", limit, 20, 2000, 1),
+            ("a hundred long constants at the rank limit", limit, 100, 1000, 1),
         ):
             process = verify(name, rank, big, digits)
             assert process.returncode == expected, (name, process.stderr)
@@ -1509,24 +1514,25 @@ class TestOptimizedMode:
             assert optimized.stdout == plain.stdout
 
     def test_smith_check_raises_under_dash_o(self):
-        # a corrupted transform must still be caught by u @ matrix @ v == d
+        # a corrupted transform must still be caught by matrix @ v == u_inv @ d
         script = (
             "from lambdaring import exactalg\n"
             "from lambdaring.errors import InternalInconsistency\n"
             "original = exactalg._Eliminator.diagonalize\n"
-            "def corrupted(work):\n"
-            "    used = original(work)\n"
-            "    work.v[1][0] += 1\n"
-            "    return used\n"
-            "exactalg._Eliminator.diagonalize = corrupted\n"
             "matrix = exactalg.IntMatrix.from_rows([[2, 4, 1], [6, 8, 3]])\n"
-            "try:\n"
-            "    exactalg.smith_normal_form(matrix)\n"
-            "except InternalInconsistency:\n"
-            "    print('caught')\n"
+            "for transform in ('v', 'u_inv'):\n"
+            "    def corrupted(work):\n"
+            "        used = original(work)\n"
+            "        getattr(work, transform)[1][0] += 1\n"
+            "        return used\n"
+            "    exactalg._Eliminator.diagonalize = corrupted\n"
+            "    try:\n"
+            "        exactalg.smith_normal_form(matrix)\n"
+            "    except InternalInconsistency:\n"
+            "        print('caught', transform)\n"
         )
         run = subprocess.run(
             [sys.executable, "-O", "-c", script], capture_output=True, env=child_env()
         )
         assert run.returncode == 0, run.stderr
-        assert run.stdout == b"caught\n"
+        assert run.stdout == b"caught v\ncaught u_inv\n"

@@ -8,11 +8,14 @@ import pytest
 from conftest import (
     change_of_basis,
     cyclic_family,
+    direct_product,
     elementary_product,
     expand_forms,
     kronecker_left,
     kronecker_right,
     nilpotent_family,
+    seeded_cocycle_start,
+    tensor_product,
 )
 from lambdaring import cohomology
 from lambdaring.cochain import (
@@ -31,6 +34,7 @@ from lambdaring.cohomology import (
     inner_derivation,
     solve_coboundary_1,
 )
+from lambdaring.deformation import make_deformation, try_extend
 from lambdaring.errors import (
     DivisibilityViolation,
     InconsistentDerivation,
@@ -541,6 +545,17 @@ class TestH1Oracle:
                 assert solve_coboundary_1(family, cls.derivation.scale(e)) is None, (cls.order, e)
 
 
+def shear_lists(d):
+    """Lists of at most 4 shears (i, j, c) with i != j and c in -2..2, drawn by hypothesis."""
+    from hypothesis import strategies as st
+
+    # the shear I + c E_ij
+    shear = st.tuples(st.integers(0, d - 1), st.integers(1, d - 1), st.integers(-2, 2)).map(
+        lambda t: (t[0], (t[0] + t[1]) % d, t[2])
+    )
+    return st.lists(shear, max_size=4)
+
+
 CHANGE_OF_BASIS_FAMILIES = [
     preset_family("RC2", (2, 3)),
     preset_family("RC3", (2, 3)),
@@ -559,17 +574,11 @@ class TestChangeOfBasis:
     @pytest.mark.parametrize("family", CHANGE_OF_BASIS_FAMILIES, ids=lambda f: f.ring.name)
     def test_axioms_cohomology_and_identities_survive(self, family):
         hypothesis = pytest.importorskip("hypothesis")
-        from hypothesis import strategies as st
-
         d = family.rank
         h0, h1 = compute_H0(family).group, compute_H1(family).group
-        # (i, j, c) with i != j: the shear I + c E_ij
-        shear = st.tuples(st.integers(0, d - 1), st.integers(1, d - 1), st.integers(-2, 2)).map(
-            lambda t: (t[0], (t[0] + t[1]) % d, t[2])
-        )
 
         @hypothesis.settings(max_examples=8, deadline=None, derandomize=True)
-        @hypothesis.given(st.lists(shear, max_size=4))
+        @hypothesis.given(shear_lists(d))
         def check(steps):
             g, g_inv = elementary_product(d, steps)
             assert g @ g_inv == IntMatrix.identity(d)
@@ -584,3 +593,51 @@ class TestChangeOfBasis:
                     assert report.passed, (identity, dimension, report.failures)
 
         check()
+
+    @pytest.mark.parametrize("preset", ["RC2", "RC3"])
+    def test_extension_outcomes_survive(self, preset):
+        hypothesis = pytest.importorskip("hypothesis")
+        family = preset_family(preset, (2, 3, 5))
+        d, primes = family.rank, family.universe.primes
+        rng = random.Random(11)
+        # a seeded cocycle start extends, and a random start off the cocycles does not
+        off = {
+            p: {1: p * IntMatrix.from_flat(d, d, [rng.randint(-2, 2) for _ in range(d * d)])}
+            for p in primes
+        }
+        starts = [seeded_cocycle_start(preset, 1), make_deformation(family, 1, off)]
+        outcomes = [try_extend(start, 3).succeeded for start in starts]
+        assert outcomes == [True, False]
+
+        @hypothesis.settings(max_examples=8, deadline=None, derandomize=True)
+        @hypothesis.given(shear_lists(d))
+        def check(steps):
+            g, g_inv = elementary_product(d, steps)
+            moved = change_of_basis(family, g, g_inv)
+            for start, outcome in zip(starts, outcomes):
+                terms = {p: {1: g_inv @ start.series(p)[1] @ g} for p in primes}
+                assert try_extend(make_deformation(moved, 1, terms), 3).succeeded == outcome
+
+        check()
+
+
+class TestConstructedRings:
+    """Tensor and direct products of lambda-rings are lambda-rings."""
+
+    def test_products_pass_the_axiom_checks(self):
+        rc2, rc3, z = (preset_family(name, (2, 3, 5)) for name in ("RC2", "RC3", "Z"))
+        for family in (tensor_product(rc2, rc3), direct_product(rc2, rc3), direct_product(z, rc2)):
+            assert verify_ring(family.ring) == [], family.ring.name
+            assert verify_adams(family) == [], family.ring.name
+
+    # Over {2, 3, 5} both groups are Z^18, but H1 of the tensor product
+    # takes 3-5 s there, against about 0.5 s for Z[C6]; each pair of those
+    # primes takes about 0.1 s.
+    @pytest.mark.parametrize("primes", [(2, 3), (2, 5), (3, 5)], ids=str)
+    def test_h1_of_rc2_tensor_rc3_is_that_of_z_c6(self, primes):
+        # C2 x C3 is C6, so RC2 (x) RC3, the group ring of C2 x C3 with
+        # psi_p(g) = g^p, is Z[C6] in another basis
+        rc2, rc3 = preset_family("RC2", primes), preset_family("RC3", primes)
+        product = compute_H1(tensor_product(rc2, rc3)).group
+        assert product == compute_H1(cyclic_family(6, primes)).group
+        assert product.torsion == () and product.free_rank > 0

@@ -7,6 +7,7 @@ import operator
 import pickle
 import random
 from dataclasses import FrozenInstanceError, dataclass
+from types import SimpleNamespace
 
 import pytest
 
@@ -35,7 +36,6 @@ from lambdaring.exactalg import (
     FormPacking,
     IntMatrix,
     LinearSolution,
-    SmithDecomposition,
     kernel_basis,
     left_multiplication_operator,
     product_forms,
@@ -204,11 +204,11 @@ def seed_diagonalize(self, *, divisibility_chain: bool) -> int:
 
 
 def seed_smith_normal_form(matrix):
-    """The original Smith driver, on the seed engine."""
+    """The original Smith driver, on the seed engine, with all five transforms tracked."""
     work = SeedEliminator(matrix, track_u=True, track_v_inv=True)
     work.diagonalize(divisibility_chain=True)
     n, m = work.nrows, work.ncols
-    decomposition = SmithDecomposition(
+    decomposition = SimpleNamespace(
         u=IntMatrix.from_flat(n, n, [e for r in work.u for e in r]),
         d=IntMatrix.from_flat(n, m, [e for r in work.d for e in r]),
         v=IntMatrix.from_flat(m, m, [e for r in work.v for e in r]),
@@ -376,18 +376,26 @@ def degenerate_matrices():
         yield IntMatrix.zeros(*shape)
 
 
+# The Smith form tracks d, v and u_inv; u and v_inv are solved for when
+# read.  Every derived transform is compared on the small matrices, where
+# solving costs little; on the tall and large systems the tracked ones
+# are, since u and v_inv are functions of them.
+TRACKED = ("d", "v", "u_inv")
+ALL_FIVE = ("u", "d", "v", "u_inv", "v_inv")
+
+
 class TestEliminationMatchesSeed:
     """The resuming scans, the shared row lists and the transforms held as
     whole rows or columns take exactly the seed's path."""
 
     @staticmethod
-    def assert_same_as_seed(a, right_hand_sides, label):
+    def assert_same_as_seed(a, right_hand_sides, label, transforms=ALL_FIVE):
         fast = [solve_linear(a, rhs) for rhs in right_hand_sides]
         fast_snf = smith_normal_form(a)
         slow = [seed_solve_linear(a, rhs) for rhs in right_hand_sides]
         slow_snf = seed_smith_normal_form(a)
         assert fast == slow, f"{label}: solve_linear differs"
-        for name in ("u", "d", "v", "u_inv", "v_inv"):
+        for name in transforms:
             assert getattr(fast_snf, name) == getattr(slow_snf, name), (
                 f"{label}: {name} differs"
             )
@@ -411,7 +419,7 @@ class TestEliminationMatchesSeed:
                 tuple(rng.randint(-1, 1) if any(row) else 0 for row in row_tuples(a)),
                 tuple(rng.randint(-1, 1) for _ in range(a.rows)),
             ]
-            fast = self.assert_same_as_seed(a, right_hand_sides, f"trial {trial}")
+            fast = self.assert_same_as_seed(a, right_hand_sides, f"trial {trial}", TRACKED)
             assert fast[0] is not None
 
     def test_rows_repeated_up_to_forty_times_equal_the_reference(self):
@@ -426,7 +434,7 @@ class TestEliminationMatchesSeed:
                 tuple(perturbed),
                 tuple(rng.randint(-2, 2) for _ in range(a.rows)),
             ]
-            fast = self.assert_same_as_seed(a, right_hand_sides, f"trial {trial}")
+            fast = self.assert_same_as_seed(a, right_hand_sides, f"trial {trial}", TRACKED)
             assert fast[0] is not None
 
     def test_zero_rows_swapped_out_of_the_pivot_position(self):
@@ -466,7 +474,7 @@ class TestEliminationMatchesSeed:
             for share in (1.0, 0.5, 0.0):
                 a = with_fresh_copies(rng, shared, share)
                 assert a == shared
-                fast = self.assert_same_as_seed(a, right_hand_sides, f"case {k}")
+                fast = self.assert_same_as_seed(a, right_hand_sides, f"case {k}", TRACKED)
                 answers.append((fast, smith_normal_form(a)))
             assert answers[0] == answers[1] == answers[2], f"case {k}"
 
@@ -532,7 +540,7 @@ class TestEliminationMatchesSeed:
         x = tuple(rng.randint(-3, 3) for _ in range(a.cols))
         noise = tuple(rng.randint(-1, 1) for _ in range(a.rows))
         right_hand_sides = [(0,) * a.rows, a.apply(x), noise]
-        fast = self.assert_same_as_seed(a, right_hand_sides, family.ring.name)
+        fast = self.assert_same_as_seed(a, right_hand_sides, family.ring.name, TRACKED)
         assert fast[0] is not None and fast[1] is not None
 
     def test_h1_solves_and_relation_matrix_equal_the_reference(self, monkeypatch):
@@ -551,7 +559,7 @@ class TestEliminationMatchesSeed:
             assert solve_linear(a, rhs) == seed_solve_linear(a, rhs), f"image {k}"
         (relation,) = relations
         fast, slow = smith_normal_form(relation), seed_smith_normal_form(relation)
-        for name in ("u", "d", "v", "u_inv", "v_inv"):
+        for name in TRACKED:
             assert getattr(fast, name) == getattr(slow, name), name
 
     def test_interned_rows_build_the_same_matrix(self):
@@ -933,15 +941,18 @@ class TestUnitColumnProducts:
 class TestInternalChecks:
     def test_smith_check_raises_on_a_broken_transform(self, monkeypatch):
         original = exactalg._Eliminator.diagonalize
+        # v and u_inv are held as columns: [1][0] is entry (0, 1)
+        for transform in ("v", "u_inv"):
 
-        def corrupted(self):
-            used = original(self)
-            self.v[1][0] += 1  # column 1 of v, entry (0, 1)
-            return used
+            def corrupted(self):
+                used = original(self)
+                getattr(self, transform)[1][0] += 1
+                return used
 
-        monkeypatch.setattr(exactalg._Eliminator, "diagonalize", corrupted)
-        with pytest.raises(InternalInconsistency):
-            smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
+            with monkeypatch.context() as patch:
+                patch.setattr(exactalg._Eliminator, "diagonalize", corrupted)
+                with pytest.raises(InternalInconsistency):
+                    smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
 
     def test_kernel_check_raises_when_the_solver_fails(self, monkeypatch):
         monkeypatch.setattr(exactalg, "solve_linear", lambda matrix, rhs: None)
@@ -1045,6 +1056,16 @@ class TestSmithNormalForm:
     def test_known_invariants(self):
         a = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
         assert smith_normal_form(a).diagonal == (2, 2, 156)
+
+    def test_derived_transforms_are_solved_once_on_read(self, monkeypatch):
+        a = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+        dec = smith_normal_form(a)
+        assert "u" not in vars(dec) and "v_inv" not in vars(dec)
+        # derived through the private solver, so a traced solve_linear sees no call
+        monkeypatch.setattr(exactalg, "solve_linear", None)
+        u, v_inv = dec.u, dec.v_inv
+        assert dec.u is u and dec.v_inv is v_inv
+        assert u @ dec.u_inv == dec.v @ v_inv == IntMatrix.identity(3)
 
     def test_zero_and_identity(self):
         assert smith_normal_form(IntMatrix.zeros(2, 3)).diagonal == (0, 0)

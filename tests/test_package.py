@@ -78,6 +78,7 @@ REMOVED_OPTIONS = {
     cochain.Cochain: ("prime_divisible", "table"),
     exactalg._Eliminator: ("track_u", "track_v_inv"),
     exactalg._Eliminator.diagonalize: ("divisibility_chain",),
+    exactalg.SmithDecomposition: ("u", "v_inv"),
     exactalg.quotient_with_generators: ("generators_rank",),
     rings.LambdaData: ("table",),
     symfun.verify_lambda_axioms: ("composition_limit",),
@@ -125,6 +126,30 @@ def test_only_exactalg_indexes_matrix_entries():
             and node.value.attr == "entries"
         ]
     assert indexed == []
+
+
+def test_only_smith_decomposition_touches_the_derived_transforms():
+    """A Smith form tracks ``d``, ``v`` and ``u_inv``; its ``u`` and
+    ``v_inv`` are solved for on first read, at many times the cost of the
+    form.  So no library code outside ``SmithDecomposition`` reads or sets
+    an attribute of either name, and no report pays for a derivation."""
+    touched = []
+    for path in sorted(Path(lambdaring.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {
+            id(inner)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == "SmithDecomposition"
+            for inner in ast.walk(node)
+        }
+        touched += [
+            f"{path.name}:{node.lineno}: .{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("u", "v_inv")
+            and id(node) not in owner
+        ]
+    assert touched == []
 
 
 def test_library_modules_import_no_private_names():
