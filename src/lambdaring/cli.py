@@ -81,12 +81,15 @@ SCHEMA_VERSION = 1
 # MAX_DEFORMATION_ORDER, and ring verify, whose checks take rank^5 products,
 # refuses a rank above MAX_RING_RANK or a cost above MAX_RING_WORK.  The
 # associativity checks multiply each constant with output index a by each
-# constant of row a (structure[a]), and a product of a b-bit and a c-bit
-# int takes about max(b, c) * min(b, c)^0.6 steps; so the cost is
-# RING_STEP_OVERHEAD * rank^5, for the interpreter's work per product, plus,
-# for each a, (sum b)(sum c^0.6) + (sum c)(sum b^0.6) over those two sets
-# of bit lengths (a dense random ring takes 1-2 s at rank 20 with one- to
-# twenty-digit constants or at rank 4 with 10^4 digits).  Every
+# constant of row a (structure[a]) on one side and of column a
+# (structure[i][a] over i) on the other, which differ when the data is not
+# commutative, and a product of a b-bit and a c-bit int takes about
+# max(b, c) * min(b, c)^0.6 steps; so the cost is RING_STEP_OVERHEAD *
+# rank^5, for the interpreter's work per product, plus, for each a,
+# (sum b)(sum c^0.6) + (sum c)(sum b^0.6), with b over the first set of bit
+# lengths and c over both partner sets (a dense random ring takes 0.7-1.5 s
+# at rank 20 with one- to twenty-digit constants and 1 s at rank 4 with
+# 10^4 digits).  Every
 # --ring, --deformation and --other file is refused when it is longer than
 # MAX_DOCUMENT_BYTES or holds an integer longer than MAX_INTEGER_DIGITS
 # digits (decimal text converts in quadratic time); an order-50 RC3
@@ -100,8 +103,8 @@ MAX_POLY_BOUND = 12
 MAX_LAMBDA_DEGREE = 1000
 MAX_DEFORMATION_ORDER = 50
 MAX_RING_RANK = 20
-MAX_RING_WORK = 5 * 10**10
-RING_STEP_OVERHEAD = 10_000
+MAX_RING_WORK = 10**11
+RING_STEP_OVERHEAD = 20_000
 MAX_DOCUMENT_BYTES = 16 * 2**20
 MAX_INTEGER_DIGITS = 10**4
 _READ_PIECE = 2**16
@@ -314,9 +317,10 @@ def _cmd_ring_verify(args: argparse.Namespace) -> _Report:
         )
     work = RING_STEP_OVERHEAD * rank**5
     for a in range(rank):
-        # the bit lengths of the constants with output index a, and of those of row a
+        # the bit lengths of the constants with output index a, and of their
+        # partners: those of row a (structure[a]) and of column a (structure[i][a])
         b = [abs(v[a]).bit_length() for row in structure for v in row]
-        c = [abs(x).bit_length() for v in structure[a] for x in v]
+        c = [abs(x).bit_length() for v in (*structure[a], *(r[a] for r in structure)) for x in v]
         work += sum(b) * sum(x**0.6 for x in c) + sum(c) * sum(x**0.6 for x in b)
     if work > MAX_RING_WORK:
         raise LimitExceeded(

@@ -4,7 +4,9 @@ Everything here runs on arbitrary-precision Python ints; no floating
 point is used anywhere in the library.  The two workhorses are the
 Smith normal form with a unimodular transform tracked on each side, and
 an exact linear solver built on the same elimination, which every system
-the library builds enters through ``solve_forms`` as packed forms.
+the library builds enters through ``solve_forms`` as packed forms (the
+one other system, the inverse of a Smith transform, is built only when
+a reader outside the library asks for it).
 Quotients of free abelian groups by integer relation lattices come out
 as canonical invariant-factor presentations with explicit generator
 bookkeeping, so cohomology classes can be printed, not just counted.
@@ -277,8 +279,9 @@ class SmithDecomposition:
     elimination tracks ``v`` and ``u_inv``, the transforms that solving
     and generator bookkeeping read.  ``u``, with ``u @ matrix @ v == d``,
     and ``v_inv`` are their inverses, solved for on first read and kept:
-    a read costs one solve per column, which on the large H1 relation
-    matrices takes far longer than the Smith form itself.
+    no library code reads them, and a read costs an elimination of the
+    transform, which on the large H1 relation matrices takes longer than
+    the Smith form itself.
     """
 
     d: IntMatrix
@@ -335,15 +338,15 @@ def _combine(row: list[int], pivot: list[int], q: int, support: list[int]) -> li
     return row
 
 
-def _least(row: list[int]) -> int:
-    """The least nonzero absolute value among the row's coefficients; 0 if they are all zero.
+def _least(row: list[int], ncols: int) -> int:
+    """The least nonzero absolute value among the row's ``ncols`` coefficients.
 
-    The coefficients are every entry but the last, the right-hand side,
-    which is taken off for the scan and put back, to copy nothing.
+    0 if they are all zero; raises ``_Unsolvable`` if they are all zero
+    and a right-hand side, an entry after them, is not.
     """
-    rhs = row.pop()
-    least = min(map(abs, filter(None, row)), default=0)
-    row.append(rhs)
+    least = min(map(abs, filter(None, itertools.islice(row, ncols))), default=0)
+    if not least and any(row[ncols:]):
+        raise _Unsolvable
     return least
 
 
@@ -362,9 +365,9 @@ class _Eliminator:
     given by keys: key i stands for equation i, and equal keys for equal
     equations.  ``equation(key)`` gives the row of an equation, a fresh
     list that the elimination changes: its ``ncols`` coefficients, then
-    its right-hand side.  So the right-hand side gets every row
-    operation, and the right transform ``v`` gets the column operations,
-    which solves the system.  ``smith_normal_form`` builds it from the
+    its right-hand side (``_inverse`` gives several).  So the right-hand
+    side gets every row operation, and the right transform ``v`` gets
+    the column operations, which solves the system.  ``smith_normal_form`` builds it from the
     rows of a matrix, each ending in 0, then also tracks ``u_inv``, which
     makes ``diagonalize`` turn the diagonal into a divisibility chain.
     Both transforms are held as columns, ``v`` (column operations F) and
@@ -419,11 +422,9 @@ class _Eliminator:
         self.groups = []
         for key, positions in positions_of.items():
             row = equation(key)
-            least = _least(row)
+            least = _least(row, ncols)
             if least:
                 self.groups.append([row, positions, least])
-            elif row[-1]:
-                raise _Unsolvable
 
     def track_add(self, i: int, j: int, q: int) -> None:
         """Record row_i += q * row_j in u_inv, as col_j -= q * col_i."""
@@ -577,11 +578,9 @@ class _Eliminator:
             firsts.append((own, [row, [i]]))
 
         def keep(row: list[int], positions: list[int]) -> None:
-            least = _least(row)
+            least = _least(row, self.ncols)
             if least:
                 staying.append([row, positions, least])
-            elif row[-1]:
-                raise _Unsolvable
 
         for (row, positions, _), (own, first) in zip(moving, firsts):
             lo, n = 1, len(positions)
@@ -699,12 +698,25 @@ def _solve(nrows: int, ncols: int, keys: Iterable, equation: Callable) -> Option
 
 
 def _inverse(matrix: IntMatrix) -> IntMatrix:
-    """The inverse of a unimodular matrix: column k solves ``matrix @ x == e_k``."""
+    """The inverse of a unimodular matrix, in one elimination.
+
+    Each row carries the identity's row as its right-hand sides, and
+    the elimination reaches ``E @ matrix @ v == I``, so the inverse is
+    ``v @ E``, where row k of E is what pivot k carries.  Only
+    ``SmithDecomposition.u`` and ``v_inv`` call it, and no library code
+    reads those: they stay for outside readers, such as the benchmark's
+    tracer, which is why this one system bypasses ``solve_forms``.
+    """
     n = matrix.rows
-    solutions = [_solve(n, n, range(n), lambda i: [*matrix.row(i), int(i == k)]) for k in range(n)]
-    if None in solutions:
-        raise InternalInconsistency("a Smith transform is not invertible over the integers")
-    return IntMatrix.from_columns([s.particular for s in solutions], n)
+    identity = _identity_rows(n)
+    try:
+        work = _Eliminator(n, n, range(n), lambda i: [*matrix.row(i), *identity[i]])
+        if work.diagonalize() == n and all(p[k] == 1 for k, p in enumerate(work.pivots)):
+            carried = tuple(e for p in work.pivots for e in p[n:])
+            return IntMatrix.from_columns(work.v, n) @ IntMatrix(n, n, carried)
+    except _Unsolvable:
+        pass
+    raise InternalInconsistency("a Smith transform is not invertible over the integers")
 
 
 def kernel_basis(matrix: IntMatrix) -> tuple[Vector, ...]:

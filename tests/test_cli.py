@@ -372,15 +372,17 @@ class TestInputContract:
         # so each runs all rank^5 steps and prints a line per failure
         limit, work = cli.MAX_RING_RANK, cli.MAX_RING_WORK
 
-        def verify(name, rank, big=0, digits=1):
+        def verify(name, rank, big=0, digits=1, constants=None):
             # one-digit constants, then ``big`` of them at random places
-            # replaced by constants of ``digits`` digits; written as text,
-            # since an int of more than 4300 digits has no str by default
+            # replaced by constants of ``digits`` digits, unless the
+            # constants are given; written as text, since an int of more
+            # than 4300 digits has no str by default
             rng = random.Random(rank)
-            constants = [str(rng.randint(-9, 9)) for _ in range(rank**3)]
             pool = ["".join(rng.choices("0123456789", k=digits - 1)) for _ in range(8)]
-            for k in rng.sample(range(rank**3), big):
-                constants[k] = rng.choice(("", "-")) + str(rng.randint(1, 9)) + rng.choice(pool)
+            if constants is None:
+                constants = [str(rng.randint(-9, 9)) for _ in range(rank**3)]
+                for k in rng.sample(range(rank**3), big):
+                    constants[k] = rng.choice(("", "-")) + str(rng.randint(1, 9)) + rng.choice(pool)
             unit = ", ".join(["1"] + ["0"] * (rank - 1))
             adams = json.dumps(IntMatrix.identity(rank).flat())
             path = tmp_path / f"{name}.json"
@@ -415,6 +417,17 @@ class TestInputContract:
             if expected == 2:
                 assert process.stdout == "", name
                 assert f"above the limit {work}" in process.stderr, name
+        # not commutative: rows 10-19 are zero, and every other product is
+        # zero at indices 0-9 and 2,000-digit at 10-19, so each wide
+        # constant meets its wide partners in column a only (the checks
+        # would take about 7 s; with 8,000 digits, 61 s)
+        rng = random.Random(0)
+        wide = [str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=1999)) for _ in range(8)]
+        constants = [c for i in range(limit) for _ in range(limit)
+                     for c in ["0"] * 10 + (rng.choices(wide, k=10) if i < 10 else ["0"] * 10)]
+        process = verify("wide only in columns", limit, constants=constants)
+        assert process.returncode == 2, process.stderr
+        assert f"above the limit {work}" in process.stderr
         process = verify("dense above the rank limit", limit + 1)
         assert process.returncode == 2, process.stderr
         assert process.stdout == ""

@@ -378,7 +378,7 @@ def degenerate_matrices():
 
 # The Smith form tracks d, v and u_inv; u and v_inv are solved for when
 # read.  Every derived transform is compared on the small matrices, where
-# solving costs little; on the tall and large systems the tracked ones
+# deriving costs little; on the tall and large systems the tracked ones
 # are, since u and v_inv are functions of them.
 TRACKED = ("d", "v", "u_inv")
 ALL_FIVE = ("u", "d", "v", "u_inv", "v_inv")
@@ -1061,11 +1061,18 @@ class TestSmithNormalForm:
         a = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
         dec = smith_normal_form(a)
         assert "u" not in vars(dec) and "v_inv" not in vars(dec)
-        # derived through the private solver, so a traced solve_linear sees no call
+        # derived by a private elimination, so a traced solve_linear sees no call
         monkeypatch.setattr(exactalg, "solve_linear", None)
         u, v_inv = dec.u, dec.v_inv
         assert dec.u is u and dec.v_inv is v_inv
         assert u @ dec.u_inv == dec.v @ v_inv == IntMatrix.identity(3)
+        # a transform that is not unimodular, singular or not, has no integer inverse
+        for broken in ([[2, 0], [0, 1]], [[1, 2], [2, 4]], [[0, 0], [0, 1]]):
+            broken = IntMatrix.from_rows(broken)
+            dec = exactalg.SmithDecomposition(d=IntMatrix.identity(2), v=broken, u_inv=broken)
+            for name in ("u", "v_inv"):
+                with pytest.raises(InternalInconsistency):
+                    getattr(dec, name)
 
     def test_zero_and_identity(self):
         assert smith_normal_form(IntMatrix.zeros(2, 3)).diagonal == (0, 0)
